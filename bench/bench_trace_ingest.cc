@@ -10,7 +10,8 @@
  *   ESD_BENCH_RECORDS  trace length in records (default 60000)
  *   ESD_BENCH_REPS     timing repetitions; best rep is reported
  *                      (default 3 — host noise only ever slows a run)
- *   ESD_BENCH_JSON     path: machine-readable {formats} dump
+ *   ESD_BENCH_JSON     path: machine-readable {formats} dump (with
+ *                      the host's hardware thread count)
  *
  * The decoded stream is digested (record count + an order-sensitive
  * checksum) and cross-checked across reps and formats: a "faster"
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -196,6 +198,8 @@ main(int argc, char **argv)
             w.beginObject();
             w.kv("records", records);
             w.kv("reps", reps);
+            w.kv("host_threads", static_cast<std::uint64_t>(
+                                     std::thread::hardware_concurrency()));
             w.key("formats");
             w.beginArray();
             for (const Fmt &f : fmts) {

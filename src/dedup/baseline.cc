@@ -1,5 +1,7 @@
 #include "dedup/baseline.hh"
 
+#include "common/logging.hh"
+
 namespace esd
 {
 
@@ -11,6 +13,15 @@ BaselineScheme::write(Addr addr, const CacheLine &data, Tick now)
     WriteBreakdown bd;
 
     addr = lineAlign(addr);
+    // Physical = logical: an address past the device has no line to
+    // land on. (The remapping schemes allocate physical lines, so only
+    // this scheme can see one.)
+    if (lineIndex(addr) >= cfg_.pcm.capacityBytes / kLineSize)
+        esd_fatal("Baseline writes in place, but address 0x%llx is "
+                  "beyond the %llu-byte PCM capacity",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(
+                      cfg_.pcm.capacityBytes));
     Tick t = now;
 
     Tick enc = cfg_.crypto.encryptLatency;

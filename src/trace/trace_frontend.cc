@@ -1,8 +1,8 @@
 #include "trace/trace_frontend.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <stdexcept>
 
 #include <zlib.h>
 
@@ -15,12 +15,16 @@ namespace
 {
 
 constexpr char kMagic[4] = {'E', 'S', 'D', 'T'};
+constexpr char kGzipMagic[2] = {'\x1f', '\x8b'};
 
-/** Compressed-side window the gzip inflater reads through. */
-constexpr std::size_t kGzipChunk = 64 * 1024;
-
-/** Raw-byte window the text line scanner reads through. */
-constexpr std::size_t kTextChunk = 16 * 1024;
+/** True when @p in starts with the @p n bytes at @p magic; peeks
+ * only, so nothing is consumed and a gzip stream inflates just
+ * those bytes. */
+bool
+startsWith(detail::ByteStream &in, const char *magic, std::size_t n)
+{
+    return in.peek(n) && std::memcmp(in.data(), magic, n) == 0;
+}
 
 std::uint64_t
 splitmix64(std::uint64_t x)
@@ -31,16 +35,24 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Hex digit value per byte, -1 for anything else. */
+constexpr std::array<std::int8_t, 256> kHexVal = [] {
+    std::array<std::int8_t, 256> t{};
+    for (int c = 0; c < 256; ++c)
+        t[c] = -1;
+    for (int c = 0; c < 10; ++c)
+        t['0' + c] = static_cast<std::int8_t>(c);
+    for (int c = 0; c < 6; ++c) {
+        t['a' + c] = static_cast<std::int8_t>(10 + c);
+        t['A' + c] = static_cast<std::int8_t>(10 + c);
+    }
+    return t;
+}();
+
 int
 hexVal(char c)
 {
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
+    return kHexVal[static_cast<std::uint8_t>(c)];
 }
 
 std::uint64_t
@@ -61,12 +73,84 @@ loadLe32(const std::uint8_t *p)
            (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-bool
-isOpToken(const std::string &tok)
+/** A whitespace-delimited field of a text line, borrowed in place. */
+struct Token
 {
-    return tok.size() == 1 &&
-           (tok[0] == 'W' || tok[0] == 'w' || tok[0] == 'R' ||
-            tok[0] == 'r');
+    const char *p = nullptr;
+    std::size_t n = 0;
+
+    int len() const { return static_cast<int>(n); }  // for "%.*s"
+};
+
+bool
+isBlank(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+bool
+isOpToken(Token t)
+{
+    return t.n == 1 &&
+           (t.p[0] == 'W' || t.p[0] == 'w' || t.p[0] == 'R' ||
+            t.p[0] == 'r');
+}
+
+/** Optional 0x/0X prefix, then 1-16 hex digits. */
+bool
+parseHexAddr(Token t, Addr &out)
+{
+    const char *p = t.p;
+    std::size_t n = t.n;
+    if (n >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X')) {
+        p += 2;
+        n -= 2;
+    }
+    if (n == 0 || n > 16)
+        return false;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        int d = hexVal(p[i]);
+        if (d < 0)
+            return false;
+        v = (v << 4) | static_cast<std::uint64_t>(d);
+    }
+    out = v;
+    return true;
+}
+
+/** 1-10 decimal digits, at most 2^32-1. */
+bool
+parseIcount(Token t, std::uint32_t &out)
+{
+    if (t.n == 0 || t.n > 10)
+        return false;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < t.n; ++i) {
+        unsigned d = static_cast<unsigned char>(t.p[i]) - '0';
+        if (d > 9)
+            return false;
+        v = v * 10 + d;
+    }
+    if (v > 0xffffffffull)
+        return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+/** Decode kLineSize bytes from 2*kLineSize hex chars; false on any
+ * non-hex char. */
+bool
+parseHexLine(const char *p, std::uint8_t *out)
+{
+    int bad = 0;
+    for (std::size_t b = 0; b < kLineSize; ++b) {
+        int hi = hexVal(p[b * 2]);
+        int lo = hexVal(p[b * 2 + 1]);
+        bad |= hi | lo;
+        out[b] = static_cast<std::uint8_t>(hi * 16 + lo);
+    }
+    return bad >= 0;
 }
 
 } // namespace
@@ -75,11 +159,9 @@ TraceFormat
 detectTraceFormat(const std::string &path)
 {
     detail::FileByteStream in(path);
-    std::uint8_t head[4];
-    std::size_t got = in.read(head, 4);
-    if (got >= 2 && head[0] == 0x1f && head[1] == 0x8b)
+    if (startsWith(in, kGzipMagic, 2))
         return TraceFormat::Gzip;
-    if (got == 4 && std::memcmp(head, kMagic, 4) == 0)
+    if (startsWith(in, kMagic, 4))
         return TraceFormat::Binary;
     return TraceFormat::Text;
 }
@@ -99,41 +181,37 @@ synthesizeLineContent(Addr addr, std::uint64_t windex)
 namespace detail
 {
 
-std::size_t
-ByteStream::read(std::uint8_t *out, std::size_t n)
+ByteStream::ByteStream(std::string path)
+    : path_(std::move(path)), buf_(new std::uint8_t[kTraceWindow])
 {
-    std::size_t served = 0;
-    if (!pushback_.empty()) {
-        served = std::min(n, pushback_.size());
-        std::memcpy(out, pushback_.data(), served);
-        pushback_.erase(pushback_.begin(),
-                        pushback_.begin() + static_cast<long>(served));
-    }
-    while (served < n) {
-        std::size_t got = fill(out + served, n - served);
-        if (got == 0)
-            break;
-        served += got;
-    }
-    return served;
 }
 
 bool
-ByteStream::readExact(std::uint8_t *out, std::size_t n, const char *what)
+ByteStream::load(std::size_t n, bool whole)
 {
-    std::size_t got = read(out, n);
-    if (got == 0)
-        return false;
-    if (got < n)
-        esd_fatal("'%s': truncated %s (wanted %zu bytes, got %zu)",
-                  path_.c_str(), what, n, got);
-    return true;
+    esd_assert(n <= kTraceWindow, "window request beyond kTraceWindow");
+    if (pos_ > 0) {
+        std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
+        end_ -= pos_;
+        pos_ = 0;
+    }
+    while (end_ < n && !eof_) {
+        std::size_t want = whole ? kTraceWindow - end_ : n - end_;
+        std::size_t got = fill(buf_.get() + end_, want);
+        if (got == 0)
+            eof_ = true;
+        end_ += got;
+    }
+    return end_ >= n;
 }
 
 void
-ByteStream::unread(const std::uint8_t *data, std::size_t n)
+ByteStream::truncated(std::size_t n, const char *what) const
 {
-    pushback_.insert(pushback_.begin(), data, data + n);
+    if (available() == 0)
+        esd_fatal("'%s': truncated %s", path_.c_str(), what);
+    esd_fatal("'%s': truncated %s (wanted %zu bytes, got %zu)",
+              path_.c_str(), what, n, available());
 }
 
 FileByteStream::FileByteStream(const std::string &path) : ByteStream(path)
@@ -161,8 +239,6 @@ FileByteStream::fill(std::uint8_t *out, std::size_t n)
 struct GzipByteStream::ZState
 {
     z_stream strm{};
-    std::uint8_t in[kGzipChunk];
-    bool innerEof = false;
     bool finished = false;
 };
 
@@ -191,20 +267,18 @@ GzipByteStream::fill(std::uint8_t *out, std::size_t n)
     s.next_out = out;
     s.avail_out = static_cast<uInt>(n);
     while (s.avail_out > 0) {
-        if (s.avail_in == 0 && !z_->innerEof) {
-            std::size_t got = inner_->read(z_->in, kGzipChunk);
-            s.next_in = z_->in;
-            s.avail_in = static_cast<uInt>(got);
-            if (got == 0)
-                z_->innerEof = true;
-        }
+        // Inflate straight from the compressed window.
+        bool innerEof = !inner_->ensure(1);
+        s.next_in = const_cast<Bytef *>(inner_->data());
+        s.avail_in = static_cast<uInt>(inner_->available());
         uInt before = s.avail_out;
         int rc = inflate(&s, Z_NO_FLUSH);
+        inner_->consume(inner_->available() - s.avail_in);
         if (rc == Z_STREAM_END) {
             // A concatenated member would start here; single-member
             // streams are what the capture side writes. Trailing
             // garbage after the member is a corruption signal.
-            if (s.avail_in > 0 || inner_->read(z_->in, 1) > 0)
+            if (inner_->ensure(1))
                 esd_fatal("'%s': trailing bytes after gzip stream",
                           path_.c_str());
             z_->finished = true;
@@ -213,7 +287,7 @@ GzipByteStream::fill(std::uint8_t *out, std::size_t n)
         if (rc != Z_OK && rc != Z_BUF_ERROR)
             esd_fatal("'%s': corrupt gzip stream (%s)", path_.c_str(),
                       s.msg ? s.msg : zError(rc));
-        if (s.avail_out == before && z_->innerEof)
+        if (s.avail_out == before && innerEof)
             esd_fatal("'%s': gzip stream ends mid-member (truncated?)",
                       path_.c_str());
     }
@@ -239,40 +313,28 @@ TraceFrontend::open()
     in_ = std::make_unique<detail::FileByteStream>(path_);
     format_ = TraceFormat::Text;
 
-    std::uint8_t head[2];
-    std::size_t got = in_->read(head, 2);
-    if (got == 2 && head[0] == 0x1f && head[1] == 0x8b) {
-        in_->unread(head, 2);
+    if (startsWith(*in_, kGzipMagic, 2)) {
         in_ = std::make_unique<detail::GzipByteStream>(std::move(in_));
         format_ = TraceFormat::Gzip;
-    } else {
-        in_->unread(head, got);
     }
 
     // Sniff the (possibly inflated) record stream for the binary magic.
-    std::uint8_t magic[4];
-    got = in_->read(magic, 4);
-    binary_ = got == 4 && std::memcmp(magic, kMagic, 4) == 0;
-    if (!binary_) {
-        in_->unread(magic, got);
-        if (format_ == TraceFormat::Text)
-            format_ = TraceFormat::Text;
+    binary_ = startsWith(*in_, kMagic, 4);
+    if (!binary_)
         return;
-    }
+    in_->consume(4);
     if (format_ != TraceFormat::Gzip)
         format_ = TraceFormat::Binary;
 
     // Version byte. Legacy v1 streams have no header: the byte after
     // the magic is the first record's op (0 or 1), which no versioned
     // header ever uses as its version.
-    std::uint8_t ver;
-    got = in_->read(&ver, 1);
-    if (got == 0) {
+    if (!in_->peek(1)) {
         binVersion_ = 1;  // empty legacy trace: magic then EOF
         return;
     }
+    std::uint8_t ver = in_->data()[0];
     if (ver <= 1) {
-        in_->unread(&ver, 1);
         binVersion_ = 1;
         return;
     }
@@ -281,9 +343,11 @@ TraceFrontend::open()
                   "<= %u)", path_.c_str(), static_cast<unsigned>(ver),
                   static_cast<unsigned>(kBinaryTraceVersion));
     binVersion_ = ver;
-    std::uint8_t rest[3];  // flags u8 + reserved u16
-    if (!in_->readExact(rest, 3, "binary trace header"))
-        esd_fatal("'%s': truncated binary trace header", path_.c_str());
+    in_->consume(1);
+    // flags u8 + reserved u16
+    if (!in_->peek(3))
+        in_->truncated(3, "binary trace header");
+    const std::uint8_t *rest = in_->data();
     if (rest[0] & ~1u)
         esd_fatal("'%s': unknown trace flags 0x%02x", path_.c_str(),
                   static_cast<unsigned>(rest[0]));
@@ -291,139 +355,122 @@ TraceFrontend::open()
         esd_fatal("'%s': corrupt binary trace header (reserved bytes "
                   "set)", path_.c_str());
     binPayloads_ = rest[0] & 1;
+    in_->consume(3);
 }
 
 bool
-TraceFrontend::readLine(std::string &line)
+TraceFrontend::nextLine(const char *&line, std::size_t &len)
 {
-    line.clear();
-    std::uint8_t c;
+    std::size_t scanned = 0;
     while (true) {
-        if (in_->read(&c, 1) == 0)
-            return !line.empty();
-        if (c == '\n')
+        const std::uint8_t *p = in_->data();
+        std::size_t avail = in_->available();
+        std::size_t limit = std::min(avail, kMaxTraceLine + 1);
+        if (const void *nl =
+                std::memchr(p + scanned, '\n', limit - scanned)) {
+            line = reinterpret_cast<const char *>(p);
+            len = static_cast<std::size_t>(
+                static_cast<const std::uint8_t *>(nl) - p);
+            in_->consume(len + 1);
             return true;
-        line.push_back(static_cast<char>(c));
-        if (line.size() > kMaxTraceLine)
+        }
+        if (avail > kMaxTraceLine)
             esd_fatal("%s:%llu: line exceeds %zu bytes", path_.c_str(),
                       static_cast<unsigned long long>(lineNo_ + 1),
                       kMaxTraceLine);
+        // The line straddles the window end: compact and refill.
+        scanned = avail;
+        if (!in_->ensure(avail + 1)) {
+            // EOF; an unterminated last line is still a line.
+            len = in_->available();
+            if (len == 0)
+                return false;
+            line = reinterpret_cast<const char *>(in_->data());
+            in_->consume(len);
+            return true;
+        }
     }
 }
 
 bool
 TraceFrontend::decodeText(TraceRecord &rec)
 {
-    std::string line;
-    while (readLine(line)) {
+    const char *line;
+    std::size_t len;
+    while (nextLine(line, len)) {
         ++lineNo_;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
+        if (len > 0 && line[len - 1] == '\r')
+            --len;
+        const char *c = line;
+        const char *end = line + len;
 
         // Comments and blanks: decided before tokenization so a long
         // banner comment is never mistaken for an over-long record.
-        std::size_t first = 0;
-        while (first < line.size() &&
-               (line[first] == ' ' || line[first] == '\t'))
-            ++first;
-        if (first >= line.size() || line[first] == '#')
+        while (c < end && isBlank(*c))
+            ++c;
+        if (c == end || *c == '#')
             continue;
 
         // Tokenize on whitespace; at most four fields are legal.
-        std::string toks[5];
+        Token toks[4];
         std::size_t ntok = 0;
-        std::size_t i = first;
-        while (i < line.size()) {
-            while (i < line.size() &&
-                   (line[i] == ' ' || line[i] == '\t'))
-                ++i;
-            if (i >= line.size())
-                break;
-            std::size_t start = i;
-            while (i < line.size() && line[i] != ' ' && line[i] != '\t')
-                ++i;
-            if (ntok == 5)
+        while (c < end) {
+            if (ntok == 4)
                 esd_fatal("%s:%llu: trailing junk on record",
                           path_.c_str(),
                           static_cast<unsigned long long>(lineNo_));
-            toks[ntok++] = line.substr(start, i - start);
+            toks[ntok].p = c;
+            while (c < end && !isBlank(*c))
+                ++c;
+            toks[ntok].n = static_cast<std::size_t>(c - toks[ntok].p);
+            ++ntok;
+            while (c < end && isBlank(*c))
+                ++c;
         }
-        if (ntok > 4)
-            esd_fatal("%s:%llu: trailing junk on record", path_.c_str(),
+        if (ntok < 2)
+            esd_fatal("%s:%llu: malformed record", path_.c_str(),
                       static_cast<unsigned long long>(lineNo_));
 
         // Two token orders: canonical `<op> <addr> ...` and
         // Ramulator-style `<addr> <op> ...`.
-        std::string opTok, addrTok;
-        if (isOpToken(toks[0])) {
-            if (ntok < 2)
-                esd_fatal("%s:%llu: malformed record", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_));
-            opTok = toks[0];
-            addrTok = toks[1];
-        } else {
-            if (ntok < 2)
-                esd_fatal("%s:%llu: malformed record", path_.c_str(),
-                          static_cast<unsigned long long>(lineNo_));
+        Token opTok = toks[0], addrTok = toks[1];
+        if (!isOpToken(toks[0])) {
             if (!isOpToken(toks[1]))
-                esd_fatal("%s:%llu: bad op '%s'", path_.c_str(),
+                esd_fatal("%s:%llu: bad op '%.*s'", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          toks[1].c_str());
-            addrTok = toks[0];
-            opTok = toks[1];
+                          toks[1].len(), toks[1].p);
+            std::swap(opTok, addrTok);
         }
-        rec.op = (opTok[0] == 'W' || opTok[0] == 'w') ? OpType::Write
-                                                      : OpType::Read;
-        try {
-            std::size_t consumed = 0;
-            rec.addr = std::stoull(addrTok, &consumed, 16);
-            if (consumed != addrTok.size())
-                throw std::invalid_argument(addrTok);
-        } catch (const std::exception &) {
-            esd_fatal("%s:%llu: bad hex address '%s'", path_.c_str(),
+        rec.op = (opTok.p[0] == 'W' || opTok.p[0] == 'w') ? OpType::Write
+                                                          : OpType::Read;
+        if (!parseHexAddr(addrTok, rec.addr))
+            esd_fatal("%s:%llu: bad hex address '%.*s'", path_.c_str(),
                       static_cast<unsigned long long>(lineNo_),
-                      addrTok.c_str());
-        }
+                      addrTok.len(), addrTok.p);
 
         // Remaining tokens: optional 128-hex-char payload, then an
         // optional decimal icount. A long token that is not exactly a
         // full line of hex is a malformed payload, not an icount.
         std::size_t r = 2;
         bool havePayload = false;
-        if (r < ntok && toks[r].size() > 16) {
-            const std::string &d = toks[r];
-            if (d.size() != kLineSize * 2)
+        if (r < ntok && toks[r].n > 16) {
+            if (toks[r].n != kLineSize * 2)
                 esd_fatal("%s:%llu: write payload must be %zu hex chars "
                           "(got %zu)", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          kLineSize * 2, d.size());
-            for (std::size_t b = 0; b < kLineSize; ++b) {
-                int hi = hexVal(d[b * 2]);
-                int lo = hexVal(d[b * 2 + 1]);
-                if (hi < 0 || lo < 0)
-                    esd_fatal("%s:%llu: bad hex data", path_.c_str(),
-                              static_cast<unsigned long long>(lineNo_));
-                rec.data[b] =
-                    static_cast<std::uint8_t>((hi << 4) | lo);
-            }
+                          kLineSize * 2, toks[r].n);
+            if (!parseHexLine(toks[r].p, rec.data.data()))
+                esd_fatal("%s:%llu: bad hex data", path_.c_str(),
+                          static_cast<unsigned long long>(lineNo_));
             havePayload = true;
             ++r;
         }
         rec.icount = 100;
         if (r < ntok) {
-            const std::string &ic = toks[r];
-            std::uint64_t v = 0;
-            try {
-                std::size_t consumed = 0;
-                v = std::stoull(ic, &consumed, 10);
-                if (consumed != ic.size() || v > 0xffffffffull)
-                    throw std::invalid_argument(ic);
-            } catch (const std::exception &) {
-                esd_fatal("%s:%llu: bad icount '%s'", path_.c_str(),
+            if (!parseIcount(toks[r], rec.icount))
+                esd_fatal("%s:%llu: bad icount '%.*s'", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          ic.c_str());
-            }
-            rec.icount = static_cast<std::uint32_t>(v);
+                          toks[r].len(), toks[r].p);
             ++r;
         }
         if (r < ntok)
@@ -445,25 +492,24 @@ TraceFrontend::decodeText(TraceRecord &rec)
 bool
 TraceFrontend::decodeBinary(TraceRecord &rec)
 {
+    detail::ByteStream &in = *in_;
     if (binVersion_ <= 1) {
         // Legacy headerless stream: raw BinaryTraceWriter records.
-        std::uint8_t op;
-        if (!in_->readExact(&op, 1, "record"))
+        if (!in.ensure(1))
             return false;
+        std::uint8_t op = in.data()[0];
         if (op > 1)
             esd_fatal("'%s': bad op byte %u (corrupt trace?)",
                       path_.c_str(), static_cast<unsigned>(op));
-        std::uint8_t fixed[12];
-        if (!in_->readExact(fixed, 12, "record"))
-            esd_fatal("'%s': truncated record", path_.c_str());
+        in.consume(1);
+        const std::uint8_t *fixed = in.require(12, "record");
         rec.op = op ? OpType::Write : OpType::Read;
         rec.addr = loadLe64(fixed);
         rec.icount = loadLe32(fixed + 8);
+        in.consume(12);
         if (rec.op == OpType::Write) {
-            if (!in_->readExact(rec.data.data(), kLineSize,
-                                "write payload"))
-                esd_fatal("'%s': truncated write payload",
-                          path_.c_str());
+            rec.data = CacheLine(in.require(kLineSize, "write payload"));
+            in.consume(kLineSize);
             ++writesSeen_;
         } else {
             rec.data = CacheLine{};
@@ -472,16 +518,15 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
     }
 
     // v2: length-prefixed records.
-    std::uint8_t len;
-    if (!in_->readExact(&len, 1, "record"))
+    if (!in.ensure(1))
         return false;
+    std::uint8_t len = in.data()[0];
     if (len != kBinaryRecordNoPayload && len != kBinaryRecordPayload)
         esd_fatal("'%s': bad record length %u (expected %zu or %zu)",
                   path_.c_str(), static_cast<unsigned>(len),
                   kBinaryRecordNoPayload, kBinaryRecordPayload);
-    std::uint8_t body[kBinaryRecordPayload];
-    if (!in_->readExact(body, len, "record"))
-        esd_fatal("'%s': truncated record", path_.c_str());
+    in.consume(1);
+    const std::uint8_t *body = in.require(len, "record");
     if (body[0] > 1)
         esd_fatal("'%s': bad op byte %u (corrupt trace?)", path_.c_str(),
                   static_cast<unsigned>(body[0]));
@@ -498,6 +543,7 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
     } else {
         rec.data = CacheLine{};
     }
+    in.consume(len);
     return true;
 }
 
@@ -514,11 +560,15 @@ TraceFrontend::refill()
     bufPos_ = 0;
     if (eof_)
         return;
-    TraceRecord rec;
-    while (buffer_.size() < cfg_.readAhead && decodeOne(rec))
-        buffer_.push_back(rec);
-    if (buffer_.size() < cfg_.readAhead)
-        eof_ = true;
+    // Decode in place: no per-record temporary copy.
+    while (buffer_.size() < cfg_.readAhead) {
+        buffer_.emplace_back();
+        if (!decodeOne(buffer_.back())) {
+            buffer_.pop_back();
+            eof_ = true;
+            break;
+        }
+    }
     decoded_ += buffer_.size();
     peakBuffered_ = std::max(peakBuffered_, buffer_.size());
 }

@@ -4,9 +4,11 @@
  *
  * TraceFrontend turns an on-disk memory trace into a TraceSource
  * without ever materializing the trace in RAM: bytes are pulled
- * through a bounded chunk buffer, decoded record by record, and at
- * most `[trace] read_ahead` decoded records are buffered at any time,
- * so memory stays constant at any trace length.
+ * through one refillable kTraceWindow byte window, records decode in
+ * place from it (text lines are found with memchr and tokenized
+ * without copies), and at most `[trace] read_ahead` decoded records
+ * are buffered at any time, so memory stays constant at any trace
+ * length.
  *
  * Three on-disk formats are accepted, auto-detected from the first
  * bytes of the file (never from the extension):
@@ -16,10 +18,13 @@
  *     `<W|R> <hex addr> [<128 hex data>] <icount>` and the
  *     Ramulator2-style `<hex addr> <W|R> [<128 hex data>] [<icount>]`
  *     (icount defaults to 100 when absent). The data token is optional
- *     for writes in both orders: address-only traces are valid.
+ *     for writes in both orders: address-only traces are valid. An
+ *     address is 1-16 hex digits with an optional `0x`/`0X` prefix;
+ *     an icount is 1-10 decimal digits, at most 2^32-1. Signs are
+ *     rejected in both.
  *   - **gzip** — a zlib/gzip stream (magic 0x1f 0x8b) inflated on the
- *     fly through a fixed 64 KB window; the inflated content is
- *     sniffed again, so both gzip'd text and gzip'd binary work.
+ *     fly into the byte window; the inflated content is sniffed again,
+ *     so both gzip'd text and gzip'd binary work.
  *   - **binary** — `ESDT` magic. Version 2 carries a versioned header
  *     (version byte, flags byte with the line-payload bit, reserved
  *     u16) and length-prefixed records
@@ -58,6 +63,12 @@ namespace esd
  * with slack); longer lines are a format error, not a buffer grower. */
 constexpr std::size_t kMaxTraceLine = 512;
 
+/** Byte window each trace stream decodes from (and, for gzip, the
+ * compressed-side window too). A refill leaves at most one straddling
+ * line in it, so every inflate() call gets well over 64 KB of output
+ * space. */
+constexpr std::size_t kTraceWindow = 128 * 1024;
+
 /** Binary format limits (v2). */
 constexpr std::uint8_t kBinaryTraceVersion = 2;
 constexpr std::size_t kBinaryRecordNoPayload = 13;  ///< op+addr+icount
@@ -79,40 +90,75 @@ CacheLine synthesizeLineContent(Addr addr, std::uint64_t windex);
 namespace detail
 {
 
-/** Bounded pull-based byte source with a small pushback buffer (the
- * format sniffer peeks, then ungets). */
+/**
+ * A refillable byte window over a pull-based medium. Decoders read
+ * records in place at data() and consume() them; ensure() tops the
+ * window up when a record straddles its end. Unconsumed bytes are
+ * compacted to the front before each refill, so after a refill the
+ * window starts at the straddling line or record.
+ */
 class ByteStream
 {
   public:
     virtual ~ByteStream() = default;
 
-    /** Read up to @p n bytes; returns bytes produced (0 = clean EOF).
-     * Corrupt underlying streams die via esd_fatal. */
-    std::size_t read(std::uint8_t *out, std::size_t n);
+    /** Make at least @p n (<= kTraceWindow) bytes readable at data();
+     * false when the medium ends first (the short tail stays
+     * readable). A refill fills the whole free window, so refills are
+     * rare. Corrupt underlying streams die via esd_fatal. */
+    bool
+    ensure(std::size_t n)
+    {
+        return available() >= n || load(n, true);
+    }
 
-    /** Read exactly @p n bytes or nothing: returns false on clean EOF
-     * at a record boundary; a partial tail is a fatal truncation named
-     * @p what. */
-    bool readExact(std::uint8_t *out, std::size_t n, const char *what);
+    /** As ensure(), but read only the missing bytes: the format sniff
+     * peeks through this so opening a gzip trace inflates a few bytes,
+     * not a window. */
+    bool
+    peek(std::size_t n)
+    {
+        return available() >= n || load(n, false);
+    }
 
-    /** Push @p n bytes back; the next read returns them first. */
-    void unread(const std::uint8_t *data, std::size_t n);
+    /** ensure(@p n) or die: an empty tail is "truncated <what>", a
+     * partial one also names the wanted and present byte counts. */
+    const std::uint8_t *
+    require(std::size_t n, const char *what)
+    {
+        if (!ensure(n))
+            truncated(n, what);
+        return data();
+    }
+
+    /** The fatal behind require(), for callers that peek(). */
+    [[noreturn]] void truncated(std::size_t n, const char *what) const;
+
+    const std::uint8_t *data() const { return buf_.get() + pos_; }
+    std::size_t available() const { return end_ - pos_; }
+    void consume(std::size_t n) { pos_ += n; }
 
     const std::string &path() const { return path_; }
 
   protected:
-    explicit ByteStream(std::string path) : path_(std::move(path)) {}
+    explicit ByteStream(std::string path);
 
-    /** Produce up to @p n fresh bytes from the underlying medium. */
+    /** Produce up to @p n fresh bytes from the underlying medium
+     * (0 = clean EOF). */
     virtual std::size_t fill(std::uint8_t *out, std::size_t n) = 0;
 
     std::string path_;
 
   private:
-    std::vector<std::uint8_t> pushback_;
+    bool load(std::size_t n, bool whole);
+
+    std::unique_ptr<std::uint8_t[]> buf_;
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0;
+    bool eof_ = false;
 };
 
-/** Plain file bytes. */
+/** Plain file bytes, fread straight into the window. */
 class FileByteStream : public ByteStream
 {
   public:
@@ -126,8 +172,9 @@ class FileByteStream : public ByteStream
     std::FILE *f_ = nullptr;
 };
 
-/** Gzip-inflating wrapper: fixed 64 KB compressed-side window, fatal
- * on any zlib error or a stream that ends mid-member. */
+/** Gzip-inflating wrapper: inflates from the inner stream's window
+ * straight into this one; fatal on any zlib error or a stream that
+ * ends mid-member. */
 class GzipByteStream : public ByteStream
 {
   public:
@@ -184,7 +231,7 @@ class TraceFrontend : public TraceSource
     bool decodeOne(TraceRecord &rec);
     bool decodeText(TraceRecord &rec);
     bool decodeBinary(TraceRecord &rec);
-    bool readLine(std::string &line);
+    bool nextLine(const char *&line, std::size_t &len);
 
     std::string path_;
     TraceConfig cfg_;

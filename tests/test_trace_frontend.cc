@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "core/run_report.hh"
 #include "core/simulator.hh"
 #include "exec/pipeline.hh"
@@ -101,6 +103,31 @@ drain(const std::string &path, std::uint64_t read_ahead = 4096)
     while (f.next(rec))
         out.push_back(rec);
     return out;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void
+writeGzip(const std::string &path, const std::string &bytes)
+{
+    detail::GzipByteSink sink(std::make_unique<detail::FileByteSink>(path));
+    sink.write(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+               bytes.size());
+    sink.finish();
 }
 
 void
@@ -230,16 +257,7 @@ TEST_F(TraceFrontendTest, GzippedBinaryReplays)
     std::vector<TraceRecord> want = drain(bin);
 
     std::string gz = file("b.bin.gz");
-    {
-        detail::GzipByteSink sink(
-            std::make_unique<detail::FileByteSink>(gz));
-        std::ifstream in(bin, std::ios::binary);
-        char buf[4096];
-        while (in.read(buf, sizeof buf) || in.gcount() > 0)
-            sink.write(reinterpret_cast<const std::uint8_t *>(buf),
-                       static_cast<std::size_t>(in.gcount()));
-        sink.finish();
-    }
+    writeGzip(gz, slurp(bin));
 
     EXPECT_EQ(detectTraceFormat(gz), TraceFormat::Gzip);
     expectSameRecords(want, drain(gz));
@@ -369,10 +387,12 @@ TEST_F(TraceFrontendTest, RamulatorTokenOrderAndDefaults)
             << "46b100 W\n"          // icount defaults to 100
             << "deadbeef R 40\n"     // explicit icount
             << "\r\n"                // blank CRLF line
-            << "R cafe0 7\r\n";      // canonical order, CRLF
+            << "R cafe0 7\r\n"       // canonical order, CRLF
+            << "0x46b100 W\n"        // Ramulator's 0x-prefixed form
+            << "0XaBc r 4294967295\n"; // upper prefix, max icount
     }
     std::vector<TraceRecord> recs = drain(path);
-    ASSERT_EQ(recs.size(), 3u);
+    ASSERT_EQ(recs.size(), 5u);
     EXPECT_EQ(recs[0].op, OpType::Write);
     EXPECT_EQ(recs[0].addr, 0x46b100u);
     EXPECT_EQ(recs[0].icount, 100u);
@@ -381,6 +401,45 @@ TEST_F(TraceFrontendTest, RamulatorTokenOrderAndDefaults)
     EXPECT_EQ(recs[1].icount, 40u);
     EXPECT_EQ(recs[2].addr, 0xcafe0u);
     EXPECT_EQ(recs[2].icount, 7u);
+    EXPECT_EQ(recs[3].op, OpType::Write);
+    EXPECT_EQ(recs[3].addr, 0x46b100u);
+    EXPECT_EQ(recs[3].icount, 100u);
+    EXPECT_EQ(recs[4].op, OpType::Read);
+    EXPECT_EQ(recs[4].addr, 0xabcu);
+    EXPECT_EQ(recs[4].icount, 4294967295u);
+}
+
+/** Addresses and icounts are unsigned digit strings: a sign, an empty
+ * prefix, or too many digits is a bad token, never a wrapped value. */
+TEST_F(TraceFrontendTest, SignedAndOverlongNumbersAreRejected)
+{
+    struct Case
+    {
+        const char *line;
+        const char *msg;
+    } cases[] = {
+        {"W -40 5\n", "bad hex address '-40'"},
+        {"W +40 5\n", "bad hex address '\\+40'"},
+        {"-40 W\n", "bad hex address '-40'"},
+        {"W 0x 5\n", "bad hex address '0x'"},
+        {"W 0x-40 5\n", "bad hex address '0x-40'"},
+        {"W 10000000000000000 5\n", "bad hex address"},
+        {"W 40 +7\n", "bad icount '\\+7'"},
+        {"W 40 -7\n", "bad icount '-7'"},
+        {"W 40 4294967296\n", "bad icount '4294967296'"},
+        {"W 40 00000000007\n", "bad icount '00000000007'"},
+    };
+    int i = 0;
+    for (const Case &c : cases) {
+        std::string path = file(("signed" + std::to_string(i++)).c_str());
+        {
+            std::ofstream out(path);
+            out << "W 1000 5\n" << c.line;
+        }
+        EXPECT_EXIT(drain(path), ::testing::ExitedWithCode(1),
+                    std::string(":2: ") + c.msg)
+            << c.line;
+    }
 }
 
 TEST_F(TraceFrontendTest, LegacyV1BinaryStillDecodes)
@@ -433,6 +492,379 @@ TEST_F(TraceFrontendTest, PayloadlessCaptureReplaysDeterministically)
     b1 << f1.rdbuf();
     b2 << f2.rdbuf();
     EXPECT_EQ(b1.str(), b2.str());
+}
+
+// ---------------------------------------------- window boundaries
+
+/**
+ * Where the decoder's byte-window ends fall in a (possibly inflated)
+ * stream. The open-time sniff leaves the first @p peeked bytes in the
+ * window. After that, each decoder request for bytes [off, off + n)
+ * that runs past the window end compacts the unconsumed tail to the
+ * front and refills, so the next window is [off, off + kTraceWindow).
+ * Generators use this to put chosen bytes exactly on a window end.
+ */
+struct WindowModel
+{
+    std::size_t end;
+    std::size_t straddles = 0;
+
+    explicit WindowModel(std::size_t peeked) : end(peeked) {}
+
+    void
+    need(std::size_t off, std::size_t n)
+    {
+        if (off + n <= end)
+            return;
+        if (off < end)
+            ++straddles;
+        end = off + kTraceWindow;
+    }
+};
+
+std::string
+hexDigits(Pcg32 &rng, std::size_t n)
+{
+    const char *digits =
+        rng.chance(0.5) ? "0123456789abcdef" : "0123456789ABCDEF";
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i)
+        s += digits[rng.below(16)];
+    return s;
+}
+
+/** One to three spaces and tabs. */
+std::string
+blanks(Pcg32 &rng)
+{
+    std::string s;
+    for (std::uint32_t i = 0, n = 1 + rng.below(3); i < n; ++i)
+        s += rng.chance(0.7) ? ' ' : '\t';
+    return s;
+}
+
+/** One generated text line; for a record line, what it decodes to. */
+struct TextLine
+{
+    std::string bytes;  ///< including the terminator
+    bool record = false;
+    bool payload = false;
+    TraceRecord rec;
+
+    /** Pad with trailing blanks to @p content bytes before '\n' (a
+     * CRLF line's '\r' counts, as in the decoder's line limit). */
+    void
+    padTo(std::size_t content)
+    {
+        bool crlf = bytes.size() >= 2 && bytes[bytes.size() - 2] == '\r';
+        std::size_t pad = content + 1 - bytes.size();
+        bytes.insert(bytes.size() - (crlf ? 2 : 1), pad, ' ');
+    }
+};
+
+/** A comment or blank line. */
+TextLine
+nonRecordLine(std::string bytes)
+{
+    TextLine l;
+    l.bytes = std::move(bytes);
+    return l;
+}
+
+/** A record line in either token order, mixing 0x prefixes, case,
+ * payload-less writes, omitted icounts, and blank runs. */
+TextLine
+randomRecordLine(Pcg32 &rng, bool crlf)
+{
+    TextLine l;
+    l.record = true;
+    TraceRecord &rec = l.rec;
+    rec.op = rng.chance(0.6) ? OpType::Write : OpType::Read;
+    std::string addr = hexDigits(rng, 1 + rng.below(16));
+    rec.addr = std::stoull(addr, nullptr, 16);
+    if (rng.chance(0.3))
+        addr = (rng.chance(0.5) ? "0x" : "0X") + addr;
+    l.payload = rng.chance(0.5);
+    std::string data;
+    if (l.payload) {
+        data = hexDigits(rng, kLineSize * 2);
+        for (std::size_t b = 0; b < kLineSize; ++b)
+            rec.data[b] = static_cast<std::uint8_t>(
+                std::stoul(data.substr(b * 2, 2), nullptr, 16));
+    }
+    bool ramulator = rng.chance(0.4);
+    bool icount = !ramulator || rng.chance(0.7);
+    rec.icount = icount ? rng.next() : 100;
+    std::string op = rec.op == OpType::Write
+                         ? (rng.chance(0.5) ? "W" : "w")
+                         : (rng.chance(0.5) ? "R" : "r");
+
+    std::string &b = l.bytes;
+    b = rng.chance(0.2) ? blanks(rng) : "";
+    b += ramulator ? addr + blanks(rng) + op
+                   : op + blanks(rng) + addr;
+    if (l.payload)
+        b += blanks(rng) + data;
+    if (icount)
+        b += blanks(rng) + std::to_string(rec.icount);
+    if (rng.chance(0.2))
+        b += blanks(rng);
+    b += crlf ? "\r\n" : "\n";
+    return l;
+}
+
+/** A PCG-generated text trace, the records it must decode to, and
+ * its window ends. */
+class TextTraceGen
+{
+  public:
+    explicit TextTraceGen(std::uint64_t seed) : rng_(seed)
+    {
+        // Longer than the sniff's 4-byte peek, so the first window
+        // is [0, kTraceWindow).
+        emit(nonRecordLine("# window-boundary trace\n"));
+    }
+
+    std::string text;
+    std::vector<TraceRecord> want;
+    WindowModel model{4};  // the sniff peeks at most 4 bytes
+
+    /** Random lines: records, comments, blank and CRLF lines, each
+     * far shorter than the gap to the next window end. */
+    void
+    randomLines(std::size_t upTo)
+    {
+        while (model.end - text.size() > upTo) {
+            std::uint32_t kind = rng_.below(20);
+            if (kind == 0)
+                filler(1 + rng_.below(80));
+            else if (kind == 1)
+                emit(nonRecordLine(rng_.chance(0.5) ? "\n" : "\r\n"));
+            else
+                emit(randomRecordLine(rng_, rng_.chance(0.3)));
+        }
+    }
+
+    /** Emit @p l so that exactly @p at of its bytes precede the next
+     * window end; returns its 1-based line number. */
+    std::size_t
+    placeAcrossEnd(const TextLine &l, std::size_t at)
+    {
+        randomLines(kMaxTraceLine + 600);
+        std::size_t gap = model.end - text.size();
+        if (gap < at || gap > kTraceWindow) {
+            ADD_FAILURE() << "generator lost the window end";
+            return 0;
+        }
+        filler(gap - at);
+        emit(l);
+        return lines_;
+    }
+
+    /** @p windows windows of text whose every window end falls inside
+     * a chosen kind of line at a chosen offset. */
+    void
+    build(std::size_t windows)
+    {
+        for (std::size_t k = 0; text.size() < windows * kTraceWindow;
+             ++k) {
+            TextLine l = randomRecordLine(rng_, k % 6 == 0);
+            std::size_t at;
+            switch (k % 6) {
+            case 0:  // '\r' | '\n'
+                at = l.bytes.size() - 1;
+                break;
+            case 1:  // a 512-byte line, cut anywhere
+                l.padTo(kMaxTraceLine);
+                at = 1 + rng_.below(kMaxTraceLine);
+                break;
+            case 2:  // a 512-byte line whose '\n' alone is past it
+                l.padTo(kMaxTraceLine);
+                at = kMaxTraceLine;
+                break;
+            case 3:  // the line starts exactly on the window end
+                at = 0;
+                break;
+            case 4:  // only its first byte before the end
+                at = 1;
+                break;
+            default:
+                at = rng_.below(
+                    static_cast<std::uint32_t>(l.bytes.size()));
+                break;
+            }
+            placeAcrossEnd(l, at);
+        }
+        randomLines(kTraceWindow / 2);
+    }
+
+  private:
+    void
+    emit(const TextLine &l)
+    {
+        model.need(text.size(), l.bytes.size());
+        text += l.bytes;
+        ++lines_;
+        if (!l.record)
+            return;
+        want.push_back(l.rec);
+        if (l.rec.op == OpType::Write) {
+            if (!l.payload)
+                want.back().data =
+                    synthesizeLineContent(l.rec.addr, writes_);
+            ++writes_;
+        }
+    }
+
+    /** Comment and blank lines totalling exactly @p n bytes. */
+    void
+    filler(std::size_t n)
+    {
+        while (n > 0) {
+            std::size_t len = std::min<std::size_t>(n, 1 + rng_.below(300));
+            if (len == 1) {
+                emit(nonRecordLine("\n"));
+            } else {
+                std::size_t lead = std::min<std::size_t>(rng_.below(3),
+                                                         len - 2);
+                emit(nonRecordLine(std::string(lead, '\t') + "#" +
+                                   std::string(len - 2 - lead, 'c') +
+                                   "\n"));
+            }
+            n -= len;
+        }
+    }
+
+    Pcg32 rng_;
+    std::uint64_t writes_ = 0;
+    std::size_t lines_ = 0;
+};
+
+/** Every window end of a 16-window text trace cuts a line somewhere:
+ * between '\r' and '\n', through a 512-byte line, on its first byte,
+ * at random offsets. Plain and gzip'd, the decoded stream must equal
+ * the generated records one for one. */
+TEST_F(TraceFrontendTest, TextLinesStraddlingWindowEndsDecodeExactly)
+{
+    TextTraceGen gen(0x5eed);
+    gen.build(16);
+    ASSERT_GT(gen.text.size(), 16 * kTraceWindow);
+    EXPECT_GE(gen.model.straddles, 12u);
+
+    std::string plain = file("w.trace");
+    writeFile(plain, gen.text);
+    expectSameRecords(gen.want, drain(plain));
+
+    std::string gz = file("w.trace.gz");
+    writeGzip(gz, gen.text);
+    EXPECT_EQ(detectTraceFormat(gz), TraceFormat::Gzip);
+    expectSameRecords(gen.want, drain(gz, 7));
+}
+
+/** An over-long line cut by a window end still dies naming its own
+ * line number, wherever the cut falls. */
+TEST_F(TraceFrontendTest, OverlongLineAcrossWindowEndNamesItsLine)
+{
+    for (std::size_t at : {std::size_t{1}, std::size_t{200},
+                           kMaxTraceLine}) {
+        TextTraceGen gen(at);
+        gen.build(1);
+        Pcg32 rng(at);
+        TextLine l = randomRecordLine(rng, false);
+        l.padTo(kMaxTraceLine + 1);
+        std::size_t lineNo = gen.placeAcrossEnd(l, at);
+        std::string path = file("long.trace");
+        writeFile(path, gen.text + "W 40 5\n");
+        EXPECT_EXIT(drain(path), ::testing::ExitedWithCode(1),
+                    "long.trace:" + std::to_string(lineNo) +
+                        ": line exceeds 512 bytes")
+            << "cut at " << at;
+    }
+}
+
+void
+putLe(std::string &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out += static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/** A PCG-generated binary trace (legacy v1 or length-prefixed v2)
+ * spanning @p windows windows; v2 mixes payload and payload-less
+ * writes. */
+struct BinaryTraceGen
+{
+    std::string bytes{"ESDT"};
+    std::vector<TraceRecord> want;
+    WindowModel model;
+
+    BinaryTraceGen(std::uint64_t seed, int version, std::size_t windows)
+        : model(version == 1 ? 5 : 8)  // sniffed magic + version peek
+    {
+        if (version == 2)
+            bytes += std::string("\x02\x01\x00\x00", 4);
+        Pcg32 rng(seed);
+        std::uint64_t writes = 0;
+        while (bytes.size() < windows * kTraceWindow) {
+            TraceRecord rec;
+            rec.op = rng.chance(0.5) ? OpType::Write : OpType::Read;
+            rec.addr = rng.next64();
+            rec.icount = rng.next();
+            bool payload =
+                rec.op == OpType::Write && (version == 1 || rng.chance(0.7));
+            if (payload)
+                for (std::size_t w = 0; w < kWordsPerLine; ++w)
+                    rec.data.setWord(w, rng.next64());
+
+            std::size_t s = bytes.size();
+            std::size_t len = payload ? kBinaryRecordPayload
+                                      : kBinaryRecordNoPayload;
+            if (version == 2) {
+                model.need(s, 1);  // length prefix
+                model.need(s + 1, len);
+                bytes += static_cast<char>(len);
+            } else {
+                model.need(s, 1);  // op
+                model.need(s + 1, 12);
+                if (payload)
+                    model.need(s + 13, kLineSize);
+            }
+            bytes += static_cast<char>(rec.op == OpType::Write);
+            putLe(bytes, rec.addr, 8);
+            putLe(bytes, rec.icount, 4);
+            if (payload)
+                bytes.append(reinterpret_cast<const char *>(
+                                 rec.data.data()),
+                             kLineSize);
+            if (rec.op == OpType::Write) {
+                if (!payload)
+                    rec.data = synthesizeLineContent(rec.addr, writes);
+                ++writes;
+            }
+            want.push_back(rec);
+        }
+    }
+};
+
+/** Binary v1, v2, and gzip'd v2 records cut by window ends decode
+ * exactly (record sizes 13 and 77 put the cuts at many offsets). */
+TEST_F(TraceFrontendTest, BinaryRecordsStraddlingWindowEndsDecodeExactly)
+{
+    for (int version : {1, 2}) {
+        BinaryTraceGen gen(version * 101, version, 6);
+        EXPECT_GE(gen.model.straddles, 4u) << "v" << version;
+        std::string path = file("w.bin");
+        writeFile(path, gen.bytes);
+        expectSameRecords(gen.want, drain(path));
+
+        if (version == 2) {
+            std::string gz = file("w.bin.gz");
+            writeGzip(gz, gen.bytes);
+            TraceFrontend f(gz, TraceConfig{});
+            EXPECT_EQ(f.format(), TraceFormat::Gzip);
+            expectSameRecords(gen.want, drain(gz, 5));
+        }
+    }
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -215,6 +216,8 @@ main()
             w.beginObject();
             w.kv("lines", n);
             w.kv("seed", seed);
+            w.kv("host_threads", static_cast<std::uint64_t>(
+                                     std::thread::hardware_concurrency()));
             w.key("codecs");
             w.beginArray();
             for (const CodecResult &r : results) {

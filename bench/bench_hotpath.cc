@@ -23,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -147,6 +148,8 @@ main(int argc, char **argv)
             w.kv("warmup", warmup);
             w.kv("reps", reps);
             w.kv("apps", static_cast<std::uint64_t>(apps.size()));
+            w.kv("host_threads", static_cast<std::uint64_t>(
+                                     std::thread::hardware_concurrency()));
             w.key("schemes");
             w.beginArray();
             for (const Row &r : rows) {

@@ -29,11 +29,7 @@ BaselineScheme::write(Addr addr, const CacheLine &data, Tick now)
     t += enc;
     bd.encrypt += static_cast<double>(enc);
 
-    LineEcc ecc;
-    {
-        Profiler::Scope ps = profScope(Profiler::Fingerprint);
-        ecc = ecc_.encodeLine(data);
-    }
+    LineEcc ecc = encodeEcc(data);
     NvmAccessResult r = writeLine(addr, cipher, ecc, t);
     bd.lineWrite += static_cast<double>(r.complete - t);
     stats_.nvmDataWrites.inc();

@@ -118,7 +118,8 @@ DedupSha1Scheme::write(Addr addr, const CacheLine &data, Tick now)
         // Unique line: register the fingerprint (an NVMM index store,
         // off the critical path), encrypt, and write.
         Addr phys;
-        NvmAccessResult w = writeNewLine(addr, data, phys, t, bd);
+        NvmAccessResult w =
+            writeNewLine(addr, data, encodeEcc(data), phys, t, bd);
         res.issuerStall += w.issuerStall;
         decisive_addr = phys;
         decisive_queue = w.queueDelay;

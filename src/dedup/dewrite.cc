@@ -166,7 +166,8 @@ DeWriteScheme::write(Addr addr, const CacheLine &data, Tick now)
             // F2: worst case — full check, then encrypt + write.
             Addr phys;
             Tick t = t_check;
-            NvmAccessResult w = writeNewLine(addr, data, phys, t, bd);
+            NvmAccessResult w =
+                writeNewLine(addr, data, encodeEcc(data), phys, t, bd);
             res.issuerStall += w.issuerStall;
             decisive_addr = phys;
             decisive_queue = w.queueDelay;
@@ -199,7 +200,8 @@ DeWriteScheme::write(Addr addr, const CacheLine &data, Tick now)
             // T3: prediction right; write latency overlaps the check.
             Addr phys;
             Tick t_write = now;
-            NvmAccessResult w = writeNewLine(addr, data, phys, t_write, bd);
+            NvmAccessResult w = writeNewLine(addr, data, encodeEcc(data),
+                                             phys, t_write, bd);
             res.issuerStall += w.issuerStall;
             decisive_addr = phys;
             decisive_queue = w.queueDelay;

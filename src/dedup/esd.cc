@@ -41,11 +41,7 @@ EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
 
     // 1. The fingerprint is the ECC the controller already computed —
     //    zero latency, zero energy on the critical path.
-    LineEcc ecc;
-    {
-        Profiler::Scope ps = profScope(Profiler::Fingerprint);
-        ecc = ecc_.encodeLine(data);
-    }
+    LineEcc ecc = encodeEcc(data);
     Tick t = now + cfg_.crypto.eccLatency;
     bd.fpCompute += static_cast<double>(cfg_.crypto.eccLatency);
     stats_.hashEnergy += cfg_.crypto.eccEnergy;
@@ -123,7 +119,7 @@ EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
         // Non-duplicate (or collision / saturation): encrypt + write,
         // then remember the fingerprint under LRCU.
         Addr phys;
-        NvmAccessResult w = writeNewLine(addr, data, phys, t, bd);
+        NvmAccessResult w = writeNewLine(addr, data, ecc, phys, t, bd);
         res.issuerStall += w.issuerStall;
         decisive_addr = phys;
         decisive_queue = w.queueDelay;

@@ -55,11 +55,7 @@ EsdFullScheme::write(Addr addr, const CacheLine &data, Tick now)
     addr = lineAlign(addr);
 
     // Free ECC fingerprint, exactly as in ESD.
-    LineEcc ecc;
-    {
-        Profiler::Scope ps = profScope(Profiler::Fingerprint);
-        ecc = ecc_.encodeLine(data);
-    }
+    LineEcc ecc = encodeEcc(data);
     Tick t = now + cfg_.crypto.eccLatency;
 
     Tick m = metadataAccess();
@@ -124,7 +120,7 @@ EsdFullScheme::write(Addr addr, const CacheLine &data, Tick now)
 
     if (!dedup) {
         Addr phys;
-        NvmAccessResult w = writeNewLine(addr, data, phys, t, bd);
+        NvmAccessResult w = writeNewLine(addr, data, ecc, phys, t, bd);
         res.issuerStall += w.issuerStall;
         decisive_addr = phys;
         decisive_queue = w.queueDelay;

@@ -81,11 +81,7 @@ EsdPlusScheme::write(Addr addr, const CacheLine &data, Tick now)
     WriteBreakdown bd;
     addr = lineAlign(addr);
 
-    LineEcc ecc;
-    {
-        Profiler::Scope ps = profScope(Profiler::Fingerprint);
-        ecc = ecc_.encodeLine(data);
-    }
+    LineEcc ecc = encodeEcc(data);
     Tick t = now + cfg_.crypto.eccLatency;
 
     Tick m = metadataAccess();
@@ -169,7 +165,7 @@ EsdPlusScheme::write(Addr addr, const CacheLine &data, Tick now)
 
     if (!dedup_done) {
         Addr phys;
-        NvmAccessResult w = writeNewLine(addr, data, phys, t, bd);
+        NvmAccessResult w = writeNewLine(addr, data, ecc, phys, t, bd);
         res.issuerStall += w.issuerStall;
         decisive_addr = phys;
         decisive_queue = w.queueDelay;

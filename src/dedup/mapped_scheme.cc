@@ -102,7 +102,7 @@ MappedDedupScheme::remap(Addr addr, Addr phys, Tick &t, WriteBreakdown &bd)
 
 NvmAccessResult
 MappedDedupScheme::writeNewLine(Addr addr, const CacheLine &data,
-                                Addr &phys_out, Tick &t,
+                                LineEcc ecc, Addr &phys_out, Tick &t,
                                 WriteBreakdown &bd)
 {
     // Allocate on the logical address's channel so the data write, and
@@ -117,11 +117,6 @@ MappedDedupScheme::writeNewLine(Addr addr, const CacheLine &data,
     t += enc;
     bd.encrypt += static_cast<double>(enc);
 
-    LineEcc ecc;
-    {
-        Profiler::Scope ps = profScope(Profiler::Fingerprint);
-        ecc = ecc_.encodeLine(data);
-    }
     NvmAccessResult r = writeLine(phys_out, cipher, ecc, t);
     bd.lineWrite += static_cast<double>(r.complete - t);
     t = r.complete;

@@ -58,13 +58,15 @@ class MappedDedupScheme : public DedupScheme
 
     /**
      * Allocate a physical line on logical @p addr 's channel, encrypt
-     * @p data into it, store it, and issue the timed device write.
+     * @p data into it, store it with its ECC @p ecc (encodeEcc(data),
+     * which the ESD schemes already hold as their fingerprint), and
+     * issue the timed device write.
      *
      * @param t running timestamp; advanced past encryption; the
      *          returned result's complete is the write completion
      */
     NvmAccessResult writeNewLine(Addr addr, const CacheLine &data,
-                                 Addr &phys_out, Tick &t,
+                                 LineEcc ecc, Addr &phys_out, Tick &t,
                                  WriteBreakdown &bd);
 
     LineStore lines_;

@@ -255,6 +255,16 @@ class DedupScheme
         return Profiler::Scope(prof_, phase);
     }
 
+    /** The ECC of plaintext @p data under this run's engine, profiled
+     * as the Fingerprint phase (for the ESD schemes it *is* the
+     * fingerprint). */
+    LineEcc
+    encodeEcc(const CacheLine &data)
+    {
+        Profiler::Scope ps(prof_, Profiler::Fingerprint);
+        return ecc_.encodeLine(data);
+    }
+
     /** Timed read of @p addr content; charges device stats, injects
      * read-path media faults, and follows retirement remaps. */
     NvmAccessResult

@@ -10,7 +10,7 @@ namespace esd
 namespace
 {
 
-/** The default engine: the existing bit-sliced per-word Hamming(72,64)
+/** The default engine: the table-driven per-word Hamming(72,64)
  * SEC-DED codec, wrapped unchanged so `ecc.engine = hamming` is
  * bit-identical to the pre-engine simulator. */
 class HammingEngine final : public EccEngine

@@ -11,6 +11,7 @@
 #ifndef ESD_ECC_ERROR_INJECTOR_HH
 #define ESD_ECC_ERROR_INJECTOR_HH
 
+#include <bitset>
 #include <cstdint>
 
 #include "common/random.hh"
@@ -59,17 +60,16 @@ class ErrorInjector
     flipBitsInWord(CacheLine &line, LineEcc &ecc, std::size_t word,
                    unsigned n)
     {
-        std::uint64_t chosen = 0;
+        std::bitset<72> chosen;  // codeword bits: data 0..63, check 64..71
         while (n > 0) {
             unsigned b = rng_.below(72);
-            if (chosen & (1ull << b))
+            if (chosen.test(b))
                 continue;
-            chosen |= 1ull << b;
-            if (b < 64) {
+            chosen.set(b);
+            if (b < 64)
                 line.setWord(word, line.word(word) ^ (1ull << b));
-            } else {
+            else
                 ecc ^= 1ull << (word * 8 + (b - 64));
-            }
             --n;
         }
     }

@@ -18,84 +18,52 @@ isPow2(unsigned p)
     return p != 0 && (p & (p - 1)) == 0;
 }
 
-/** Tables mapping data-bit index <-> codeword position, plus the seven
- * parity coverage masks over data bits. Built once at startup. */
-struct Tables
+/** The code's layout: codeword position -> data-bit index, plus the
+ * seven parity coverage masks over data bits. */
+struct Layout
 {
-    std::array<unsigned, 64> dataToPos{};   // data bit i -> position 1..71
     std::array<int, 72> posToData{};        // position -> data bit or -1
     std::array<std::uint64_t, 7> mask{};    // check c covers data bits
-
-    Tables()
-    {
-        posToData.fill(-1);
-        unsigned i = 0;
-        for (unsigned p = 1; p <= 71 && i < 64; ++p) {
-            if (isPow2(p))
-                continue;
-            dataToPos[i] = p;
-            posToData[p] = static_cast<int>(i);
-            ++i;
-        }
-        for (unsigned c = 0; c < 7; ++c) {
-            std::uint64_t m = 0;
-            for (unsigned b = 0; b < 64; ++b) {
-                if (dataToPos[b] & (1u << c))
-                    m |= (1ull << b);
-            }
-            mask[c] = m;
-        }
-    }
 };
 
-const Tables tbl;
+constexpr Layout
+buildLayout()
+{
+    Layout l;
+    l.posToData.fill(-1);
+    unsigned i = 0;
+    for (unsigned p = 1; p <= 71 && i < 64; ++p) {
+        if (isPow2(p))
+            continue;
+        l.posToData[p] = static_cast<int>(i);
+        // Data bit i sits at position p: it feeds every check c whose
+        // bit is set in p.
+        for (unsigned c = 0; c < 7; ++c) {
+            if (p & (1u << c))
+                l.mask[c] |= 1ull << i;
+        }
+        ++i;
+    }
+    return l;
+}
+
+constexpr Layout kLayout = buildLayout();
 
 /** Even parity of a 64-bit value. */
-inline unsigned
+constexpr unsigned
 parity64(std::uint64_t v)
 {
     return static_cast<unsigned>(std::popcount(v) & 1);
 }
 
-/**
- * Transpose an 8x8 bit matrix held row-per-byte in a 64-bit word
- * (row i = byte i, bit j of row i = matrix element [i][j]) using the
- * three masked-swap steps of Hacker's Delight 7-3.
- */
-inline std::uint64_t
-transpose8x8(std::uint64_t x)
-{
-    std::uint64_t t;
-    t = (x ^ (x >> 7)) & 0x00aa00aa00aa00aaull;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000cccc0000ccccull;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000f0f0f0f0ull;
-    x ^= t ^ (t << 28);
-    return x;
-}
-
-} // namespace
-
-std::uint64_t
-Hamming72::checkMask(unsigned c)
-{
-    esd_assert(c < 7, "check index out of range");
-    return tbl.mask[c];
-}
-
-unsigned
-Hamming72::dataPosition(unsigned data_bit)
-{
-    return tbl.dataToPos[data_bit];
-}
-
-std::uint8_t
-Hamming72::encode(std::uint64_t data)
+/** Mask-and-popcount encode: the oracle, and the source of the check
+ * table below. */
+constexpr std::uint8_t
+encodeByMasks(std::uint64_t data)
 {
     std::uint8_t check = 0;
     for (unsigned c = 0; c < 7; ++c) {
-        if (parity64(data & tbl.mask[c]))
+        if (parity64(data & kLayout.mask[c]))
             check |= static_cast<std::uint8_t>(1u << c);
     }
     // Overall even parity over the 71 codeword bits (data + 7 checks).
@@ -106,49 +74,61 @@ Hamming72::encode(std::uint64_t data)
     return check;
 }
 
+/**
+ * kCheckTable[k][v] is the check byte of the word whose only non-zero
+ * byte is byte k = v. Every check bit is a GF(2)-linear function of the
+ * data and encode(0) == 0, so a word's check byte is the XOR of its
+ * eight bytes' entries. 2 KB, built at compile time: it is constant-
+ * initialised, so it is valid even during other units' static init.
+ */
+using CheckTable = std::array<std::array<std::uint8_t, 256>, 8>;
+
+constexpr CheckTable
+buildCheckTable()
+{
+    CheckTable t{};
+    for (unsigned k = 0; k < 8; ++k) {
+        for (unsigned v = 0; v < 256; ++v)
+            t[k][v] = encodeByMasks(static_cast<std::uint64_t>(v)
+                                    << (8 * k));
+    }
+    return t;
+}
+
+constexpr CheckTable kCheckTable = buildCheckTable();
+
+/** Table-driven check byte of @p data: eight lookups, spelled out so
+ * every byte extract is a constant shift. */
+inline std::uint8_t
+tableCheck(std::uint64_t d)
+{
+    const CheckTable &t = kCheckTable;
+    return t[0][d & 0xff] ^ t[1][(d >> 8) & 0xff] ^
+           t[2][(d >> 16) & 0xff] ^ t[3][(d >> 24) & 0xff] ^
+           t[4][(d >> 32) & 0xff] ^ t[5][(d >> 40) & 0xff] ^
+           t[6][(d >> 48) & 0xff] ^ t[7][d >> 56];
+}
+
+} // namespace
+
+std::uint64_t
+Hamming72::checkMask(unsigned c)
+{
+    esd_assert(c < 7, "check index out of range");
+    return kLayout.mask[c];
+}
+
+std::uint8_t
+Hamming72::encode(std::uint64_t data)
+{
+    return encodeByMasks(data);
+}
+
 void
 Hamming72::encodeLine(const std::uint64_t words[8], std::uint8_t checks[8])
 {
-    // Gather the 64 column bytes of the line: col[b] bit j = data bit b
-    // of words[j]. Eight 8x8 block transposes, one per byte lane.
-    std::uint8_t col[64];
-    for (unsigned k = 0; k < 8; ++k) {
-        std::uint64_t m = 0;
-        for (unsigned j = 0; j < 8; ++j)
-            m |= ((words[j] >> (8 * k)) & 0xffull) << (8 * j);
-        std::uint64_t t = transpose8x8(m);
-        for (unsigned b = 0; b < 8; ++b)
-            col[8 * k + b] = static_cast<std::uint8_t>(t >> (8 * b));
-    }
-
-    // Bit-sliced parity accumulation: acc[c] bit j = Hamming check c of
-    // words[j]; one byte XOR covers all eight words at once.
-    std::uint8_t acc[7] = {0, 0, 0, 0, 0, 0, 0};
-    std::uint8_t all = 0;  // bit j = parity of words[j]'s 64 data bits
-    for (unsigned b = 0; b < 64; ++b) {
-        std::uint8_t v = col[b];
-        all ^= v;
-        unsigned pos = tbl.dataToPos[b];
-        for (unsigned c = 0; c < 7; ++c) {
-            if (pos & (1u << c))
-                acc[c] ^= v;
-        }
-    }
-
-    // Overall-parity slice: parity(data) ^ parity(checks 0..6), lanewise.
-    std::uint8_t q = 0;
-    for (unsigned c = 0; c < 7; ++c)
-        q ^= acc[c];
-    const std::uint8_t acc7 = static_cast<std::uint8_t>(all ^ q);
-
-    // Transpose the eight check slices back into per-word check bytes.
-    std::uint64_t m = 0;
-    for (unsigned c = 0; c < 7; ++c)
-        m |= static_cast<std::uint64_t>(acc[c]) << (8 * c);
-    m |= static_cast<std::uint64_t>(acc7) << 56;
-    std::uint64_t t = transpose8x8(m);
     for (unsigned j = 0; j < 8; ++j)
-        checks[j] = static_cast<std::uint8_t>(t >> (8 * j));
+        checks[j] = tableCheck(words[j]);
 }
 
 EccDecodeResult
@@ -158,20 +138,15 @@ Hamming72::decode(std::uint64_t data, std::uint8_t check)
     res.data = data;
     res.check = check;
 
-    // Syndrome: recomputed Hamming checks XOR received checks. With a
-    // single flipped codeword bit the syndrome equals that bit's
-    // position (check-bit positions are powers of two, so a flipped
-    // check bit yields exactly its own position).
-    unsigned syndrome = 0;
-    for (unsigned c = 0; c < 7; ++c) {
-        unsigned s = parity64(data & tbl.mask[c]) ^ ((check >> c) & 1u);
-        syndrome |= s << c;
-    }
-
-    // Overall parity across all 72 bits: even when no (or an even number
-    // of) flips occurred.
-    unsigned overall = parity64(data) ^
-                       parity64(static_cast<std::uint64_t>(check));
+    // Recomputed checks XOR received checks. The low seven bits are the
+    // Hamming syndrome: with a single flipped codeword bit it equals
+    // that bit's position (check-bit positions are powers of two, so a
+    // flipped check bit yields exactly its own position). The parity of
+    // all eight bits is the overall parity across the 72 codeword bits:
+    // even when no (or an even number of) flips occurred.
+    auto s = static_cast<unsigned>(tableCheck(data) ^ check);
+    unsigned syndrome = s & 0x7f;
+    unsigned overall = parity64(s);
 
     if (syndrome == 0 && overall == 0) {
         res.status = EccStatus::Ok;
@@ -209,7 +184,7 @@ Hamming72::decode(std::uint64_t data, std::uint8_t check)
         return res;
     }
 
-    int data_bit = tbl.posToData[syndrome];
+    int data_bit = kLayout.posToData[syndrome];
     esd_assert(data_bit >= 0, "syndrome maps to no data bit");
     res.status = EccStatus::CorrectedData;
     res.data = data ^ (1ull << data_bit);

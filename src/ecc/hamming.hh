@@ -57,8 +57,8 @@ struct EccDecodeResult
 /**
  * Stateless Hamming(72,64) SEC-DED encoder/decoder.
  *
- * All methods are static; the class exists to group the parity-mask
- * tables, which are computed once at namespace-scope initialisation.
+ * All methods are static; the class exists to group the code's layout
+ * and check table, which are built at compile time.
  */
 class Hamming72
 {
@@ -66,19 +66,20 @@ class Hamming72
     /** Number of check bits per 64-bit word (7 Hamming + 1 parity). */
     static constexpr unsigned kCheckBits = 8;
 
-    /** Compute the 8 check bits for @p data. */
+    /** Compute the 8 check bits for @p data: one popcount per parity
+     * mask — the reference oracle for the table-driven kernel. */
     static std::uint8_t encode(std::uint64_t data);
 
     /**
-     * Word-parallel bit-sliced encode of a full cache line: computes
-     * the check bytes of all eight 64-bit words in one pass.
+     * Table-driven encode of a full cache line: computes the check
+     * bytes of all eight 64-bit words.
      *
-     * The line is transposed into 64 column bytes (bit j of column b =
-     * bit b of word j), every Hamming check then accumulates whole
-     * columns with single-byte XORs, so the eight words share each
-     * parity reduction instead of running eight independent
-     * popcount-per-mask encodes. Bit-identical to calling encode() on
-     * each word — encodeLineScalar() is the reference oracle.
+     * Every check bit is GF(2)-linear in the data and encode(0) == 0,
+     * so a word's check byte is the XOR of one 256-entry table lookup
+     * per data byte (an 8x256-byte table built at compile time). The
+     * same kernel supplies decode()'s syndrome. Bit-identical to
+     * calling encode() on each word — encodeLineScalar() is the
+     * reference oracle.
      *
      * @param words  the eight 64-bit data words of one line
      * @param checks receives the eight check bytes (checks[i] protects
@@ -115,9 +116,6 @@ class Hamming72
     /** Data-bit parity coverage mask of Hamming check @p c (0..6) —
      * exposed so tests can validate the code's linear structure. */
     static std::uint64_t checkMask(unsigned c);
-
-  private:
-    static unsigned dataPosition(unsigned data_bit);
 };
 
 } // namespace esd

@@ -46,7 +46,7 @@ class LineEccCodec
 {
   public:
     /** Compute the 64-bit ECC of @p line (check byte i = word i) with
-     * the bit-sliced whole-line encoder (one pass over all 8 words). */
+     * the table-driven line encoder (Hamming72::encodeLine). */
     static LineEcc
     encode(const CacheLine &line)
     {
@@ -61,8 +61,8 @@ class LineEccCodec
         return ecc;
     }
 
-    /** Reference oracle for encode(): eight independent scalar word
-     * encodes (the pre-bit-slicing implementation). */
+    /** Reference oracle for encode(): eight independent scalar
+     * mask-and-popcount word encodes. */
     static LineEcc
     encodeScalar(const CacheLine &line)
     {
@@ -87,7 +87,9 @@ class LineEccCodec
      *
      * Applies per-word SEC-DED: single-bit errors in any word are
      * corrected independently; any word with a double error marks the
-     * whole line Uncorrectable.
+     * whole line Uncorrectable. The line is first re-encoded with the
+     * table kernel; a matching ECC is the clean result, and only words
+     * whose check byte differs take the per-word decode.
      */
     static LineDecodeResult
     decode(const CacheLine &line, LineEcc ecc)
@@ -95,23 +97,28 @@ class LineEccCodec
         LineDecodeResult out;
         out.line = line;
         out.ecc = ecc;
+        const LineEcc diff = encode(line) ^ ecc;
+        if (diff == 0)
+            return out;
+        // A word whose check byte matches decodes Ok; any other word is
+        // either corrected or Uncorrectable.
         for (std::size_t i = 0; i < kWordsPerLine; ++i) {
+            if (checkByte(diff, i) == 0)
+                continue;
             EccDecodeResult r =
                 Hamming72::decode(line.word(i), checkByte(ecc, i));
             if (r.status == EccStatus::Uncorrectable) {
                 out.status = EccStatus::Uncorrectable;
                 return out;
             }
-            if (r.corrected()) {
-                ++out.correctedWords;
-                out.line.setWord(i, r.data);
-                out.ecc &= ~(0xffull << (i * 8));
-                out.ecc |= static_cast<std::uint64_t>(r.check) << (i * 8);
-                if (out.status == EccStatus::Ok)
-                    out.status = r.status;
-                else if (out.status != r.status)
-                    out.status = EccStatus::CorrectedData;
-            }
+            ++out.correctedWords;
+            out.line.setWord(i, r.data);
+            out.ecc &= ~(0xffull << (i * 8));
+            out.ecc |= static_cast<std::uint64_t>(r.check) << (i * 8);
+            if (out.status == EccStatus::Ok)
+                out.status = r.status;
+            else if (out.status != r.status)
+                out.status = EccStatus::CorrectedData;
         }
         return out;
     }

@@ -98,8 +98,8 @@ TEST(LogHistogram, PercentilesLandInOracleBucketForLargeValues)
     LogHistogram h;
     std::vector<std::uint64_t> raw;
     for (int i = 0; i < 4000; ++i) {
-        // Spread across many octaves, up to ~2^44.
-        std::uint64_t v = rng.next64() >> (rng.next() % 45 + 20);
+        // Spread across many octaves, up to ~2^44 (shifts 20..63).
+        std::uint64_t v = rng.next64() >> (rng.next() % 44 + 20);
         h.record(v);
         raw.push_back(v);
     }

@@ -1,14 +1,17 @@
 /**
  * @file
- * Equivalence tests for the hot-path kernels introduced with the
- * parallel sweep engine:
- *   - the word-parallel bit-sliced SEC-DED line encoder vs the scalar
- *     Hamming72::encode oracle (exhaustive 16-bit patterns + PCG
- *     randomized), and
+ * Equivalence tests for the hot-path kernels:
+ *   - the table-driven SEC-DED line encoder vs the scalar
+ *     mask-and-popcount Hamming72::encode oracle (exhaustive 16-bit
+ *     patterns + PCG randomized; the suite keeps its historical
+ *     BitslicedHamming name), the table-driven line decode vs a
+ *     test-local mask-formula reference decoder under injected flips,
+ *     and the kernel's use during static initialisation, and
  *   - the early-exit 64-bit-word line compare vs memcmp on equal,
  *     near-equal, and random lines.
  */
 
+#include <bit>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -22,7 +25,7 @@ namespace esd
 namespace
 {
 
-// ------------------------------------------------ bit-sliced SEC-DED
+// ------------------------------------------------ table-driven SEC-DED
 
 /** All 2^16 patterns, each expanded into a line that places the
  * pattern at a different 16-bit lane of every word, so every data-bit
@@ -105,6 +108,198 @@ TEST(BitslicedHamming, LineEccCodecUsesIdenticalEncoding)
         ASSERT_EQ(EccStatus::CorrectedData, fix.status);
         ASSERT_TRUE(fix.line == line);
     }
+}
+
+/**
+ * The per-word SEC-DED decode spelled out from the parity masks alone
+ * (Hamming72::checkMask + popcount), independent of the check table.
+ */
+EccDecodeResult
+referenceDecodeWord(std::uint64_t data, std::uint8_t check)
+{
+    EccDecodeResult r;
+    r.data = data;
+    r.check = check;
+    unsigned syndrome = 0;
+    for (unsigned c = 0; c < 7; ++c) {
+        unsigned p = std::popcount(data & Hamming72::checkMask(c)) & 1;
+        syndrome |= (p ^ ((check >> c) & 1u)) << c;
+    }
+    unsigned overall =
+        (std::popcount(data) ^ std::popcount(unsigned{check})) & 1u;
+    if (syndrome == 0 && overall == 0)
+        return r;
+    if (overall == 0 || syndrome > 71) {
+        r.status = EccStatus::Uncorrectable;
+    } else if (syndrome == 0) {
+        r.status = EccStatus::CorrectedCheck;
+        r.check = check ^ 0x80;
+        r.bitIndex = 7;
+    } else if (std::has_single_bit(syndrome)) {
+        unsigned c = static_cast<unsigned>(std::countr_zero(syndrome));
+        r.status = EccStatus::CorrectedCheck;
+        r.check = check ^ static_cast<std::uint8_t>(1u << c);
+        r.bitIndex = static_cast<std::uint8_t>(c);
+    } else {
+        // The data bit whose codeword position (the checks covering
+        // it, read as a binary number) equals the syndrome.
+        for (unsigned b = 0; b < 64; ++b) {
+            unsigned pos = 0;
+            for (unsigned c = 0; c < 7; ++c)
+                pos |= ((Hamming72::checkMask(c) >> b) & 1u) << c;
+            if (pos == syndrome) {
+                r.status = EccStatus::CorrectedData;
+                r.data = data ^ (1ull << b);
+                r.bitIndex = static_cast<std::uint8_t>(b);
+            }
+        }
+    }
+    return r;
+}
+
+/** Line decode as eight independent reference word decodes: the first
+ * uncorrectable word stops the walk, corrections accumulate. */
+LineDecodeResult
+referenceDecodeLine(const CacheLine &line, LineEcc ecc)
+{
+    LineDecodeResult out;
+    out.line = line;
+    out.ecc = ecc;
+    for (std::size_t i = 0; i < kWordsPerLine; ++i) {
+        EccDecodeResult r =
+            referenceDecodeWord(line.word(i), LineEccCodec::checkByte(ecc, i));
+        if (r.status == EccStatus::Uncorrectable) {
+            out.status = EccStatus::Uncorrectable;
+            return out;
+        }
+        if (r.corrected()) {
+            ++out.correctedWords;
+            out.line.setWord(i, r.data);
+            out.ecc &= ~(0xffull << (i * 8));
+            out.ecc |= static_cast<std::uint64_t>(r.check) << (i * 8);
+            if (out.status == EccStatus::Ok)
+                out.status = r.status;
+            else if (out.status != r.status)
+                out.status = EccStatus::CorrectedData;
+        }
+    }
+    return out;
+}
+
+/** Flip codeword bit @p pos of word @p word: data bits 0..63, check
+ * bits 64..71. */
+void
+flipCodewordBit(CacheLine &line, LineEcc &ecc, std::size_t word,
+                unsigned pos)
+{
+    if (pos < 64)
+        line.setWord(word, line.word(word) ^ (1ull << pos));
+    else
+        ecc ^= 1ull << (word * 8 + (pos - 64));
+}
+
+/** Flip @p n distinct codeword bits of word @p word. */
+void
+flipDistinctBits(Pcg32 &rng, CacheLine &line, LineEcc &ecc,
+                 std::size_t word, unsigned n)
+{
+    unsigned picked[3];
+    for (unsigned k = 0; k < n; ++k) {
+        unsigned pos;
+        bool dup;
+        do {
+            pos = rng.below(72);
+            dup = false;
+            for (unsigned j = 0; j < k; ++j)
+                dup |= picked[j] == pos;
+        } while (dup);
+        picked[k] = pos;
+        flipCodewordBit(line, ecc, word, pos);
+    }
+}
+
+/** Compare the codec's line decode (and each word's decode) with the
+ * mask-formula reference on one received (line, ecc). */
+void
+expectDecodeMatchesReference(const CacheLine &line, LineEcc ecc,
+                             const char *what)
+{
+    LineDecodeResult got = LineEccCodec::decode(line, ecc);
+    LineDecodeResult ref = referenceDecodeLine(line, ecc);
+    ASSERT_EQ(ref.status, got.status) << what;
+    ASSERT_TRUE(ref.line == got.line) << what;
+    ASSERT_EQ(ref.ecc, got.ecc) << what;
+    ASSERT_EQ(ref.correctedWords, got.correctedWords) << what;
+    for (std::size_t i = 0; i < kWordsPerLine; ++i) {
+        std::uint8_t check = LineEccCodec::checkByte(ecc, i);
+        EccDecodeResult w = Hamming72::decode(line.word(i), check);
+        EccDecodeResult rw = referenceDecodeWord(line.word(i), check);
+        ASSERT_EQ(rw.status, w.status) << what << " word " << i;
+        ASSERT_EQ(rw.data, w.data) << what << " word " << i;
+        ASSERT_EQ(rw.check, w.check) << what << " word " << i;
+        if (rw.corrected()) {
+            ASSERT_EQ(rw.bitIndex, w.bitIndex) << what << " word " << i;
+        }
+    }
+}
+
+TEST(HammingTableKernel, DecodeMatchesMaskReferenceUnderInjectedFlips)
+{
+    Pcg32 rng(0xdec0de, 0x777);
+    for (int it = 0; it < 400; ++it) {
+        CacheLine line;
+        rng.fillLine(line);
+        const LineEcc ecc = LineEccCodec::encodeScalar(line);
+
+        // 0 flips: the clean fast path.
+        expectDecodeMatchesReference(line, ecc, "clean");
+
+        // 1 flip: every one of the 72 codeword positions of one word.
+        std::size_t word = static_cast<std::size_t>(it % kWordsPerLine);
+        for (unsigned pos = 0; pos < 72; ++pos) {
+            CacheLine bad = line;
+            LineEcc bad_ecc = ecc;
+            flipCodewordBit(bad, bad_ecc, word, pos);
+            expectDecodeMatchesReference(bad, bad_ecc, "single flip");
+        }
+
+        // 1, 2 and 3 flips in each of several words at once, and a
+        // mix of 0..3 flips per word across the whole line.
+        for (unsigned n = 1; n <= 3; ++n) {
+            CacheLine bad = line;
+            LineEcc bad_ecc = ecc;
+            unsigned words = 1 + rng.below(kWordsPerLine);
+            for (unsigned w = 0; w < words; ++w)
+                flipDistinctBits(rng, bad, bad_ecc,
+                                 rng.below(kWordsPerLine), n);
+            expectDecodeMatchesReference(bad, bad_ecc, "multi-word flips");
+        }
+        CacheLine bad = line;
+        LineEcc bad_ecc = ecc;
+        for (std::size_t w = 0; w < kWordsPerLine; ++w)
+            flipDistinctBits(rng, bad, bad_ecc, w, rng.below(4));
+        expectDecodeMatchesReference(bad, bad_ecc, "mixed flips");
+    }
+}
+
+/** Encoded during this unit's dynamic initialisation, before main()
+ * runs: the check table must already hold its values then. */
+CacheLine
+staticInitLine()
+{
+    CacheLine line;
+    Pcg32 rng(0x57a71c, 0x888);
+    rng.fillLine(line);
+    return line;
+}
+
+const CacheLine kStaticInitLine = staticInitLine();
+const LineEcc kStaticInitEcc = LineEccCodec::encode(kStaticInitLine);
+
+TEST(HammingTableKernel, EncodesDuringStaticInitialisation)
+{
+    EXPECT_NE(0u, kStaticInitEcc);
+    EXPECT_EQ(LineEccCodec::encodeScalar(kStaticInitLine), kStaticInitEcc);
 }
 
 // ---------------------------------------------- fast line comparison

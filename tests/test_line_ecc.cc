@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <unordered_set>
 
 #include "common/random.hh"
@@ -193,6 +194,33 @@ TEST(ErrorInjector, FlipBitsInWordFlipsExactlyN)
     // Two flips in one word: must be detected as uncorrectable.
     LineDecodeResult r = LineEccCodec::decode(bad, bad_ecc);
     EXPECT_EQ(r.status, EccStatus::Uncorrectable);
+
+    // Over many seeds: exactly n of the word's 72 codeword bits differ,
+    // nothing outside the word moves, and check bit k is an independent
+    // position from data bit k (both can be hit in one call).
+    bool data_and_check_k = false;
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        ErrorInjector many(seed);
+        std::size_t word = seed % kWordsPerLine;
+        unsigned n = 1 + static_cast<unsigned>(seed % 8);
+        CacheLine b = l;
+        LineEcc be = ecc;
+        many.flipBitsInWord(b, be, word, n);
+        std::uint64_t data_diff = b.word(word) ^ l.word(word);
+        std::uint8_t check_diff = LineEccCodec::checkByte(be ^ ecc, word);
+        ASSERT_EQ(n, static_cast<unsigned>(std::popcount(data_diff) +
+                                           std::popcount(check_diff)))
+            << "seed " << seed;
+        ASSERT_EQ(0u, (be ^ ecc) & ~(0xffull << (word * 8)))
+            << "seed " << seed;
+        for (std::size_t w = 0; w < kWordsPerLine; ++w) {
+            if (w != word) {
+                ASSERT_EQ(l.word(w), b.word(w)) << "seed " << seed;
+            }
+        }
+        data_and_check_k |= (data_diff & check_diff) != 0;
+    }
+    EXPECT_TRUE(data_and_check_k);
 }
 
 } // namespace

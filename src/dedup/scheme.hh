@@ -295,7 +295,7 @@ class DedupScheme
               Tick arrival)
     {
         Profiler::Scope ps(prof_, Profiler::Device);
-        if (persist_) {
+        if (persist_ && persist_->capturesCrash()) {
             // Capture the pre-write state before RAS overwrites it:
             // crash images revert writes still queued at the crash.
             const StoredLine *prev = store_.peek(lineAlign(phys));

@@ -136,13 +136,18 @@ ShardedPipeline::ShardedPipeline(const SimConfig &cfg, SchemeKind kind,
     // sets and behaves exactly like its slice of the global cache).
     // Only crash injection is stripped: the crash index is *global*
     // write order, which the demux counts — it arms the owning shard
-    // at the chosen write instead.
+    // at the chosen write instead. Any shard may own it, so every
+    // shard keeps crash-capture state from its first write.
     SimConfig shard_cfg = cfg_;
     shard_cfg.persist.crashAtWrite = 0;
+    const bool crash_configured =
+        cfg_.persist.enabled && cfg_.persist.crashAtWrite != 0;
     shards_.reserve(shardCount_);
     queues_.reserve(shardCount_);
     for (unsigned s = 0; s < shardCount_; ++s) {
         shards_.push_back(std::make_unique<Simulator>(shard_cfg, kind_));
+        if (crash_configured)
+            shards_.back()->persistence()->prepareCrashCapture();
         queues_.push_back(std::make_unique<ShardQueue>(
             static_cast<std::size_t>(cfg_.pipeline.queueEpochs)));
     }

@@ -34,7 +34,8 @@
  * Composition: [persistence] journals commit per shard on the shard's
  * own write counts (journal records are ordered by (shard, seq));
  * crash injection by global write index is tagged by the demux and
- * armed on the owning shard just before the chosen write. [ras] fault
+ * armed on the owning shard just before the chosen write (every shard
+ * is prepared for crash capture at construction). [ras] fault
  * streams stay per shard; only the suspension latch crosses shards.
  *
  * tests/test_pipeline.cc enforces the byte-identity guarantee;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "common/stat_registry.hh"
 
 namespace esd
@@ -13,11 +14,33 @@ PersistenceManager::PersistenceManager(const PersistenceConfig &cfg,
     : cfg_(cfg), device_(device), store_(store),
       rng_(seed, 0x7e57ab1ecab1e5ull)
 {
-    // The undo log exists only to build ADR crash images; without an
-    // armed crash (or under eADR, where queued writes survive) it
-    // would be dead weight on every content write.
-    collectUndo_ = cfg_.enabled && cfg_.crashAtWrite != 0 &&
-                   cfg_.domain == PersistDomain::Adr;
+    if (cfg_.enabled && cfg_.crashAtWrite != 0)
+        prepareCrashCapture();
+}
+
+void
+PersistenceManager::prepareCrashCapture()
+{
+    if (writeIndex_ != 0)
+        esd_fatal("persistence: crash capture must be prepared before "
+                  "the first write (already at write %llu)",
+                  static_cast<unsigned long long>(writeIndex_));
+    capture_ = true;
+    // The undo log exists only to build ADR crash images; under eADR
+    // queued writes survive, so it would be dead weight on every
+    // content write.
+    collectUndo_ = cfg_.domain == PersistDomain::Adr;
+}
+
+void
+PersistenceManager::armCrashOnNextWrite()
+{
+    if (!capture_)
+        esd_fatal("persistence: crash armed at write %llu on a manager "
+                  "not prepared for crash capture",
+                  static_cast<unsigned long long>(writeIndex_ + 1));
+    if (!crashed_)
+        cfg_.crashAtWrite = writeIndex_ + 1;
 }
 
 std::uint64_t
@@ -71,13 +94,18 @@ PersistenceManager::onWriteEnd(Tick end_t)
     if (crashArmedAt(CrashPhase::PostData))
         captureImage(CrashPhase::PostData, end_t, durableBase(), 0);
 
+    esd_assert(!capture_ || (groupCount_ == group_.size() &&
+                             pendingCount_ == pending_.size() &&
+                             committedCount_ == committed_.size()),
+               "journal counts out of step with the kept records");
+
     bool boundary = writeIndex_ % cfg_.epochWrites == 0;
     bool buffer_full =
-        pending_.size() + group_.size() >= cfg_.metadataBufferRecords;
+        pendingCount_ + groupCount_ >= cfg_.metadataBufferRecords;
     bool commit_now = boundary || buffer_full;
 
-    extra += static_cast<Tick>(group_.size()) * cfg_.journalAppendNs;
-    stats_.journalRecords.inc(group_.size());
+    extra += static_cast<Tick>(groupCount_) * cfg_.journalAppendNs;
+    stats_.journalRecords.inc(groupCount_);
 
     // ADR barriers wait for the WPQ first: a committed journal record
     // must never describe data the array does not hold. Under eADR the
@@ -115,6 +143,8 @@ PersistenceManager::onWriteEnd(Tick end_t)
     }
 
     // Flush the group (under eADR this is the persistent buffer).
+    pendingCount_ += groupCount_;
+    groupCount_ = 0;
     pending_.insert(pending_.end(), group_.begin(), group_.end());
     group_.clear();
 
@@ -124,6 +154,8 @@ PersistenceManager::onWriteEnd(Tick end_t)
         stats_.drainWaitNs.inc(drain_wait);
         stats_.barrierNs.inc(drain_wait + cfg_.barrierNs);
 
+        committedCount_ += pendingCount_;
+        pendingCount_ = 0;
         committed_.insert(committed_.end(), pending_.begin(),
                           pending_.end());
         pending_.clear();
@@ -214,10 +246,13 @@ PersistenceManager::pruneUndo(Tick tick)
 void
 PersistenceManager::checkpoint()
 {
+    // Without capture there are no bodies to fold: only the image
+    // reads checkpoint_, so the fold is counted, not run.
     for (const JournalRecord &r : committed_)
         applyRecord(checkpoint_, r);
-    stats_.recordsFolded.inc(committed_.size());
+    stats_.recordsFolded.inc(committedCount_);
     stats_.checkpoints.inc();
+    committedCount_ = 0;
     committed_.clear();
 }
 

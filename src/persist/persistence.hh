@@ -30,6 +30,13 @@
  * durable journal, the last checkpoint, plus a ground-truth counter
  * oracle for pad-reuse auditing. The simulation continues after the
  * snapshot; recovery is run offline on the image (see recovery.hh).
+ *
+ * Capture state is kept only when a crash can be captured: a manager
+ * configured with crash_at_write != 0, or one whose owner called
+ * prepareCrashCapture() before the first write. Any other manager
+ * counts its journal instead of storing it — no record bodies, no
+ * checkpoint fold, no undo log — and charges exactly the same
+ * overhead, so every `persist.*` counter and latency is unchanged.
  */
 
 #ifndef ESD_PERSIST_PERSISTENCE_HH
@@ -149,12 +156,16 @@ class PersistenceManager
     note(JournalOp op, Addr a, Addr b = kInvalidAddr,
          std::uint64_t value = 0)
     {
+        ++seq_;
+        ++groupCount_;
+        if (!capture_)
+            return;
         JournalRecord r;
         r.op = op;
         r.a = a;
         r.b = b;
         r.value = value;
-        r.seq = ++seq_;
+        r.seq = seq_;
         r.epoch = epochsCommitted_;
         group_.push_back(r);
     }
@@ -177,17 +188,23 @@ class PersistenceManager
     bool crashed() const { return crashed_; }
     const CrashImage &image() const { return image_; }
 
+    /** Keep crash-capture state (record bodies, checkpoint fold, ADR
+     * undo log) from the first write on, for an owner that will arm a
+     * crash later through armCrashOnNextWrite(). Call before the first
+     * write. */
+    void prepareCrashCapture();
+
+    /** Whether this manager keeps the state a crash image is built
+     * from — fixed before the first write. */
+    bool capturesCrash() const { return capture_; }
+
     /** Arm the deterministic crash to strike on the next write seen by
      * this manager. The sharded pipeline injects crashes by *global*
-     * write index, which only the trace demux can count — it arms the
-     * owning shard's manager just before stepping the chosen write
-     * (shard configs carry crash_at_write = 0). */
-    void
-    armCrashOnNextWrite()
-    {
-        if (!crashed_)
-            cfg_.crashAtWrite = writeIndex_ + 1;
-    }
+     * write index, which only the trace demux can count — it prepares
+     * every shard up front and arms the owning shard's manager just
+     * before stepping the chosen write (shard configs carry
+     * crash_at_write = 0). Fatal on a manager never prepared. */
+    void armCrashOnNextWrite();
 
     /** Counter slack with the 0=auto default resolved (ADR: one epoch
      * of un-journaled bumps, eADR: one torn group). */
@@ -252,6 +269,18 @@ class PersistenceManager
     std::uint64_t seq_ = 0;
     std::uint64_t epochsCommitted_ = 0;
 
+    /** A crash image can be captured: record bodies, the checkpoint
+     * fold and (ADR) the undo log are kept. Otherwise only the
+     * counts below are. */
+    bool capture_ = false;
+    bool collectUndo_ = false;
+
+    /** Record counts of the three journal stages; equal to the
+     * vectors' sizes whenever bodies are kept. */
+    std::uint64_t groupCount_ = 0;
+    std::uint64_t pendingCount_ = 0;
+    std::uint64_t committedCount_ = 0;
+
     /** Current write's record group (atomic: flushes whole). */
     std::vector<JournalRecord> group_;
 
@@ -266,7 +295,6 @@ class PersistenceManager
 
     /** Store-content undo log (ADR crash capture only). */
     std::vector<UndoEntry> undo_;
-    bool collectUndo_ = false;
 
     bool crashed_ = false;
     CrashImage image_;

@@ -1,0 +1,135 @@
+/**
+ * @file
+ * PersistenceManager bookkeeping: crash-capture state is kept only
+ * when a crash can be captured, and dropping it changes nothing a run
+ * reports.
+ *
+ * A manager with no crash configured counts its journal instead of
+ * storing it (no record bodies, no checkpoint fold, no undo log). Here
+ * the same run is made with crash_at_write = 0 (count-only) and with
+ * crash_at_write past the end of the trace (bodies kept, crash never
+ * fires): every `persist.*` counter and the whole stats report, apart
+ * from the config key itself, must match. Arming a crash on a manager
+ * that kept no capture state is fatal.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+
+#include "core/run_report.hh"
+#include "core/simulator.hh"
+#include "trace/workloads.hh"
+
+namespace esd
+{
+namespace
+{
+
+/** Persistence on, with a flush buffer small enough that commits come
+ * early and a checkpoint after every commit. */
+SimConfig
+journalConfig(PersistDomain domain, std::uint64_t crash_at)
+{
+    SimConfig c;
+    c.persist.enabled = true;
+    c.persist.domain = domain;
+    c.persist.metadataBufferRecords = 24;
+    c.persist.checkpointEpochs = 1;
+    c.persist.crashAtWrite = crash_at;
+    return c;
+}
+
+/** The stats report with the `crash_at_write` config line removed. */
+std::string
+reportWithoutCrashKey(const SimConfig &cfg, const RunResult &r,
+                      const StatRegistry &reg)
+{
+    std::ostringstream os;
+    writeStatsReport(os, cfg, r, reg);
+    std::string s = os.str();
+    std::size_t at = s.find("\"crash_at_write\"");
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos)
+        s.erase(at, s.find('\n', at) - at);
+    return s;
+}
+
+class CountOnlyJournalTest
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, PersistDomain>>
+{
+};
+
+TEST_P(CountOnlyJournalTest, MatchesKeptBodies)
+{
+    const auto [kind, domain] = GetParam();
+    constexpr std::uint64_t kRecords = 20000;
+    constexpr std::uint64_t kWarmup = 2000;
+
+    auto runOnce = [&](std::uint64_t crash_at, bool expect_capture,
+                       PersistStats &stats, std::string &report) {
+        SimConfig c = journalConfig(domain, crash_at);
+        Simulator sim(c, kind);
+        ASSERT_EQ(sim.persistence()->capturesCrash(), expect_capture);
+        SyntheticWorkload trace(findApp("gcc"), c.seed);
+        RunResult r = sim.run(trace, kRecords, kWarmup);
+        EXPECT_FALSE(sim.persistence()->crashed());
+        stats = sim.persistence()->stats();
+        report = reportWithoutCrashKey(c, r, sim.statRegistry());
+    };
+
+    PersistStats counted, kept;
+    std::string counted_report, kept_report;
+    runOnce(0, false, counted, counted_report);
+    runOnce(1ull << 40, true, kept, kept_report);
+
+    EXPECT_GT(counted.earlyCommits.value(), 0u);
+    EXPECT_GT(counted.checkpoints.value(), 0u);
+    EXPECT_EQ(counted.journalRecords.value(), kept.journalRecords.value());
+    EXPECT_EQ(counted.epochCommits.value(), kept.epochCommits.value());
+    EXPECT_EQ(counted.earlyCommits.value(), kept.earlyCommits.value());
+    EXPECT_EQ(counted.checkpoints.value(), kept.checkpoints.value());
+    EXPECT_EQ(counted.recordsFolded.value(), kept.recordsFolded.value());
+    EXPECT_EQ(counted.barrierNs.value(), kept.barrierNs.value());
+    EXPECT_EQ(counted.drainWaitNs.value(), kept.drainWaitNs.value());
+    EXPECT_EQ(counted_report, kept_report);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Persistence, CountOnlyJournalTest,
+    ::testing::Combine(::testing::Values(SchemeKind::Baseline,
+                                         SchemeKind::Esd),
+                       ::testing::Values(PersistDomain::Adr,
+                                         PersistDomain::Eadr)),
+    [](const auto &info) {
+        const char *scheme = std::get<0>(info.param) == SchemeKind::Baseline
+                                 ? "Baseline"
+                                 : "Esd";
+        const char *domain =
+            std::get<1>(info.param) == PersistDomain::Adr ? "Adr" : "Eadr";
+        return std::string(scheme) + "_" + domain;
+    });
+
+TEST(Persistence, ArmingUnpreparedManagerIsFatal)
+{
+    SimConfig c = journalConfig(PersistDomain::Adr, 0);
+    Simulator sim(c, SchemeKind::Esd);
+    EXPECT_EXIT(sim.persistence()->armCrashOnNextWrite(),
+                ::testing::ExitedWithCode(1),
+                "not prepared for crash capture");
+}
+
+TEST(Persistence, PreparingAfterFirstWriteIsFatal)
+{
+    SimConfig c = journalConfig(PersistDomain::Adr, 0);
+    Simulator sim(c, SchemeKind::Esd);
+    SyntheticWorkload trace(findApp("gcc"), c.seed);
+    sim.run(trace, 200, 0);
+    EXPECT_EXIT(sim.persistence()->prepareCrashCapture(),
+                ::testing::ExitedWithCode(1),
+                "must be prepared before the first write");
+}
+
+} // namespace
+} // namespace esd

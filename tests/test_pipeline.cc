@@ -275,5 +275,130 @@ TEST(Pipeline, CrashInjectionIdenticalAcrossWorkerCounts)
     EXPECT_EQ(rep1, rep4) << exec::firstJsonDivergence(rep1, rep4);
 }
 
+/** Same key set, same value per key (slot order may differ). */
+template <typename Map>
+bool
+sameMap(const Map &x, const Map &y)
+{
+    if (x.size() != y.size())
+        return false;
+    for (const auto &[k, v] : x) {
+        auto it = y.find(k);
+        if (it == y.end() || !(it->second == v))
+            return false;
+    }
+    return true;
+}
+
+/** Field-by-field equality of two crash images. */
+void
+expectSameImage(const CrashImage &a, const CrashImage &b,
+                const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.domain, b.domain);
+    EXPECT_EQ(a.phase, b.phase);
+    EXPECT_EQ(a.crashWriteIndex, b.crashWriteIndex);
+    EXPECT_EQ(a.tick, b.tick);
+    EXPECT_EQ(a.inPlace, b.inPlace);
+    EXPECT_EQ(a.tornRecords, b.tornRecords);
+
+    ASSERT_EQ(a.content.size(), b.content.size());
+    for (std::size_t i = 0; i < a.content.size(); ++i) {
+        ASSERT_EQ(a.content[i].first, b.content[i].first) << "line " << i;
+        EXPECT_EQ(a.content[i].second.data, b.content[i].second.data)
+            << "line " << i;
+        EXPECT_EQ(a.content[i].second.ecc, b.content[i].second.ecc)
+            << "line " << i;
+    }
+
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+        const JournalRecord &x = a.records[i];
+        const JournalRecord &y = b.records[i];
+        EXPECT_TRUE(x.op == y.op && x.a == y.a && x.b == y.b &&
+                    x.value == y.value && x.seq == y.seq &&
+                    x.epoch == y.epoch)
+            << "record " << i;
+    }
+
+    const CheckpointState &ca = a.checkpoint;
+    const CheckpointState &cb = b.checkpoint;
+    EXPECT_EQ(ca.seq, cb.seq);
+    EXPECT_TRUE(sameMap(ca.amt, cb.amt));
+    EXPECT_TRUE(sameMap(ca.refs, cb.refs));
+    EXPECT_TRUE(sameMap(ca.fp, cb.fp));
+    EXPECT_TRUE(sameMap(ca.ctr, cb.ctr));
+    EXPECT_EQ(ca.retired.size(), cb.retired.size());
+    for (Addr k : ca.retired)
+        EXPECT_TRUE(cb.retired.contains(k));
+
+    EXPECT_EQ(a.trueCounters, b.trueCounters);
+}
+
+/** A shard's crash image is exactly the image one standalone Simulator
+ * builds from that shard's slice of the trace, crashed at the same
+ * local write. Under ADR that includes reverting store writes still
+ * queued at the crash tick, so the shard, armed only at run time,
+ * must have kept its undo log from its first write. */
+TEST(Pipeline, ShardCrashImageMatchesStandaloneSimulator)
+{
+    constexpr std::uint64_t kRecords = 8000;
+    constexpr std::uint64_t kWarmup = 1000;
+    for (CrashPhase phase : {CrashPhase::PreBarrier, CrashPhase::MidJournal,
+                             CrashPhase::PostData}) {
+        for (std::uint64_t crash_at : {600ull, 1500ull, 3000ull}) {
+            SimConfig c = pipelineConfig(4);
+            c.persist.enabled = true;
+            c.persist.domain = PersistDomain::Adr;
+            c.persist.crashPhase = phase;
+            c.persist.crashAtWrite = crash_at;
+            const std::string what =
+                "phase " + std::to_string(static_cast<int>(phase)) +
+                " crash_at_write " + std::to_string(crash_at);
+
+            SyntheticWorkload trace(findApp("gcc"), c.seed);
+            exec::ShardedPipeline pipe(c, SchemeKind::Esd, 2);
+            pipe.run(trace, kRecords, kWarmup);
+            const int shard = pipe.crashedShard();
+            ASSERT_GE(shard, 0) << what;
+
+            // The shard's slice, with the demux's measured flags and
+            // the crash write's shard-local index.
+            std::vector<std::pair<TraceRecord, bool>> slice;
+            std::uint64_t writes = 0, local_writes = 0;
+            SyntheticWorkload replay(findApp("gcc"), c.seed);
+            TraceRecord rec;
+            for (std::uint64_t i = 0; i < kRecords && replay.next(rec);
+                 ++i) {
+                const bool mine = lineIndex(rec.addr) % 4 ==
+                                  static_cast<unsigned>(shard);
+                if (rec.op == OpType::Write) {
+                    ++writes;
+                    if (mine && writes <= crash_at)
+                        ++local_writes;
+                }
+                if (mine)
+                    slice.emplace_back(rec, i >= kWarmup);
+            }
+            SimConfig solo_cfg = c;
+            solo_cfg.persist.crashAtWrite = local_writes;
+
+            Simulator solo(solo_cfg, SchemeKind::Esd);
+            solo.beginRun();
+            for (const auto &[r, measured] : slice)
+                solo.stepRecord(r, measured);
+            solo.endRun();
+            ASSERT_TRUE(solo.persistence()->crashed()) << what;
+
+            expectSameImage(
+                pipe.shard(static_cast<unsigned>(shard))
+                    .persistence()
+                    ->image(),
+                solo.persistence()->image(), what);
+        }
+    }
+}
+
 } // namespace
 } // namespace esd

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -58,6 +60,54 @@ TEST(Zipf, SampleWithinPopulation)
     Pcg32 rng(2);
     for (int i = 0; i < 5000; ++i)
         EXPECT_LT(z.sample(rng), 37u);
+}
+
+/** The guide-table draw equals a plain lower_bound over a rebuilt CDF
+ * for PCG draws and at (and just around) every guide-bucket edge. */
+TEST(Zipf, GuidedDrawMatchesReferenceLowerBound)
+{
+    for (std::uint64_t n : {1ull, 2ull, 8192ull, 32768ull, 100003ull}) {
+        for (double s : {0.0, 0.95, 1.15, 2.0}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " s=" + std::to_string(s));
+            ZipfSampler z(n, s);
+            std::vector<double> cdf;
+            double acc = 0;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
+                cdf.push_back(acc);
+            }
+            auto reference = [&](double r) {
+                auto it = std::lower_bound(cdf.begin(), cdf.end(), r * acc);
+                return std::min<std::uint64_t>(
+                    static_cast<std::uint64_t>(it - cdf.begin()), n - 1);
+            };
+
+            Pcg32 rng(7, n), twin(7, n);
+            for (int i = 0; i < 100000; ++i) {
+                std::uint64_t got = z.sample(rng);
+                ASSERT_EQ(got, reference(twin.uniform())) << "draw " << i;
+            }
+
+            std::uint64_t buckets = 1;
+            while (buckets < n)
+                buckets *= 2;
+            for (std::uint64_t b = 0; b < buckets; ++b) {
+                double edge = static_cast<double>(b) /
+                              static_cast<double>(buckets);
+                ASSERT_EQ(z.rankAt(edge), reference(edge)) << "b=" << b;
+                double above = std::nextafter(edge, 1.0);
+                ASSERT_EQ(z.rankAt(above), reference(above)) << "b=" << b;
+                if (b > 0) {
+                    double below = std::nextafter(edge, 0.0);
+                    ASSERT_EQ(z.rankAt(below), reference(below))
+                        << "b=" << b;
+                }
+            }
+            double top = std::nextafter(1.0, 0.0);
+            ASSERT_EQ(z.rankAt(top), reference(top));
+        }
+    }
 }
 
 // ------------------------------------------------------------ profiles

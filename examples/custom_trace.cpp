@@ -1,8 +1,9 @@
 /**
  * @file
  * Bring-your-own-trace workflow, mirroring the artifact appendix:
- * generate a trace file in the documented text format, read it back,
- * and replay it through a selected scheme.
+ * generate a trace file in the documented text format with the capture
+ * writer, stream it back through the trace frontend (which also reads
+ * gzip'd and binary traces), and replay it through a selected scheme.
  *
  *   ./custom_trace [scheme 0..3|name] [trace-path]
  *
@@ -16,7 +17,8 @@
 
 #include "core/simulator.hh"
 #include "metrics/report.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_capture.hh"
+#include "trace/trace_frontend.hh"
 #include "trace/workloads.hh"
 
 int
@@ -31,7 +33,7 @@ main(int argc, char **argv)
     if (!std::filesystem::exists(path)) {
         std::cout << "synthesising " << path << " from the wrf profile\n";
         SyntheticWorkload w(findApp("wrf"), 42);
-        TextTraceWriter writer(path);
+        TraceCaptureWriter writer(path, TraceConfig{});
         TraceRecord rec;
         for (int i = 0; i < 20000; ++i) {
             w.next(rec);
@@ -41,8 +43,8 @@ main(int argc, char **argv)
 
     std::cout << "replaying " << path << " under " << schemeName(kind)
               << "\n";
-    TextTraceReader reader(path);
     SimConfig cfg;
+    TraceFrontend reader(path, cfg.trace);
     RunResult r = runWorkload(cfg, kind, reader, /*records=*/0,
                               /*warmup=*/0);
 

@@ -210,4 +210,35 @@ writeStatsReport(std::ostream &os, const SimConfig &cfg,
     os << "\n";
 }
 
+CrashCheck
+checkInjectedCrash(Simulator &sim, const SimConfig &cfg)
+{
+    CrashCheck c;
+    if (!cfg.persist.enabled || cfg.persist.crashAtWrite == 0)
+        return c;
+    const PersistenceManager *pm = sim.persistence();
+    if (!pm->crashed()) {
+        c.error = "run ended before the injected crash point (write " +
+                  std::to_string(cfg.persist.crashAtWrite) + ")";
+        return c;
+    }
+    c.image = &pm->image();
+    c.recovered = recoverFromImage(*c.image, pm->config(),
+                                   sim.scheme().crypto(),
+                                   sim.scheme().ecc());
+    c.audit = auditPadSafety(c.recovered, *c.image);
+    if (!c.recovered.summary.ok)
+        c.error = "crash recovery failed: " +
+                  std::to_string(c.recovered.summary.countersUnresolved) +
+                  " counters unresolved, " +
+                  std::to_string(c.recovered.summary.mappingsInvalidated) +
+                  " mappings invalidated";
+    else if (c.audit.violations != 0)
+        c.error = "pad-safety audit failed: " +
+                  std::to_string(c.audit.violations) + " of " +
+                  std::to_string(c.audit.countersChecked) +
+                  " counter floors below the true counter";
+    return c;
+}
+
 } // namespace esd

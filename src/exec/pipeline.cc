@@ -17,7 +17,6 @@
 #include "dedup/dedup_sha1.hh"
 #include "dedup/esd.hh"
 #include "dedup/mapped_scheme.hh"
-#include "persist/recovery.hh"
 
 namespace esd::exec
 {
@@ -441,33 +440,14 @@ ShardedPipeline::crashedShard() const
     return -1;
 }
 
-std::string
+CrashCheck
 ShardedPipeline::checkInjectedCrash() const
 {
-    if (!cfg_.persist.enabled || cfg_.persist.crashAtWrite == 0)
-        return "";
-    int cs = crashedShard();
-    if (cs < 0)
-        return "run ended before the injected crash point (write " +
-               std::to_string(cfg_.persist.crashAtWrite) + ")";
-    Simulator &sim = *shards_[static_cast<unsigned>(cs)];
-    const PersistenceManager *pm = sim.persistence();
-    RecoveredState rec = recoverFromImage(pm->image(), pm->config(),
-                                          sim.scheme().crypto(),
-                                          sim.scheme().ecc());
-    PadSafetyReport audit = auditPadSafety(rec, pm->image());
-    if (!rec.summary.ok)
-        return "crash recovery failed: " +
-               std::to_string(rec.summary.countersUnresolved) +
-               " counters unresolved, " +
-               std::to_string(rec.summary.mappingsInvalidated) +
-               " mappings invalidated";
-    if (audit.violations != 0)
-        return "pad-safety audit failed: " +
-               std::to_string(audit.violations) + " of " +
-               std::to_string(audit.countersChecked) +
-               " counter floors below the true counter";
-    return "";
+    const int cs = crashedShard();
+    const unsigned shard = cs < 0 ? 0 : static_cast<unsigned>(cs);
+    CrashCheck c = esd::checkInjectedCrash(*shards_[shard], cfg_);
+    c.shard = shard;
+    return c;
 }
 
 // ----------------------------------------------------------------------

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "core/run_report.hh"
 #include "core/simulator.hh"
 
 namespace esd::exec
@@ -137,14 +138,11 @@ class ShardedPipeline
     int crashedShard() const;
 
     /**
-     * Post-run self-check for runs that injected a crash (mirrors the
-     * sweep runner's checkInjectedCrash): the crash must have fired,
-     * recovery off the crashed shard's image must complete cleanly,
-     * and the pad-safety audit must be clean.
-     * @return empty on success (or when no crash was requested), else
-     *         the failure reason.
+     * esd::checkInjectedCrash (core/run_report.hh) on the crashed
+     * shard, or shard 0 when none crashed, against the global crash
+     * point; CrashCheck::shard names the shard checked.
      */
-    std::string checkInjectedCrash() const;
+    CrashCheck checkInjectedCrash() const;
 
     /** Merged counter rows recorded at barriers ([pipeline]
      * sample_epochs > 0). */

@@ -11,7 +11,6 @@
 #include "common/stat_registry.hh"
 #include "core/run_report.hh"
 #include "exec/pipeline.hh"
-#include "persist/recovery.hh"
 #include "trace/trace_frontend.hh"
 #include "trace/workloads.hh"
 
@@ -38,40 +37,6 @@ writeJobIdentity(JsonWriter &w, const SweepJob &job, std::size_t index)
     w.kv("seed", job.cfg.seed);
 }
 
-/**
- * Post-run self-check for jobs that injected a crash: the crash must
- * have fired, recovery must complete with no unresolved state, and the
- * pad-safety audit must be clean. A violation is a job failure, not a
- * quiet row of crash-tainted numbers.
- * @return empty on success, else the failure reason.
- */
-std::string
-checkInjectedCrash(Simulator &sim)
-{
-    const PersistenceManager *pm = sim.persistence();
-    if (!pm || pm->config().crashAtWrite == 0)
-        return "";
-    if (!pm->crashed())
-        return "run ended before the injected crash point (write " +
-               std::to_string(pm->config().crashAtWrite) + ")";
-    RecoveredState rec = recoverFromImage(pm->image(), pm->config(),
-                                          sim.scheme().crypto(),
-                                          sim.scheme().ecc());
-    PadSafetyReport audit = auditPadSafety(rec, pm->image());
-    if (!rec.summary.ok)
-        return "crash recovery failed: " +
-               std::to_string(rec.summary.countersUnresolved) +
-               " counters unresolved, " +
-               std::to_string(rec.summary.mappingsInvalidated) +
-               " mappings invalidated";
-    if (audit.violations != 0)
-        return "pad-safety audit failed: " +
-               std::to_string(audit.violations) + " of " +
-               std::to_string(audit.countersChecked) +
-               " counter floors below the true counter";
-    return "";
-}
-
 /** Run one grid point start to finish on the calling thread. */
 SweepOutcome
 runOneJob(const SweepJob &job, std::size_t index)
@@ -96,7 +61,7 @@ runOneJob(const SweepJob &job, std::size_t index)
             ShardedPipeline pipe(job.cfg, job.scheme,
                                  job.pipelineWorkers);
             out.result = pipe.run(trace, job.records, job.warmup);
-            out.error = pipe.checkInjectedCrash();
+            out.error = pipe.checkInjectedCrash().error;
             out.ok = out.error.empty();
             if (out.ok) {
                 std::ostringstream rep;
@@ -106,7 +71,9 @@ runOneJob(const SweepJob &job, std::size_t index)
         } else {
             Simulator sim(job.cfg, job.scheme);
             out.result = sim.run(trace, job.records, job.warmup);
-            out.error = checkInjectedCrash(sim);
+            // A crash-injected job whose self-check fails is a job
+            // failure, not a quiet row of crash-tainted numbers.
+            out.error = checkInjectedCrash(sim, job.cfg).error;
             out.ok = out.error.empty();
             if (out.ok) {
                 // Per-job report fragment, serialized here while the

@@ -432,13 +432,18 @@ TraceFrontend::decodeText(TraceRecord &rec)
                       static_cast<unsigned long long>(lineNo_));
 
         // Two token orders: canonical `<op> <addr> ...` and
-        // Ramulator-style `<addr> <op> ...`.
+        // Ramulator-style `<addr> <op> ...`. With no op in either
+        // slot, blame the first token unless it reads as an address.
         Token opTok = toks[0], addrTok = toks[1];
         if (!isOpToken(toks[0])) {
-            if (!isOpToken(toks[1]))
+            if (!isOpToken(toks[1])) {
+                Addr ignored;
+                const Token bad =
+                    parseHexAddr(toks[0], ignored) ? toks[1] : toks[0];
                 esd_fatal("%s:%llu: bad op '%.*s'", path_.c_str(),
                           static_cast<unsigned long long>(lineNo_),
-                          toks[1].len(), toks[1].p);
+                          bad.len(), bad.p);
+            }
             std::swap(opTok, addrTok);
         }
         rec.op = (opTok.p[0] == 'W' || opTok.p[0] == 'w') ? OpType::Write
@@ -494,7 +499,7 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
 {
     detail::ByteStream &in = *in_;
     if (binVersion_ <= 1) {
-        // Legacy headerless stream: raw BinaryTraceWriter records.
+        // Legacy headerless v1 stream: raw op/addr/icount records.
         if (!in.ensure(1))
             return false;
         std::uint8_t op = in.data()[0];

@@ -28,10 +28,11 @@
  *   - **binary** — `ESDT` magic. Version 2 carries a versioned header
  *     (version byte, flags byte with the line-payload bit, reserved
  *     u16) and length-prefixed records
- *     `[u8 len][u8 op][u64 addr][u32 icount][64 B payload?]`; the
- *     legacy headerless v1 record stream written by BinaryTraceWriter
- *     is still decoded (its first post-magic byte is an op, 0/1, which
- *     no v2 version byte can be).
+ *     `[u8 len][u8 op][u64 addr][u32 icount][64 B payload?]`. The
+ *     legacy headerless v1 stream (raw `[u8 op][u64 addr][u32 icount]
+ *     [64 B payload, writes only]` records) is decoded too: its first
+ *     post-magic byte is an op, 0/1, which no v2 version byte can be.
+ *     TraceCaptureWriter only writes v2, so v1 is read-only.
  *
  * Write records that carry no payload get deterministic synthesized
  * content — a splitmix64 stream keyed by (address, global write
@@ -193,7 +194,9 @@ class GzipByteStream : public ByteStream
 } // namespace detail
 
 /**
- * The streaming trace frontend (`esd_sim -trace-in=`).
+ * The streaming trace frontend, and the repo's only trace decoder
+ * (`esd_sim -trace-in=` and its alias `-InputFile=`, esd_batch,
+ * esd_sweep, esd_tracecvt).
  *
  * Decodes records lazily through a bounded read-ahead buffer;
  * TraceSource::nextBatch is overridden to hand the pipeline demux a

@@ -14,7 +14,7 @@
 #include "core/simulator.hh"
 #include "dedup/efit.hh"
 #include "nvm/pcm_device.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_frontend.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -24,52 +24,58 @@ namespace
 
 // ------------------------------------------------------- death tests
 
+/** Drain a trace file through the frontend. */
+void
+drainTrace(const std::string &path)
+{
+    TraceFrontend reader(path, TraceConfig{});
+    TraceRecord rec;
+    while (reader.next(rec)) {
+    }
+}
+
+/** Write @p text to a fresh temp file and drain it; the death tests
+ * expect the drain to die. */
+void
+drainText(const char *tag, const std::string &text)
+{
+    auto path = std::filesystem::temp_directory_path() /
+                (tag + std::to_string(::getpid()));
+    std::ofstream(path) << text;
+    drainTrace(path.string());
+    std::filesystem::remove(path);
+}
+
 TEST(TraceIoDeath, MissingFileIsFatal)
 {
-    EXPECT_EXIT(TextTraceReader("/nonexistent/trace.txt"),
+    EXPECT_EXIT(drainTrace("/nonexistent/trace.txt"),
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 
 TEST(TraceIoDeath, MalformedOpIsFatal)
 {
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_bad_trace_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "X 40 12\n";
-    }
-    TextTraceReader reader(path.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1), "bad op");
-    std::filesystem::remove(path);
+    EXPECT_EXIT(drainText("esd_bad_trace_", "X 40 12\n"),
+                ::testing::ExitedWithCode(1), "bad op");
 }
 
 TEST(TraceIoDeath, TruncatedWriteDataIsFatal)
 {
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_short_trace_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "W 40 deadbeef 12\n";  // needs 128 hex chars
-    }
-    TextTraceReader reader(path.string());
-    TraceRecord rec;
-    EXPECT_EXIT(reader.next(rec), ::testing::ExitedWithCode(1),
-                "hex chars");
-    std::filesystem::remove(path);
+    // A short data token reads as the icount, and the icount after it
+    // is junk; a longer one must be the whole 128-hex-char line.
+    EXPECT_EXIT(drainText("esd_short_trace_", "W 40 deadbeef 12\n"),
+                ::testing::ExitedWithCode(1), ":1: bad icount 'deadbeef'");
+    EXPECT_EXIT(drainText("esd_short_trace_",
+                          "W 40 " + std::string(40, 'a') + " 12\n"),
+                ::testing::ExitedWithCode(1),
+                ":1: write payload must be 128 hex chars");
 }
 
+/** Bytes that are neither binary nor gzip decode as text and die on
+ * the first line: a non-trace is never silently replayed. */
 TEST(TraceIoDeath, NotABinaryTraceIsFatal)
 {
-    auto path = std::filesystem::temp_directory_path() /
-                ("esd_not_bin_" + std::to_string(::getpid()));
-    {
-        std::ofstream out(path);
-        out << "plain text";
-    }
-    EXPECT_EXIT(BinaryTraceReader(path.string()),
-                ::testing::ExitedWithCode(1), "not an ESD binary trace");
-    std::filesystem::remove(path);
+    EXPECT_EXIT(drainText("esd_not_bin_", "plain text"),
+                ::testing::ExitedWithCode(1), ":1: bad op 'plain'");
 }
 
 TEST(WorkloadsDeath, UnknownAppIsFatal)

@@ -227,7 +227,7 @@ TEST_P(PipelineFuzzTest, ShardsStayCoherentAtAnyWorkerCount)
 
         // Recovery convergence: an injected crash must have fired on
         // some shard, recovered cleanly, and passed the pad audit.
-        EXPECT_EQ(pipe.checkInjectedCrash(), "")
+        EXPECT_EQ(pipe.checkInjectedCrash().error, "")
             << schemeName(kind) << " workers=" << workers;
         if (crash)
             EXPECT_GE(pipe.crashedShard(), 0);

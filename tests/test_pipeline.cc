@@ -258,7 +258,7 @@ TEST(Pipeline, CrashInjectionIdenticalAcrossWorkerCounts)
         SyntheticWorkload trace(findApp("gcc"), c.seed);
         exec::ShardedPipeline pipe(c, SchemeKind::Esd, workers);
         pipe.run(trace, 8000, 1000);
-        EXPECT_EQ(pipe.checkInjectedCrash(), "");
+        EXPECT_EQ(pipe.checkInjectedCrash().error, "");
         shard = pipe.crashedShard();
         std::ostringstream os;
         pipe.writeReport(os);

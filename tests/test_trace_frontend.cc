@@ -29,7 +29,6 @@
 #include "exec/pipeline.hh"
 #include "trace/trace_capture.hh"
 #include "trace/trace_frontend.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -119,6 +118,13 @@ writeFile(const std::string &path, const std::string &bytes)
 {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void
+putLe(std::string &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out += static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 void
@@ -306,7 +312,7 @@ TEST_F(TraceFrontendTest, ReplayWithCrashInjectionRecovers)
     TraceFrontend replay(path, cfg.trace);
     exec::ShardedPipeline sharded(cfg, SchemeKind::Esd, 2);
     sharded.run(replay, kRecords, kWarmup);
-    EXPECT_EQ(sharded.checkInjectedCrash(), "");
+    EXPECT_EQ(sharded.checkInjectedCrash().error, "");
 }
 
 // ---------------------------------------------- streaming properties
@@ -444,16 +450,22 @@ TEST_F(TraceFrontendTest, SignedAndOverlongNumbersAreRejected)
 
 TEST_F(TraceFrontendTest, LegacyV1BinaryStillDecodes)
 {
-    std::string path = file("v1.bin");
+    // A v1 stream built byte by byte: the magic, then headerless
+    // [u8 op][u64 addr][u32 icount][64 B payload, writes only].
     std::vector<TraceRecord> want(64);
-    {
-        BinaryTraceWriter writer(path);
-        SyntheticWorkload synth(findApp("mcf"), 11);
-        for (TraceRecord &r : want) {
-            ASSERT_TRUE(synth.next(r));
-            writer.write(r);
-        }
+    std::string bytes = "ESDT";
+    SyntheticWorkload synth(findApp("mcf"), 11);
+    for (TraceRecord &r : want) {
+        ASSERT_TRUE(synth.next(r));
+        bytes += static_cast<char>(r.op == OpType::Write);
+        putLe(bytes, r.addr, 8);
+        putLe(bytes, r.icount, 4);
+        if (r.op == OpType::Write)
+            bytes.append(reinterpret_cast<const char *>(r.data.data()),
+                         kLineSize);
     }
+    std::string path = file("v1.bin");
+    writeFile(path, bytes);
     TraceConfig tc;
     TraceFrontend f(path, tc);
     EXPECT_EQ(f.format(), TraceFormat::Binary);
@@ -780,13 +792,6 @@ TEST_F(TraceFrontendTest, OverlongLineAcrossWindowEndNamesItsLine)
                         ": line exceeds 512 bytes")
             << "cut at " << at;
     }
-}
-
-void
-putLe(std::string &out, std::uint64_t v, int bytes)
-{
-    for (int i = 0; i < bytes; ++i)
-        out += static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 /** A PCG-generated binary trace (legacy v1 or length-prefixed v2)

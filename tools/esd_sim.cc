@@ -4,7 +4,7 @@
  * `nvmain.fast` interface:
  *
  *   esd_sim -scheme=<0..5|name> [-ConfigFile=<path>]
- *           (-InputFile=<trace> | -app=<name>)
+ *           (-InputFile=<trace> | -trace-in=<trace> | -app=<name>)
  *           [-records=N] [-warmup=N] [-seed=N]
  *           [-latency-out=<path>] [-dump-config]
  *           [-stats-json=<path>] [-stats-interval=N]
@@ -12,9 +12,9 @@
  *
  * Scheme selector follows the artifact: 0 Baseline, 1 Dedup_SHA1,
  * 2 DeWrite, 3 ESD (4/5 add the ESD_Full and ESD+ extensions).
- * `-InputFile`
- * accepts both the text and binary trace formats (by extension:
- * `.bin` is binary). `-latency-out` writes the raw write-latency
+ * `-InputFile` is the artifact's spelling of `-trace-in` (below): the
+ * same streaming frontend, the format sniffed from content, never
+ * from the extension. `-latency-out` writes the raw write-latency
  * samples, one per line, for external CDF plotting (Fig. 15).
  *
  * Observability outputs:
@@ -76,12 +76,12 @@
  *   features and are rejected in pipeline mode.
  *
  * Trace frontend / capture (see `[trace]` config keys):
- *   `-trace-in=path` streams an on-disk trace (text, gzip, or binary;
- *   format sniffed from content) through the streaming frontend —
- *   constant memory at any trace length. Exclusive with -app= and
- *   -InputFile=; composes with -workers=N and crash injection. The
- *   whole file replays unless -records caps it; -warmup applies only
- *   when given (file input defaults to 0/0);
+ *   `-trace-in=path` (alias `-InputFile=path`; give the file once)
+ *   streams an on-disk trace (text, gzip, or binary; format sniffed
+ *   from content) through the streaming frontend — constant memory at
+ *   any trace length. Exclusive with -app=; composes with -workers=N
+ *   and crash injection. The whole file replays unless -records caps
+ *   it; -warmup applies only when given (file input defaults to 0/0);
  *   `-capture-out=path` tees the consumed record stream to a trace
  *   file (format from -trace-format / [trace] format; address-only
  *   records with -trace-payload=0) so the run replays bit-identically
@@ -97,8 +97,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/cli_flags.hh"
 #include "common/config_io.hh"
 #include "common/logging.hh"
 #include "common/write_trace.hh"
@@ -106,10 +108,8 @@
 #include "core/simulator.hh"
 #include "exec/pipeline.hh"
 #include "metrics/report.hh"
-#include "persist/recovery.hh"
 #include "trace/trace_capture.hh"
 #include "trace/trace_frontend.hh"
-#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -121,9 +121,8 @@ struct Options
 {
     SchemeKind scheme = SchemeKind::Esd;
     std::string configFile;
-    std::string inputFile;
     std::string app;
-    std::string traceIn;
+    std::string traceIn;  ///< -trace-in= or its alias -InputFile=
     std::string captureOut;
     std::string traceFormat;
     std::uint64_t traceReadAhead = ~0ull;  ///< not given: [trace] value
@@ -190,62 +189,13 @@ struct Options
     }
 };
 
-/** Strict u64 parse: the whole flag value must be a number. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t consumed = 0;
-        if (v.empty() || v[0] == '-')
-            throw std::invalid_argument(v);
-        std::uint64_t out = std::stoull(v, &consumed);
-        if (consumed != v.size())
-            throw std::invalid_argument(v);
-        return out;
-    } catch (const std::exception &) {
-        esd_fatal("%s: '%s' is not an unsigned integer", flag.c_str(),
-                  v.c_str());
-    }
-}
-
-/** Strict bool parse: 0/1/true/false/on/off. */
-bool
-parseBool(const std::string &flag, const std::string &v)
-{
-    if (v == "1" || v == "true" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "off")
-        return false;
-    esd_fatal("%s: '%s' is not a boolean (use 0/1/true/false/on/off)",
-              flag.c_str(), v.c_str());
-}
-
-/** Strict probability parse: a double in [0, 1]. */
-double
-parseProb(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t consumed = 0;
-        double out = std::stod(v, &consumed);
-        if (consumed != v.size())
-            throw std::invalid_argument(v);
-        if (out < 0.0 || out > 1.0)
-            esd_fatal("%s: %s out of range [0, 1]", flag.c_str(),
-                      v.c_str());
-        return out;
-    } catch (const std::exception &) {
-        esd_fatal("%s: '%s' is not a probability", flag.c_str(),
-                  v.c_str());
-    }
-}
-
 void
 usage()
 {
     std::cerr
         << "usage: esd_sim -scheme=<0..5|name> [-ConfigFile=path]\n"
-           "               (-InputFile=trace | -app=name | "
-           "-trace-in=trace)\n"
+           "               (-trace-in=trace | -InputFile=trace | "
+           "-app=name)\n"
            "               [-records=N] [-warmup=N] [-seed=N] "
            "[-workers=N]\n"
            "               [-capture-out=path] "
@@ -291,12 +241,14 @@ parseArgs(int argc, char **argv)
             opt.scheme = parseSchemeKind(value("-scheme="));
         } else if (arg.rfind("-ConfigFile=", 0) == 0) {
             opt.configFile = value("-ConfigFile=");
-        } else if (arg.rfind("-InputFile=", 0) == 0) {
-            opt.inputFile = value("-InputFile=");
+        } else if (arg.rfind("-trace-in=", 0) == 0 ||
+                   arg.rfind("-InputFile=", 0) == 0) {
+            if (!opt.traceIn.empty())
+                esd_fatal("trace file given twice (-InputFile= is an "
+                          "alias of -trace-in=)");
+            opt.traceIn = arg.substr(arg.find('=') + 1);
         } else if (arg.rfind("-app=", 0) == 0) {
             opt.app = value("-app=");
-        } else if (arg.rfind("-trace-in=", 0) == 0) {
-            opt.traceIn = value("-trace-in=");
         } else if (arg.rfind("-capture-out=", 0) == 0) {
             opt.captureOut = value("-capture-out=");
         } else if (arg.rfind("-trace-format=", 0) == 0) {
@@ -455,31 +407,32 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Pipeline-mode run: shard simulators + worker threads in place of the
- * single Simulator, console summary from the merged result, stats-JSON
- * via the pipeline report (per-shard fragments, worker-count-free).
+ * The console summary of a finished run, in both modes: the metric
+ * table, the -profile table, and the ras:/persist:/crash: lines summed
+ * over @p shards — a single Simulator is one shard. @p pipe is the
+ * pipeline that drove the shards, or nullptr for a single-simulator
+ * run. @p check is the run's crash self-check: prints its crash: and
+ * recovery: lines, writes -recovery-json off it, and dies when an
+ * injected crash never fired.
  */
-int
-runPipeline(const Options &opt, const SimConfig &cfg,
-            TraceSource &trace, std::uint64_t records,
-            std::uint64_t warmup)
+void
+printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
+             const std::vector<Simulator *> &shards,
+             const exec::ShardedPipeline *pipe, const CrashCheck &check)
 {
-    exec::ShardedPipeline pipe(cfg, opt.scheme,
-                               static_cast<unsigned>(opt.workers));
-    const RunResult &r = pipe.run(trace, records, warmup);
-
     std::cout << "scheme: " << r.schemeName << "\n"
               << "records: " << r.records << " (" << r.logicalWrites
-              << " writes, " << r.logicalReads << " reads)\n"
-              << "pipeline: shards=" << pipe.shardCount()
-              << " workers=" << pipe.workers()
-              << " epochs=" << pipe.epochsRun()
-              << " epoch_records=" << cfg.pipeline.epochRecords
-              << (pipe.dedupSuspendedGlobally()
-                      ? " dedup_suspended@" +
-                            std::to_string(pipe.suspendEpoch())
-                      : "")
-              << "\n";
+              << " writes, " << r.logicalReads << " reads)\n";
+    if (pipe)
+        std::cout << "pipeline: shards=" << pipe->shardCount()
+                  << " workers=" << pipe->workers()
+                  << " epochs=" << pipe->epochsRun()
+                  << " epoch_records=" << cfg.pipeline.epochRecords
+                  << (pipe->dedupSuspendedGlobally()
+                          ? " dedup_suspended@" +
+                                std::to_string(pipe->suspendEpoch())
+                          : "")
+                  << "\n";
 
     TablePrinter t({"metric", "value"});
     t.addRow({"write reduction", TablePrinter::pct(r.writeReduction())});
@@ -507,88 +460,105 @@ runPipeline(const Options &opt, const SimConfig &cfg,
               TablePrinter::num(r.metadataNvmBytes / 1024.0, 1) + " KB"});
     t.print();
 
+    if (opt.profile) {
+        const Profiler &prof = shards[0]->profiler();
+        double run_ns = static_cast<double>(prof.runNs());
+        std::uint64_t writes = std::max<std::uint64_t>(r.logicalWrites, 1);
+        std::cout << "host profile (measured window):\n";
+        TablePrinter pt({"phase", "calls", "total ms", "ns/write",
+                         "% of run"});
+        for (unsigned p = 0; p < Profiler::kPhaseCount; ++p) {
+            const Profiler::PhaseTotals &tp = prof.phase(p);
+            pt.addRow({Profiler::phaseName(p),
+                       std::to_string(tp.calls),
+                       TablePrinter::num(tp.ns / 1e6, 2),
+                       TablePrinter::num(static_cast<double>(tp.ns) /
+                                             writes, 0),
+                       run_ns > 0
+                           ? TablePrinter::pct(tp.ns / run_ns)
+                           : "-"});
+        }
+        std::uint64_t other = prof.runNs() - std::min(prof.profiledNs(),
+                                                      prof.runNs());
+        pt.addRow({"(unattributed)", "-",
+                   TablePrinter::num(other / 1e6, 2),
+                   TablePrinter::num(static_cast<double>(other) / writes,
+                                     0),
+                   run_ns > 0 ? TablePrinter::pct(other / run_ns) : "-"});
+        pt.print();
+        double secs = run_ns / 1e9;
+        std::cout << "host run: " << TablePrinter::num(run_ns / 1e6, 1)
+                  << " ms, "
+                  << TablePrinter::num(
+                         secs > 0 ? r.logicalWrites / secs : 0, 0)
+                  << " writes/s\n";
+    }
+
     if (cfg.ras.enabled) {
         std::uint64_t corrected = 0, ues = 0, retired = 0, sdc = 0;
         std::uint64_t blast = 0;
-        for (unsigned s = 0; s < pipe.shardCount(); ++s) {
-            const SchemeStats &ss = pipe.shard(s).scheme().stats();
-            const RasStats &rs = pipe.shard(s).scheme().ras().stats();
+        for (Simulator *sim : shards) {
+            const SchemeStats &ss = sim->scheme().stats();
+            const RasStats &rs = sim->scheme().ras().stats();
             corrected += ss.eccCorrectedReads.value();
             ues += rs.ueEvents.value();
             retired += rs.linesRetired.value();
             sdc += ss.sdcEvents.value();
             blast += rs.blastRadiusRefs.value();
         }
+        bool suspended = pipe ? pipe->dedupSuspendedGlobally()
+                              : shards[0]->scheme().ras().dedupSuspended();
         std::cout << "ras: corrected=" << corrected
                   << " uncorrectable=" << ues << " retired=" << retired
                   << " sdc=" << sdc << " blast_radius=" << blast
-                  << (pipe.dedupSuspendedGlobally() ? " dedup_suspended"
-                                                    : "")
+                  << (suspended ? " dedup_suspended" : "") << "\n";
+    }
+
+    if (!cfg.persist.enabled)
+        return;
+    std::uint64_t jrecords = 0, commits = 0, checkpoints = 0;
+    std::uint64_t barrier_ns = 0;
+    for (Simulator *sim : shards) {
+        const PersistStats &ps = sim->persistence()->stats();
+        jrecords += ps.journalRecords.value();
+        commits += ps.epochCommits.value();
+        checkpoints += ps.checkpoints.value();
+        barrier_ns += ps.barrierNs.value();
+    }
+    std::cout << "persist: domain=" << persistDomainName(cfg.persist.domain)
+              << " records=" << jrecords << " commits=" << commits
+              << " checkpoints=" << checkpoints
+              << " barrier_ns=" << barrier_ns << "\n";
+
+    if (!check.image) {
+        if (!check.error.empty())
+            esd_fatal("%s", check.error.c_str());
+        return;
+    }
+    const CrashImage &img = *check.image;
+    const RecoverySummary &rs = check.recovered.summary;
+    std::cout << "crash: "
+              << (pipe ? "shard=" + std::to_string(check.shard) + " "
+                       : "")
+              << "write=" << img.crashWriteIndex
+              << " phase=" << crashPhaseName(img.phase)
+              << " surviving_lines=" << img.content.size()
+              << " durable_records=" << img.records.size()
+              << " torn=" << img.tornRecords << "\n"
+              << "recovery: replayed=" << rs.recordsReplayed
+              << " counters_repaired=" << rs.countersRepaired
+              << " unresolved=" << rs.countersUnresolved
+              << " mappings_invalidated=" << rs.mappingsInvalidated
+              << " pad_violations=" << check.audit.violations
+              << (rs.ok ? " ok" : " NOT-OK") << "\n";
+    if (!opt.recoveryJson.empty()) {
+        std::ostringstream os;
+        writeRecoveryJson(os, img, check.recovered);
+        if (!writeFileAtomic(opt.recoveryJson, os.str()))
+            esd_fatal("cannot write '%s'", opt.recoveryJson.c_str());
+        std::cout << "wrote recovery report to " << opt.recoveryJson
                   << "\n";
     }
-
-    if (cfg.persist.enabled) {
-        std::uint64_t jrecords = 0, commits = 0, checkpoints = 0;
-        std::uint64_t barrier_ns = 0;
-        for (unsigned s = 0; s < pipe.shardCount(); ++s) {
-            const PersistStats &ps =
-                pipe.shard(s).persistence()->stats();
-            jrecords += ps.journalRecords.value();
-            commits += ps.epochCommits.value();
-            checkpoints += ps.checkpoints.value();
-            barrier_ns += ps.barrierNs.value();
-        }
-        std::cout << "persist: domain="
-                  << persistDomainName(cfg.persist.domain)
-                  << " records=" << jrecords << " commits=" << commits
-                  << " checkpoints=" << checkpoints
-                  << " barrier_ns=" << barrier_ns << "\n";
-
-        int cs = pipe.crashedShard();
-        if (cs >= 0) {
-            Simulator &sim = pipe.shard(static_cast<unsigned>(cs));
-            const PersistenceManager &pm = *sim.persistence();
-            const CrashImage &img = pm.image();
-            RecoveredState rec = recoverFromImage(
-                img, pm.config(), sim.scheme().crypto(),
-                sim.scheme().ecc());
-            PadSafetyReport audit = auditPadSafety(rec, img);
-            std::cout << "crash: shard=" << cs
-                      << " write=" << img.crashWriteIndex
-                      << " phase=" << crashPhaseName(img.phase)
-                      << " surviving_lines=" << img.content.size()
-                      << " durable_records=" << img.records.size()
-                      << " torn=" << img.tornRecords << "\n"
-                      << "recovery: replayed="
-                      << rec.summary.recordsReplayed
-                      << " counters_repaired="
-                      << rec.summary.countersRepaired
-                      << " unresolved="
-                      << rec.summary.countersUnresolved
-                      << " mappings_invalidated="
-                      << rec.summary.mappingsInvalidated
-                      << " pad_violations=" << audit.violations
-                      << (rec.summary.ok ? " ok" : " NOT-OK") << "\n";
-        } else if (cfg.persist.crashAtWrite != 0) {
-            esd_fatal("the run ended before the injected crash point "
-                      "(crash_at_write=%llu)",
-                      static_cast<unsigned long long>(
-                          cfg.persist.crashAtWrite));
-        }
-    }
-
-    if (!opt.statsJson.empty()) {
-        std::ostringstream out;
-        pipe.writeReport(out, /*indent=*/2,
-                         opt.histBuckets ||
-                             cfg.telemetry.histogramBuckets);
-        if (!writeFileAtomic(opt.statsJson, out.str()))
-            esd_fatal("cannot write '%s'", opt.statsJson.c_str());
-        std::cout << "wrote pipeline stats report ("
-                  << pipe.shardCount() << " shards) to " << opt.statsJson
-                  << "\n";
-    }
-    return 0;
 }
 
 } // namespace
@@ -671,15 +641,9 @@ main(int argc, char **argv)
     if (!opt.traceIn.empty() && !opt.app.empty())
         esd_fatal("-trace-in is incompatible with -app= (the trace is "
                   "the workload)");
-    if (!opt.traceIn.empty() && !opt.inputFile.empty())
-        esd_fatal("-trace-in is incompatible with -InputFile=");
-    if (!opt.inputFile.empty() && !opt.app.empty())
-        esd_fatal("-InputFile is incompatible with -app= (pick one "
-                  "workload source)");
-    if (opt.traceIn.empty() && opt.inputFile.empty() &&
-        opt.app.empty()) {
+    if (opt.traceIn.empty() && opt.app.empty()) {
         usage();
-        esd_fatal("need -InputFile, -app, or -trace-in");
+        esd_fatal("need -app or -trace-in (alias -InputFile)");
     }
     // Capture re-exports a synthetic run; capturing a replayed file
     // would only copy it.
@@ -687,25 +651,16 @@ main(int argc, char **argv)
         esd_fatal("-capture-out requires a synthetic workload (-app=)");
 
     std::unique_ptr<TraceSource> trace;
-    if (!opt.traceIn.empty()) {
+    if (!opt.traceIn.empty())
         trace = std::make_unique<TraceFrontend>(opt.traceIn, cfg.trace);
-    } else if (!opt.inputFile.empty()) {
-        bool binary = opt.inputFile.size() > 4 &&
-                      opt.inputFile.substr(opt.inputFile.size() - 4) ==
-                          ".bin";
-        if (binary)
-            trace = std::make_unique<BinaryTraceReader>(opt.inputFile);
-        else
-            trace = std::make_unique<TextTraceReader>(opt.inputFile);
-    } else {
+    else
         trace =
             std::make_unique<SyntheticWorkload>(findApp(opt.app), opt.seed);
-    }
 
     // Trace files replay to exhaustion with no warmup unless -records /
     // -warmup are given explicitly (replaying a captured run passes the
     // original -warmup to reproduce its stats byte-for-byte).
-    bool file_input = !opt.traceIn.empty() || !opt.inputFile.empty();
+    bool file_input = !opt.traceIn.empty();
     std::uint64_t records =
         !file_input || opt.recordsGiven ? opt.records : 0;
     std::uint64_t warmup =
@@ -723,6 +678,13 @@ main(int argc, char **argv)
         trace = std::make_unique<CapturingSource>(*captured_inner,
                                                   *capture);
     }
+    auto finish_capture = [&] {
+        if (!capture)
+            return;
+        capture->close();
+        std::cout << "captured " << capture->count() << " records to "
+                  << opt.captureOut << "\n";
+    };
 
     if (opt.workers != ~0ull) {
         // Per-write observability exports attach to one Simulator's
@@ -739,13 +701,32 @@ main(int argc, char **argv)
             esd_fatal("-workers is incompatible with -profile");
         if (!opt.recoveryJson.empty())
             esd_fatal("-workers is incompatible with -recovery-json=");
-        int rc = runPipeline(opt, cfg, *trace, records, warmup);
-        if (capture) {
-            capture->close();
-            std::cout << "captured " << capture->count()
-                      << " records to " << opt.captureOut << "\n";
+
+        // Shard simulators + worker threads in place of the single
+        // Simulator; stats-JSON via the pipeline report (per-shard
+        // fragments, worker-count-free).
+        exec::ShardedPipeline pipe(cfg, opt.scheme,
+                                   static_cast<unsigned>(opt.workers));
+        const RunResult &r = pipe.run(*trace, records, warmup);
+        std::vector<Simulator *> shards;
+        for (unsigned s = 0; s < pipe.shardCount(); ++s)
+            shards.push_back(&pipe.shard(s));
+        printSummary(opt, cfg, r, shards, &pipe,
+                     pipe.checkInjectedCrash());
+
+        if (!opt.statsJson.empty()) {
+            std::ostringstream out;
+            pipe.writeReport(out, /*indent=*/2,
+                             opt.histBuckets ||
+                                 cfg.telemetry.histogramBuckets);
+            if (!writeFileAtomic(opt.statsJson, out.str()))
+                esd_fatal("cannot write '%s'", opt.statsJson.c_str());
+            std::cout << "wrote pipeline stats report ("
+                      << pipe.shardCount() << " shards) to "
+                      << opt.statsJson << "\n";
         }
-        return rc;
+        finish_capture();
+        return 0;
     }
 
     Simulator sim(cfg, opt.scheme);
@@ -781,138 +762,9 @@ main(int argc, char **argv)
         sim.enableProfiling();
 
     RunResult r = sim.run(*trace, records, warmup);
-
-    if (capture) {
-        capture->close();
-        std::cout << "captured " << capture->count() << " records to "
-                  << opt.captureOut << "\n";
-    }
-
-    std::cout << "scheme: " << r.schemeName << "\n"
-              << "records: " << r.records << " (" << r.logicalWrites
-              << " writes, " << r.logicalReads << " reads)\n";
-    TablePrinter t({"metric", "value"});
-    t.addRow({"write reduction", TablePrinter::pct(r.writeReduction())});
-    t.addRow({"NVMM writes (data/total)",
-              std::to_string(r.nvmDataWrites) + " / " +
-                  std::to_string(r.nvmWritesTotal)});
-    if (sim.device().channelCount() > 1 || sim.device().coalescingEnabled())
-        t.addRow({"channels (issued+coalesced)",
-                  std::to_string(sim.device().channelCount()) + " ch, " +
-                      std::to_string(r.nvmWritesTotal) + " + " +
-                      std::to_string(r.nvmWritesCoalesced) + " writes"});
-    t.addRow({"NVMM reads (total)", std::to_string(r.nvmReadsTotal)});
-    t.addRow({"write latency mean/p99",
-              TablePrinter::num(r.writeLatency.mean(), 1) + " / " +
-                  TablePrinter::num(r.writeLatency.percentile(99), 0) +
-                  " ns"});
-    t.addRow({"read latency mean/p99",
-              TablePrinter::num(r.readLatency.mean(), 1) + " / " +
-                  TablePrinter::num(r.readLatency.percentile(99), 0) +
-                  " ns"});
-    t.addRow({"IPC", TablePrinter::num(r.ipc, 3)});
-    t.addRow({"energy", TablePrinter::num(r.energy.total() / 1e6, 2) +
-                            " uJ"});
-    t.addRow({"metadata in NVMM",
-              TablePrinter::num(r.metadataNvmBytes / 1024.0, 1) + " KB"});
-    t.print();
-
-    if (opt.profile) {
-        const Profiler &prof = sim.profiler();
-        double run_ns = static_cast<double>(prof.runNs());
-        std::uint64_t writes = std::max<std::uint64_t>(r.logicalWrites, 1);
-        std::cout << "host profile (measured window):\n";
-        TablePrinter pt({"phase", "calls", "total ms", "ns/write",
-                         "% of run"});
-        for (unsigned p = 0; p < Profiler::kPhaseCount; ++p) {
-            const Profiler::PhaseTotals &tp = prof.phase(p);
-            pt.addRow({Profiler::phaseName(p),
-                       std::to_string(tp.calls),
-                       TablePrinter::num(tp.ns / 1e6, 2),
-                       TablePrinter::num(static_cast<double>(tp.ns) /
-                                             writes, 0),
-                       run_ns > 0
-                           ? TablePrinter::pct(tp.ns / run_ns)
-                           : "-"});
-        }
-        std::uint64_t other = prof.runNs() - std::min(prof.profiledNs(),
-                                                      prof.runNs());
-        pt.addRow({"(unattributed)", "-",
-                   TablePrinter::num(other / 1e6, 2),
-                   TablePrinter::num(static_cast<double>(other) / writes,
-                                     0),
-                   run_ns > 0 ? TablePrinter::pct(other / run_ns) : "-"});
-        pt.print();
-        double secs = run_ns / 1e9;
-        std::cout << "host run: " << TablePrinter::num(run_ns / 1e6, 1)
-                  << " ms, "
-                  << TablePrinter::num(
-                         secs > 0 ? r.logicalWrites / secs : 0, 0)
-                  << " writes/s\n";
-    }
-
-    if (cfg.ras.enabled) {
-        const SchemeStats &ss = sim.scheme().stats();
-        const RasStats &rs = sim.scheme().ras().stats();
-        std::cout << "ras: corrected=" << ss.eccCorrectedReads.value()
-                  << " uncorrectable=" << rs.ueEvents.value()
-                  << " retired=" << rs.linesRetired.value()
-                  << " sdc=" << ss.sdcEvents.value()
-                  << " blast_radius=" << rs.blastRadiusRefs.value()
-                  << (sim.scheme().ras().dedupSuspended()
-                          ? " dedup_suspended"
-                          : "")
-                  << "\n";
-    }
-
-    if (cfg.persist.enabled) {
-        const PersistenceManager &pm = *sim.persistence();
-        const PersistStats &ps = pm.stats();
-        std::cout << "persist: domain="
-                  << persistDomainName(cfg.persist.domain)
-                  << " records=" << ps.journalRecords.value()
-                  << " commits=" << ps.epochCommits.value()
-                  << " checkpoints=" << ps.checkpoints.value()
-                  << " barrier_ns=" << ps.barrierNs.value() << "\n";
-
-        if (pm.crashed()) {
-            const CrashImage &img = pm.image();
-            RecoveredState rec =
-                recoverFromImage(img, cfg.persist, sim.scheme().crypto(),
-                                 sim.scheme().ecc());
-            PadSafetyReport audit = auditPadSafety(rec, img);
-            std::cout << "crash: write=" << img.crashWriteIndex
-                      << " phase=" << crashPhaseName(img.phase)
-                      << " surviving_lines=" << img.content.size()
-                      << " durable_records=" << img.records.size()
-                      << " torn=" << img.tornRecords << "\n"
-                      << "recovery: replayed="
-                      << rec.summary.recordsReplayed
-                      << " counters_repaired="
-                      << rec.summary.countersRepaired
-                      << " unresolved=" << rec.summary.countersUnresolved
-                      << " mappings_invalidated="
-                      << rec.summary.mappingsInvalidated
-                      << " pad_violations=" << audit.violations
-                      << (rec.summary.ok ? " ok" : " NOT-OK") << "\n";
-            if (!opt.recoveryJson.empty()) {
-                std::ostringstream os;
-                writeRecoveryJson(os, img, rec);
-                if (!writeFileAtomic(opt.recoveryJson, os.str()))
-                    esd_fatal("cannot write '%s'",
-                              opt.recoveryJson.c_str());
-                std::cout << "wrote recovery report to "
-                          << opt.recoveryJson << "\n";
-            }
-        } else if (!opt.recoveryJson.empty()) {
-            esd_fatal("-recovery-json: the run ended before the "
-                      "injected crash point (crash_at_write=%llu, "
-                      "%llu writes seen)",
-                      static_cast<unsigned long long>(
-                          cfg.persist.crashAtWrite),
-                      static_cast<unsigned long long>(pm.writeIndex()));
-        }
-    }
+    finish_capture();
+    printSummary(opt, cfg, r, {&sim}, nullptr,
+                 checkInjectedCrash(sim, cfg));
 
     if (!opt.latencyOut.empty()) {
         std::ofstream out(opt.latencyOut);

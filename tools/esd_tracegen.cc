@@ -1,18 +1,22 @@
 /**
  * @file
  * Trace generator CLI: materialise any of the 20 calibrated
- * application profiles into a trace file (text or binary) that
- * `esd_sim -InputFile=` — or any external tool — can replay.
+ * application profiles into a trace file that `esd_sim -trace-in=`
+ * (alias `-InputFile=`) — or any external tool — can replay.
  *
  *   esd_tracegen -app=<name> -out=<path> [-records=N] [-seed=N]
  *                [-binary]
+ *
+ * Records go through the capture writer with full line payloads: the
+ * canonical text format by default, ESDT v2 binary with -binary.
  */
 
 #include <iostream>
 #include <string>
 
+#include "common/cli_flags.hh"
 #include "common/logging.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_capture.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -47,9 +51,9 @@ main(int argc, char **argv)
         } else if (arg.rfind("-out=", 0) == 0) {
             out = arg.substr(5);
         } else if (arg.rfind("-records=", 0) == 0) {
-            records = std::stoull(arg.substr(9));
+            records = parseU64("-records", arg.substr(9));
         } else if (arg.rfind("-seed=", 0) == 0) {
-            seed = std::stoull(arg.substr(6));
+            seed = parseU64("-seed", arg.substr(6));
         } else if (arg == "-binary") {
             binary = true;
         } else if (arg == "-h" || arg == "--help") {
@@ -66,20 +70,15 @@ main(int argc, char **argv)
     }
 
     SyntheticWorkload w(findApp(app), seed);
+    TraceConfig tc;
+    tc.format = binary ? TraceFormat::Binary : TraceFormat::Text;
+    TraceCaptureWriter writer(out, tc);
     TraceRecord rec;
-    if (binary) {
-        BinaryTraceWriter writer(out);
-        for (std::uint64_t i = 0; i < records; ++i) {
-            w.next(rec);
-            writer.write(rec);
-        }
-    } else {
-        TextTraceWriter writer(out);
-        for (std::uint64_t i = 0; i < records; ++i) {
-            w.next(rec);
-            writer.write(rec);
-        }
+    for (std::uint64_t i = 0; i < records; ++i) {
+        w.next(rec);
+        writer.write(rec);
     }
+    writer.close();
     std::cout << "wrote " << records << " records of '" << app
               << "' (seed " << seed << ") to " << out
               << (binary ? " [binary]" : " [text]") << "\n";

@@ -9,7 +9,8 @@
  * Usage: bench_pipeline_scaling [-jobs=N]  (N replaces the level list
  *        with {1, N})
  * ESD_BENCH_JSON emits the {workers, wall_s, speedup, writes_per_s}
- * grid (check_perf.py understands the shape).
+ * grid plus the host's hardware thread count (check_perf.py gates only
+ * the rows both hosts can run in parallel).
  */
 
 #include <chrono>
@@ -126,6 +127,8 @@ main(int argc, char **argv)
                  static_cast<std::uint64_t>(cfg.channels.count));
             w.kv("schemes_per_level",
                  static_cast<std::uint64_t>(kinds.size()));
+            w.kv("host_threads", static_cast<std::uint64_t>(
+                                     std::thread::hardware_concurrency()));
             w.key("scaling");
             w.beginArray();
             for (const Row &r : rows) {

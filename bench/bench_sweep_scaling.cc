@@ -7,7 +7,9 @@
  * claim, measured.
  *
  * Usage: bench_sweep_scaling [-jobs=N]   (N caps the sweep points)
- * ESD_BENCH_JSON emits the {jobs, wall_s, speedup, writes_per_s} grid.
+ * ESD_BENCH_JSON emits the {jobs, wall_s, speedup, writes_per_s} grid
+ * plus the host's hardware thread count (check_perf.py gates only the
+ * rows both hosts can run in parallel).
  */
 
 #include <chrono>
@@ -119,6 +121,8 @@ main(int argc, char **argv)
             w.kv("warmup", bench::benchWarmup());
             w.kv("grid_jobs",
                  static_cast<std::uint64_t>(grid.size()));
+            w.kv("host_threads", static_cast<std::uint64_t>(
+                                     std::thread::hardware_concurrency()));
             w.key("scaling");
             w.beginArray();
             for (const Row &r : rows) {

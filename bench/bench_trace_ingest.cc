@@ -16,6 +16,9 @@
  * The decoded stream is digested (record count + an order-sensitive
  * checksum) and cross-checked across reps and formats: a "faster"
  * decoder that drops or reorders records fails loudly.
+ *
+ * Gzip decode is two threads: the frontend's helper inflates ahead
+ * while this thread parses, so the gzip row measures the overlap.
  */
 
 #include <chrono>

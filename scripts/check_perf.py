@@ -25,6 +25,11 @@ Metric extraction understands the two bench JSON shapes:
 plus a generic fallback: any top-level numeric field ending in
 "_per_s".
 
+Scaling rows are host-bound: a `workers[N]` or `jobs[N]` row is
+compared only when N <= the smaller top-level `host_threads` of the two
+files, and each skipped row is printed. When either file lacks
+`host_threads`, every row is compared.
+
 Exit status: 0 when every metric holds, 1 on regression or a metric
 missing from the fresh run, 2 on usage/IO errors.
 
@@ -38,7 +43,11 @@ Self-test (used by ctest):
 
 import argparse
 import json
+import re
 import sys
+
+# A scaling row's worker/job count.
+SCALING_ROW = re.compile(r"^(?:workers|jobs)\[(\d+)\]\.")
 
 
 def extract_metrics(doc):
@@ -79,13 +88,29 @@ def extract_metrics(doc):
     return metrics
 
 
-def compare(baseline, fresh, threshold):
-    """Return (rows, failures): one row per baseline metric."""
+def thread_limit(baseline_doc, fresh_doc):
+    """The smaller host_threads of the two documents, or None when
+    either does not record it."""
+    counts = [doc.get("host_threads") for doc in (baseline_doc, fresh_doc)]
+    if not all(isinstance(c, int) and c > 0 for c in counts):
+        return None
+    return min(counts)
+
+
+def compare(baseline, fresh, threshold, max_threads=None):
+    """Return (rows, failures): one row per baseline metric. Scaling
+    rows above @max_threads workers/jobs are reported as skipped."""
     rows = []
     failures = []
     for name in sorted(baseline):
         base = baseline[name]
         cur = fresh.get(name)
+        row = SCALING_ROW.match(name)
+        if (max_threads is not None and row
+                and int(row.group(1)) > max_threads):
+            rows.append((name, base, cur, None,
+                         f"skipped (> {max_threads} host threads)"))
+            continue
         if cur is None:
             rows.append((name, base, None, None, "MISSING"))
             failures.append(name)
@@ -159,6 +184,26 @@ def self_test():
     rows, failures = compare(bm, fresh, 0.85)
     assert failures == ["jobs[4].speedup"], failures
 
+    # Scaling rows beyond the smaller host's thread count are skipped
+    # (and listed); rows within it, and non-scaling metrics, still gate.
+    assert thread_limit({"host_threads": 8}, {"host_threads": 2}) == 2
+    assert thread_limit({"host_threads": 8}, {}) is None
+    assert thread_limit({"host_threads": 0}, {"host_threads": 4}) is None
+    fresh = dict(bm)
+    fresh["jobs[4].speedup"] = 1.0
+    fresh["workers[2].speedup"] = 1.0
+    rows, failures = compare(bm, fresh, 0.85, max_threads=2)
+    assert failures == ["workers[2].speedup"], failures
+    skipped = [r[0] for r in rows if r[4].startswith("skipped")]
+    assert skipped == ["jobs[4].speedup", "jobs[4].writes_per_s"], skipped
+    del fresh["jobs[4].writes_per_s"]
+    rows, failures = compare(bm, fresh, 0.85, max_threads=2)
+    assert failures == ["workers[2].speedup"], failures
+    # Without host_threads on both sides, every row gates as before.
+    rows, failures = compare(bm, fresh, 0.85, max_threads=None)
+    assert failures == ["jobs[4].speedup", "jobs[4].writes_per_s",
+                        "workers[2].speedup"], failures
+
     print("check_perf.py self-test: ok")
     return 0
 
@@ -180,19 +225,22 @@ def main():
 
     try:
         with open(args.baseline) as f:
-            baseline = extract_metrics(json.load(f))
+            baseline_doc = json.load(f)
         with open(args.fresh) as f:
-            fresh = extract_metrics(json.load(f))
+            fresh_doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_perf: {e}", file=sys.stderr)
         return 2
+    baseline = extract_metrics(baseline_doc)
+    fresh = extract_metrics(fresh_doc)
 
     if not baseline:
         print(f"check_perf: no metrics in baseline {args.baseline}",
               file=sys.stderr)
         return 2
 
-    rows, failures = compare(baseline, fresh, args.threshold)
+    rows, failures = compare(baseline, fresh, args.threshold,
+                             thread_limit(baseline_doc, fresh_doc))
     print_table(rows, args.threshold)
     if failures:
         print(f"check_perf: {len(failures)} metric(s) regressed below "

@@ -165,10 +165,15 @@ ShardedPipeline::flushEpoch(std::vector<std::vector<Item>> &pending,
     // Every shard gets a batch every epoch, empty or not: batch
     // arrival is how workers count epochs toward the barrier.
     for (unsigned s = 0; s < shardCount_; ++s) {
+        const std::size_t last = pending[s].size();
         Batch b;
         b.final = final;
         b.items = std::move(pending[s]);
         pending[s].clear();
+        // Size the next epoch's vector from this one's, with slack for
+        // routing jitter, rather than regrow it from empty by doubling.
+        if (!final)
+            pending[s].reserve(last + last / 8);
         queues_[s]->push(std::move(b));
     }
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
 
 #include <zlib.h>
 
@@ -190,6 +193,8 @@ bool
 ByteStream::load(std::size_t n, bool whole)
 {
     esd_assert(n <= kTraceWindow, "window request beyond kTraceWindow");
+    if (whole && !eof_ && exchange(buf_, pos_, end_) && available() >= n)
+        return true;
     if (pos_ > 0) {
         std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
         end_ -= pos_;
@@ -231,67 +236,285 @@ std::size_t
 FileByteStream::fill(std::uint8_t *out, std::size_t n)
 {
     std::size_t got = std::fread(out, 1, n, f_);
-    if (got < n && std::ferror(f_))
-        esd_fatal("read error on trace file '%s'", path_.c_str());
+    if (got < n && std::ferror(f_)) {
+        if (!deferErrors_)
+            esd_fatal("read error on trace file '%s'", path_.c_str());
+        readFailed_ = true;
+    }
     return got;
 }
 
-struct GzipByteStream::ZState
+namespace
 {
-    z_stream strm{};
-    bool finished = false;
+
+/** One inflated chunk: bytes [begin, end) of a kTraceWindow buffer. */
+struct Chunk
+{
+    std::unique_ptr<std::uint8_t[]> buf;
+    std::size_t begin = 0;
+    std::size_t end = 0;
 };
 
-GzipByteStream::GzipByteStream(std::unique_ptr<ByteStream> inner)
-    : ByteStream(inner->path()), inner_(std::move(inner)),
-      z_(std::make_unique<ZState>())
+/** Why inflate stopped before the end of the last member. */
+enum class GzipFault
 {
+    None,
+    Read,       ///< the file read failed
+    Corrupt,    ///< zlib rejected the data
+    Truncated,  ///< the file ends mid-member
+    Trailing,   ///< bytes after a member that start no new member
+};
+
+} // namespace
+
+/** zlib state plus the inflate-ahead handoff. The z_stream, the inner
+ * file, finished and the fault belong to the caller until
+ * startHelper(), to the helper after it (the consumer reads the fault
+ * once done is set); cur is the consumer's; the rest is guarded by
+ * mu. The helper allocates nothing: spare is reserved and ready is a
+ * fixed ring, since every buffer is in spare, ready, cur or the
+ * window. */
+struct GzipByteStream::State
+{
+    z_stream strm{};
+    bool finished = false;  ///< last member ended cleanly
+    GzipFault fault = GzipFault::None;
+    const char *zmsg = nullptr;  ///< zlib's static text for Corrupt
+    bool started = false;   ///< helper launched (consumer-side flag)
+    Chunk cur;
+
+    std::mutex mu;
+    std::condition_variable space;  ///< helper: a spare buffer, or stop
+    std::condition_variable filled; ///< consumer: a chunk, or done
+    std::vector<std::unique_ptr<std::uint8_t[]>> spare;
+    std::array<Chunk, kInflateRing> ready;  ///< FIFO ring
+    std::size_t head = 0;
+    std::size_t count = 0;
+    bool done = false;
+    bool stop = false;
+
+    std::thread helper;
+};
+
+GzipByteStream::GzipByteStream(std::unique_ptr<FileByteStream> inner)
+    : ByteStream(inner->path()), inner_(std::move(inner)),
+      s_(std::make_unique<State>())
+{
+    inner_->deferReadErrors();
     // 15 window bits + 16 = gzip wrapper only (the sniffer saw the
     // 0x1f 0x8b gzip magic before routing here).
-    if (inflateInit2(&z_->strm, 15 + 16) != Z_OK)
+    if (inflateInit2(&s_->strm, 15 + 16) != Z_OK)
         esd_fatal("cannot initialize gzip inflater for '%s'",
                   path_.c_str());
 }
 
 GzipByteStream::~GzipByteStream()
 {
-    inflateEnd(&z_->strm);
+    stopHelper();
+    inflateEnd(&s_->strm);
 }
 
 std::size_t
-GzipByteStream::fill(std::uint8_t *out, std::size_t n)
+GzipByteStream::inflateSome(std::uint8_t *out, std::size_t n)
 {
-    if (z_->finished)
+    if (s_->finished)
         return 0;
-    z_stream &s = z_->strm;
+    z_stream &s = s_->strm;
     s.next_out = out;
     s.avail_out = static_cast<uInt>(n);
     while (s.avail_out > 0) {
         // Inflate straight from the compressed window.
         bool innerEof = !inner_->ensure(1);
+        if (inner_->readFailed()) {
+            s_->fault = GzipFault::Read;
+            break;
+        }
         s.next_in = const_cast<Bytef *>(inner_->data());
         s.avail_in = static_cast<uInt>(inner_->available());
         uInt before = s.avail_out;
         int rc = inflate(&s, Z_NO_FLUSH);
         inner_->consume(inner_->available() - s.avail_in);
         if (rc == Z_STREAM_END) {
-            // A concatenated member would start here; single-member
-            // streams are what the capture side writes. Trailing
-            // garbage after the member is a corruption signal.
+            // RFC 1952: a gzip file is a series of members (cat a.gz
+            // b.gz, bgzip's empty EOF block). Any other trailing byte
+            // is a corruption signal.
+            if (startsWith(*inner_, kGzipMagic, 2)) {
+                inflateReset(&s);
+                continue;
+            }
             if (inner_->ensure(1))
-                esd_fatal("'%s': trailing bytes after gzip stream",
-                          path_.c_str());
-            z_->finished = true;
+                s_->fault = GzipFault::Trailing;
+            else
+                s_->finished = true;
             break;
         }
-        if (rc != Z_OK && rc != Z_BUF_ERROR)
-            esd_fatal("'%s': corrupt gzip stream (%s)", path_.c_str(),
-                      s.msg ? s.msg : zError(rc));
-        if (s.avail_out == before && innerEof)
-            esd_fatal("'%s': gzip stream ends mid-member (truncated?)",
-                      path_.c_str());
+        if (rc != Z_OK && rc != Z_BUF_ERROR) {
+            s_->fault = GzipFault::Corrupt;
+            s_->zmsg = s.msg ? s.msg : zError(rc);
+            break;
+        }
+        if (s.avail_out == before && innerEof) {
+            s_->fault = GzipFault::Truncated;
+            break;
+        }
     }
     return n - s.avail_out;
+}
+
+void
+GzipByteStream::raiseFault() const
+{
+    switch (s_->fault) {
+    case GzipFault::Read:
+        esd_fatal("read error on trace file '%s'", path_.c_str());
+    case GzipFault::Corrupt:
+        esd_fatal("'%s': corrupt gzip stream (%s)", path_.c_str(),
+                  s_->zmsg);
+    case GzipFault::Truncated:
+        esd_fatal("'%s': gzip stream ends mid-member (truncated?)",
+                  path_.c_str());
+    case GzipFault::Trailing:
+        esd_fatal("'%s': trailing bytes after gzip stream",
+                  path_.c_str());
+    case GzipFault::None:
+        break;
+    }
+    esd_panic("no gzip fault to raise");
+}
+
+std::size_t
+GzipByteStream::fill(std::uint8_t *out, std::size_t n)
+{
+    if (!s_->started) {
+        // The open-time sniff: a few bytes, inflated on the caller.
+        std::size_t got = inflateSome(out, n);
+        if (s_->fault != GzipFault::None)
+            raiseFault();
+        return got;
+    }
+    if (!nextChunk())
+        return 0;
+    Chunk &c = s_->cur;
+    std::size_t got = std::min(n, c.end - c.begin);
+    std::memcpy(out, c.buf.get() + c.begin, got);
+    c.begin += got;
+    return got;
+}
+
+bool
+GzipByteStream::exchange(std::unique_ptr<std::uint8_t[]> &window,
+                         std::size_t &pos, std::size_t &end)
+{
+    if (!s_->started) {
+        if (s_->finished)
+            return false;
+        startHelper();
+    }
+    if (!nextChunk())
+        return false;
+    Chunk &c = s_->cur;
+    std::size_t keep = end - pos;
+    if (keep > c.begin)
+        return false;  // no room in front: fill() copies instead
+    c.begin -= keep;
+    std::memcpy(c.buf.get() + c.begin, window.get() + pos, keep);
+    pos = c.begin;
+    end = c.end;
+    std::swap(window, c.buf);
+    c.begin = c.end = 0;
+    recycleChunk();  // the old window buffer goes back to the helper
+    return true;
+}
+
+void
+GzipByteStream::startHelper()
+{
+    s_->spare.reserve(kInflateRing);
+    for (std::size_t i = 0; i < kInflateRing; ++i)
+        s_->spare.emplace_back(new std::uint8_t[kTraceWindow]);
+    s_->started = true;
+    s_->helper = std::thread(&GzipByteStream::inflateAhead, this);
+}
+
+void
+GzipByteStream::stopHelper()
+{
+    if (!s_->helper.joinable())
+        return;
+    {
+        std::lock_guard<std::mutex> lk(s_->mu);
+        s_->stop = true;
+    }
+    s_->space.notify_one();
+    s_->helper.join();
+}
+
+void
+GzipByteStream::inflateAhead()
+{
+    State &st = *s_;
+    std::unique_lock<std::mutex> lk(st.mu);
+    while (!st.done) {
+        st.space.wait(lk, [&] { return st.stop || !st.spare.empty(); });
+        if (st.stop)
+            return;
+        Chunk c{std::move(st.spare.back()), kInflateHeadroom,
+                kInflateHeadroom};
+        st.spare.pop_back();
+        lk.unlock();
+        c.end += inflateSome(c.buf.get() + c.begin, kInflateChunk);
+        lk.lock();
+        // A corrupt deflate stream can emit garbage before zlib
+        // notices, so the chunk that failed is withheld: the text
+        // decoder must not report that garbage instead of the fault.
+        if (st.fault == GzipFault::None && c.end > c.begin) {
+            st.ready[(st.head + st.count) % kInflateRing] = std::move(c);
+            ++st.count;
+        } else {
+            st.spare.push_back(std::move(c.buf));
+        }
+        st.done = st.finished || st.fault != GzipFault::None;
+        st.filled.notify_one();
+    }
+    // Park until stopped rather than return: a finished, unjoined
+    // thread would count as leaked should the consumer exit through
+    // esd_fatal.
+    st.space.wait(lk, [&] { return st.stop; });
+}
+
+bool
+GzipByteStream::nextChunk()
+{
+    State &st = *s_;
+    if (st.cur.begin < st.cur.end)
+        return true;
+    recycleChunk();
+    std::unique_lock<std::mutex> lk(st.mu);
+    st.filled.wait(lk, [&] { return st.count > 0 || st.done; });
+    if (st.count == 0) {
+        if (st.fault == GzipFault::None)
+            return false;
+        lk.unlock();
+        stopHelper();
+        raiseFault();
+    }
+    st.cur = std::move(st.ready[st.head]);
+    st.head = (st.head + 1) % kInflateRing;
+    --st.count;
+    return true;
+}
+
+void
+GzipByteStream::recycleChunk()
+{
+    State &st = *s_;
+    if (!st.cur.buf)
+        return;
+    {
+        std::lock_guard<std::mutex> lk(st.mu);
+        st.spare.push_back(std::move(st.cur.buf));
+    }
+    st.space.notify_one();
 }
 
 } // namespace detail
@@ -310,12 +533,14 @@ TraceFrontend::~TraceFrontend() = default;
 void
 TraceFrontend::open()
 {
-    in_ = std::make_unique<detail::FileByteStream>(path_);
+    auto file = std::make_unique<detail::FileByteStream>(path_);
     format_ = TraceFormat::Text;
 
-    if (startsWith(*in_, kGzipMagic, 2)) {
-        in_ = std::make_unique<detail::GzipByteStream>(std::move(in_));
+    if (startsWith(*file, kGzipMagic, 2)) {
+        in_ = std::make_unique<detail::GzipByteStream>(std::move(file));
         format_ = TraceFormat::Gzip;
+    } else {
+        in_ = std::move(file);
     }
 
     // Sniff the (possibly inflated) record stream for the binary magic.

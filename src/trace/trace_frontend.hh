@@ -8,7 +8,8 @@
  * place from it (text lines are found with memchr and tokenized
  * without copies), and at most `[trace] read_ahead` decoded records
  * are buffered at any time, so memory stays constant at any trace
- * length.
+ * length: the window, the compressed-side window and the
+ * kInflateRing inflate buffers for gzip, plus the record buffer.
  *
  * Three on-disk formats are accepted, auto-detected from the first
  * bytes of the file (never from the extension):
@@ -22,9 +23,18 @@
  *     address is 1-16 hex digits with an optional `0x`/`0X` prefix;
  *     an icount is 1-10 decimal digits, at most 2^32-1. Signs are
  *     rejected in both.
- *   - **gzip** — a zlib/gzip stream (magic 0x1f 0x8b) inflated on the
- *     fly into the byte window; the inflated content is sniffed again,
- *     so both gzip'd text and gzip'd binary work.
+ *   - **gzip** — a gzip stream (magic 0x1f 0x8b), one member or a
+ *     concatenation of members (`cat a.gz b.gz`, bgzip output and its
+ *     empty EOF block), inflated on the fly; the inflated content is
+ *     sniffed again, so both gzip'd text and gzip'd binary work. The
+ *     open-time sniff inflates its few bytes on the caller. The first
+ *     whole-window load starts one helper thread that inflates ahead
+ *     into a ring of kInflateRing window-sized buffers, which the
+ *     decoder swaps into its window in stream order, so zlib overlaps
+ *     parsing and simulation. The helper never exits the process: it
+ *     records a zlib or read error, and the decoder raises it through
+ *     esd_fatal once every chunk inflated before the failing one has
+ *     been delivered.
  *   - **binary** — `ESDT` magic. Version 2 carries a versioned header
  *     (version byte, flags byte with the line-payload bit, reserved
  *     u16) and length-prefixed records
@@ -65,10 +75,18 @@ namespace esd
 constexpr std::size_t kMaxTraceLine = 512;
 
 /** Byte window each trace stream decodes from (and, for gzip, the
- * compressed-side window too). A refill leaves at most one straddling
- * line in it, so every inflate() call gets well over 64 KB of output
- * space. */
+ * compressed-side window and each inflate-ahead buffer too). */
 constexpr std::size_t kTraceWindow = 128 * 1024;
+
+/** Gzip inflate-ahead: buffers in the helper's ring (besides the
+ * window itself), and the bytes each chunk leaves free at its front so
+ * the window's unconsumed tail — at most one straddling text line or
+ * binary record — can be prepended when the chunk is swapped in. */
+constexpr std::size_t kInflateRing = 3;
+constexpr std::size_t kInflateHeadroom = 1024;
+constexpr std::size_t kInflateChunk = kTraceWindow - kInflateHeadroom;
+static_assert(kInflateHeadroom > kMaxTraceLine,
+              "a straddling text line must fit in front of a chunk");
 
 /** Binary format limits (v2). */
 constexpr std::uint8_t kBinaryTraceVersion = 2;
@@ -105,8 +123,9 @@ class ByteStream
 
     /** Make at least @p n (<= kTraceWindow) bytes readable at data();
      * false when the medium ends first (the short tail stays
-     * readable). A refill fills the whole free window, so refills are
-     * rare. Corrupt underlying streams die via esd_fatal. */
+     * readable). A refill fills the whole free window (or swaps in a
+     * whole inflated chunk), so refills are rare. Corrupt underlying
+     * streams die via esd_fatal. */
     bool
     ensure(std::size_t n)
     {
@@ -115,7 +134,7 @@ class ByteStream
 
     /** As ensure(), but read only the missing bytes: the format sniff
      * peeks through this so opening a gzip trace inflates a few bytes,
-     * not a window. */
+     * not a window, and starts no thread. */
     bool
     peek(std::size_t n)
     {
@@ -148,6 +167,18 @@ class ByteStream
      * (0 = clean EOF). */
     virtual std::size_t fill(std::uint8_t *out, std::size_t n) = 0;
 
+    /** Whole-window refill by buffer swap instead of fill()'s copy:
+     * replace @p window with a kTraceWindow buffer of fresh bytes,
+     * carrying the unconsumed [@p pos, @p end) over in front of them,
+     * and set [@p pos, @p end) to the new readable range. false (the
+     * default) leaves the refill to fill(). */
+    virtual bool
+    exchange(std::unique_ptr<std::uint8_t[]> & /*window*/,
+             std::size_t & /*pos*/, std::size_t & /*end*/)
+    {
+        return false;
+    }
+
     std::string path_;
 
   private:
@@ -166,29 +197,58 @@ class FileByteStream : public ByteStream
     explicit FileByteStream(const std::string &path);
     ~FileByteStream() override;
 
+    /** Make a read error end the stream and set readFailed() instead
+     * of dying, for a reader on a thread that must not exit. */
+    void deferReadErrors() { deferErrors_ = true; }
+    bool readFailed() const { return readFailed_; }
+
   protected:
     std::size_t fill(std::uint8_t *out, std::size_t n) override;
 
   private:
     std::FILE *f_ = nullptr;
+    bool deferErrors_ = false;
+    bool readFailed_ = false;
 };
 
-/** Gzip-inflating wrapper: inflates from the inner stream's window
- * straight into this one; fatal on any zlib error or a stream that
- * ends mid-member. */
+/**
+ * Gzip-inflating wrapper over a file. Before the first whole-window
+ * load, fill() inflates on the caller (the format sniff). That load
+ * starts a helper thread which inflates ahead into kInflateRing
+ * chunks; exchange() swaps each into the window in stream order.
+ * A zlib or read error is recorded, never raised, on the helper: the
+ * failing chunk is dropped and the consumer dies via esd_fatal with the
+ * error's message after draining the chunks before it. The destructor
+ * stops and joins the helper.
+ */
 class GzipByteStream : public ByteStream
 {
   public:
-    explicit GzipByteStream(std::unique_ptr<ByteStream> inner);
+    explicit GzipByteStream(std::unique_ptr<FileByteStream> inner);
     ~GzipByteStream() override;
+
+    // The helper thread holds `this`.
+    GzipByteStream(const GzipByteStream &) = delete;
+    GzipByteStream &operator=(const GzipByteStream &) = delete;
 
   protected:
     std::size_t fill(std::uint8_t *out, std::size_t n) override;
+    bool exchange(std::unique_ptr<std::uint8_t[]> &window,
+                  std::size_t &pos, std::size_t &end) override;
 
   private:
-    struct ZState;
-    std::unique_ptr<ByteStream> inner_;
-    std::unique_ptr<ZState> z_;
+    struct State;
+
+    std::size_t inflateSome(std::uint8_t *out, std::size_t n);
+    [[noreturn]] void raiseFault() const;
+    void startHelper();
+    void stopHelper();
+    void inflateAhead();
+    bool nextChunk();
+    void recycleChunk();
+
+    std::unique_ptr<FileByteStream> inner_;
+    std::unique_ptr<State> s_;
 };
 
 } // namespace detail

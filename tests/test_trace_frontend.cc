@@ -16,11 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -512,16 +515,22 @@ TEST_F(TraceFrontendTest, PayloadlessCaptureReplaysDeterministically)
  * Where the decoder's byte-window ends fall in a (possibly inflated)
  * stream. The open-time sniff leaves the first @p peeked bytes in the
  * window. After that, each decoder request for bytes [off, off + n)
- * that runs past the window end compacts the unconsumed tail to the
- * front and refills, so the next window is [off, off + kTraceWindow).
+ * that runs past the window end refills. A file window compacts the
+ * unconsumed tail to the front and refills, so the next window is
+ * [off, off + kTraceWindow). A gzip window swaps in the next inflated
+ * chunk, so its ends sit at fixed @p stride steps after the sniff.
  * Generators use this to put chosen bytes exactly on a window end.
  */
 struct WindowModel
 {
     std::size_t end;
+    std::size_t stride;
     std::size_t straddles = 0;
 
-    explicit WindowModel(std::size_t peeked) : end(peeked) {}
+    explicit WindowModel(std::size_t peeked, std::size_t stride = 0)
+        : end(peeked), stride(stride)
+    {
+    }
 
     void
     need(std::size_t off, std::size_t n)
@@ -530,9 +539,17 @@ struct WindowModel
             return;
         if (off < end)
             ++straddles;
-        end = off + kTraceWindow;
+        end = stride ? end + stride : off + kTraceWindow;
     }
 };
+
+/** The window model of a gzip'd text trace: the sniff inflates 4
+ * bytes, then every refill swaps in one kInflateChunk chunk. */
+WindowModel
+inflateWindows()
+{
+    return WindowModel(4, kInflateChunk);
+}
 
 std::string
 hexDigits(Pcg32 &rng, std::size_t n)
@@ -630,7 +647,9 @@ randomRecordLine(Pcg32 &rng, bool crlf)
 class TextTraceGen
 {
   public:
-    explicit TextTraceGen(std::uint64_t seed) : rng_(seed)
+    explicit TextTraceGen(std::uint64_t seed,
+                          WindowModel windows = WindowModel(4))
+        : model(windows), rng_(seed)
     {
         // Longer than the sniff's 4-byte peek, so the first window
         // is [0, kTraceWindow).
@@ -639,7 +658,8 @@ class TextTraceGen
 
     std::string text;
     std::vector<TraceRecord> want;
-    WindowModel model{4};  // the sniff peeks at most 4 bytes
+    std::vector<std::size_t> ends;  ///< text offset past each record
+    WindowModel model;  // the sniff peeks at most 4 bytes
 
     /** Random lines: records, comments, blank and CRLF lines, each
      * far shorter than the gap to the next window end. */
@@ -720,6 +740,7 @@ class TextTraceGen
         if (!l.record)
             return;
         want.push_back(l.rec);
+        ends.push_back(text.size());
         if (l.rec.op == OpType::Write) {
             if (!l.payload)
                 want.back().data =
@@ -771,6 +792,185 @@ TEST_F(TraceFrontendTest, TextLinesStraddlingWindowEndsDecodeExactly)
     writeGzip(gz, gen.text);
     EXPECT_EQ(detectTraceFormat(gz), TraceFormat::Gzip);
     expectSameRecords(gen.want, drain(gz, 7));
+}
+
+/** The same cuts on the inflate-ahead chunk ends of a gzip'd trace:
+ * each line that straddles two inflated chunks decodes whole. */
+TEST_F(TraceFrontendTest, TextLinesStraddlingInflateChunksDecodeExactly)
+{
+    TextTraceGen gen(0x1f8b, inflateWindows());
+    gen.build(8);
+    EXPECT_GE(gen.model.straddles, 6u);
+
+    std::string gz = file("chunks.gz");
+    writeGzip(gz, gen.text);
+    expectSameRecords(gen.want, drain(gz));
+    expectSameRecords(gen.want, drain(gz, 3));
+}
+
+/** Live threads in this process. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)task;
+        ++n;
+    }
+    return n;
+}
+
+/** Opening a gzip trace starts no thread; the first window load
+ * starts the inflate helper; a consumer that stops after 10 records
+ * of a multi-window trace still joins it on destruction. */
+TEST_F(TraceFrontendTest, GzipEarlyStopJoinsInflateHelper)
+{
+    TextTraceGen gen(0xea71, inflateWindows());
+    gen.build(8);
+    std::string gz = file("early.gz");
+    writeGzip(gz, gen.text);
+
+    const std::size_t before = threadCount();
+    std::size_t during = 0;
+    {
+        TraceFrontend f(gz, TraceConfig{});
+        EXPECT_EQ(threadCount(), before);
+        std::vector<TraceRecord> got(10);
+        for (TraceRecord &rec : got)
+            ASSERT_TRUE(f.next(rec));
+        during = threadCount();
+        EXPECT_GT(during, before);
+        expectSameRecords({gen.want.begin(), gen.want.begin() + 10}, got);
+    }
+    // One thread fewer once the helper is joined (a sanitizer runtime
+    // may have started a thread of its own alongside it). The kernel
+    // can drop a joined thread's task a moment after the join returns.
+    for (int i = 0; i < 200 && threadCount() >= during; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(threadCount(), during - 1);
+}
+
+/** reset() halfway through a gzip trace stops the helper and replays
+ * the identical record stream from the top. */
+TEST_F(TraceFrontendTest, GzipResetMidStreamReplaysIdentically)
+{
+    TextTraceGen gen(0x5e7, inflateWindows());
+    gen.build(6);
+    std::string gz = file("reset.gz");
+    writeGzip(gz, gen.text);
+
+    TraceConfig tc;
+    tc.readAhead = 64;
+    TraceFrontend f(gz, tc);
+    std::vector<TraceRecord> head(gen.want.size() / 2);
+    for (TraceRecord &rec : head)
+        ASSERT_TRUE(f.next(rec));
+    expectSameRecords({gen.want.begin(), gen.want.begin() + head.size()},
+                      head);
+
+    f.reset();
+    std::vector<TraceRecord> all;
+    TraceRecord rec;
+    while (f.next(rec))
+        all.push_back(rec);
+    expectSameRecords(gen.want, all);
+}
+
+/** Gzip traces shorter than one inflate chunk, down to ones the
+ * 4-byte sniff inflates completely, decode like their plain text. */
+TEST_F(TraceFrontendTest, GzipSmallerThanOneWindowDecodes)
+{
+    Pcg32 rng(0x5a11);
+    std::string text;
+    for (int i = 0; i < 40; ++i)
+        text += randomRecordLine(rng, i % 7 == 0).bytes;
+    ASSERT_LT(text.size(), kInflateChunk);
+    for (const std::string &bytes :
+         {text, std::string("R 1"), std::string("# c\n"),
+          std::string()}) {
+        std::string plain = file("small.trace");
+        std::string gz = file("small.gz");
+        writeFile(plain, bytes);
+        writeGzip(gz, bytes);
+        EXPECT_EQ(detectTraceFormat(gz), TraceFormat::Gzip);
+        expectSameRecords(drain(plain), drain(gz));
+    }
+}
+
+/** RFC 1952 multi-member files (cat a.gz b.gz, bgzip and its empty
+ * EOF block) decode as the concatenation of their members, with the
+ * member boundary mid-line and mid-chunk. */
+TEST_F(TraceFrontendTest, ConcatenatedGzipMembersDecode)
+{
+    TextTraceGen gen(0xc0ca7, inflateWindows());
+    gen.build(3);
+    const std::size_t cut = gen.ends[gen.ends.size() / 3] - 7;
+    std::string parts[2] = {gen.text.substr(0, cut), gen.text.substr(cut)};
+    std::string members;
+    for (const std::string &part : parts) {
+        std::string one = file("member.gz");
+        writeGzip(one, part);
+        members += slurp(one);
+    }
+    // bgzip's 28-byte EOF marker: an empty member with an extra field.
+    const std::string bgzfEof(
+        "\x1f\x8b\x08\x04\x00\x00\x00\x00\x00\xff\x06\x00\x42\x43"
+        "\x02\x00\x1b\x00\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+        28);
+    std::string gz = file("members.gz");
+    writeFile(gz, members + bgzfEof);
+    expectSameRecords(gen.want, drain(gz));
+    writeFile(gz, bgzfEof + members + bgzfEof + bgzfEof);
+    expectSameRecords(gen.want, drain(gz));
+}
+
+/** A corrupt gzip stream found mid-trace: the decoder first delivers,
+ * intact, every record of the chunks inflated before the failing one
+ * (everything ending a chunk before the break), then dies with the
+ * zlib diagnostic. The helper holds the error; it never exits itself.
+ * The death test forks after other gzip tests may have run threads,
+ * hence the threadsafe style. */
+TEST_F(TraceFrontendTest, MidStreamGzipCorruptionDeliversEarlierRecords)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TextTraceGen gen(0xbad, inflateWindows());
+    gen.build(4);
+    std::string good = file("good.gz");
+    writeGzip(good, gen.text);
+    // A second member whose deflate data opens with the invalid block
+    // type 3: inflate fails right where member one's text ends.
+    std::string path = file("bad.gz");
+    writeFile(path, slurp(good) +
+                        std::string("\x1f\x8b\x08\x00\x00\x00\x00\x00"
+                                    "\x00\xff\xff\xff", 12));
+    const std::size_t must = static_cast<std::size_t>(
+        std::upper_bound(gen.ends.begin(), gen.ends.end(),
+                         gen.text.size() - kInflateChunk) -
+        gen.ends.begin());
+    ASSERT_GT(must, gen.want.size() / 2);
+
+    auto consume = [&] {
+        TraceConfig tc;
+        tc.readAhead = 1;  // hand each record out as it decodes
+        TraceFrontend f(path, tc);
+        TraceRecord rec;
+        std::size_t n = 0;
+        while (f.next(rec)) {
+            const TraceRecord &w = gen.want.at(n);
+            if (rec.op != w.op || rec.addr != w.addr ||
+                rec.icount != w.icount ||
+                (rec.op == OpType::Write && !(rec.data == w.data))) {
+                std::fprintf(stderr, "record %zu differs\n", n);
+                std::exit(2);
+            }
+            if (++n == must)
+                std::fprintf(stderr, "delivered %zu records\n", n);
+        }
+    };
+    EXPECT_EXIT(consume(), ::testing::ExitedWithCode(1),
+                "delivered [0-9]+ records.*bad\\.gz': corrupt gzip "
+                "stream \\(invalid block type\\)");
 }
 
 /** An over-long line cut by a window end still dies naming its own

@@ -112,6 +112,14 @@ slurp(const std::string &path)
     return buf.str();
 }
 
+/** Gzip input runs an inflate helper thread, so gzip death tests
+ * re-exec rather than fork a process that may hold threads. */
+void
+threadsafeDeathTests()
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+}
+
 // ---------------------------------------------- targeted negatives
 // Each corruption class dies with its own diagnostic. The same
 // messages are pinned again at the CLI level by the WILL_FAIL ctests
@@ -209,6 +217,7 @@ TEST_F(TraceFuzzTest, BadOpByteIsFatal)
 
 TEST_F(TraceFuzzTest, MidStreamGzipCorruptionIsFatal)
 {
+    threadsafeDeathTests();
     std::string whole =
         slurp(makeValid(dir_, "ok.gz", TraceFormat::Gzip, 512));
     ASSERT_GT(whole.size(), 200u);
@@ -222,6 +231,7 @@ TEST_F(TraceFuzzTest, MidStreamGzipCorruptionIsFatal)
 
 TEST_F(TraceFuzzTest, TruncatedGzipIsFatal)
 {
+    threadsafeDeathTests();
     std::string whole =
         slurp(makeValid(dir_, "ok2.gz", TraceFormat::Gzip, 512));
     std::string p =
@@ -232,6 +242,7 @@ TEST_F(TraceFuzzTest, TruncatedGzipIsFatal)
 
 TEST_F(TraceFuzzTest, TrailingGarbageAfterGzipIsFatal)
 {
+    threadsafeDeathTests();
     std::string whole =
         slurp(makeValid(dir_, "ok3.gz", TraceFormat::Gzip));
     std::string p = writeBytes("tail.gz", whole + "garbage");

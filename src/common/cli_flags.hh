@@ -49,25 +49,6 @@ parseBool(const std::string &flag, const std::string &v)
               flag.c_str(), v.c_str());
 }
 
-/** Strict probability parse: a double in [0, 1]. */
-inline double
-parseProb(const std::string &flag, const std::string &v)
-{
-    try {
-        std::size_t consumed = 0;
-        double out = std::stod(v, &consumed);
-        if (consumed != v.size())
-            throw std::invalid_argument(v);
-        if (out < 0.0 || out > 1.0)
-            esd_fatal("%s: %s out of range [0, 1]", flag.c_str(),
-                      v.c_str());
-        return out;
-    } catch (const std::exception &) {
-        esd_fatal("%s: '%s' is not a probability", flag.c_str(),
-                  v.c_str());
-    }
-}
-
 } // namespace esd
 
 #endif // ESD_COMMON_CLI_FLAGS_HH

@@ -101,19 +101,6 @@ asBool(const std::string &key, const std::string &v)
               v.c_str());
 }
 
-} // namespace
-
-const char *
-eccEngineName(EccEngineKind k)
-{
-    switch (k) {
-      case EccEngineKind::Hamming: return "hamming";
-      case EccEngineKind::Bch: return "bch";
-      case EccEngineKind::Rs: return "rs";
-    }
-    esd_panic("unreachable ecc engine %d", static_cast<int>(k));
-}
-
 EccEngineKind
 parseEccEngine(const std::string &key, const std::string &v)
 {
@@ -126,6 +113,33 @@ parseEccEngine(const std::string &key, const std::string &v)
     esd_fatal("config key '%s': '%s' is not an ecc engine "
               "(expected hamming, bch, or rs)",
               key.c_str(), v.c_str());
+}
+
+CrashPhase
+parseCrashPhase(const std::string &key, const std::string &v)
+{
+    if (v == "pre_barrier")
+        return CrashPhase::PreBarrier;
+    if (v == "mid_journal")
+        return CrashPhase::MidJournal;
+    if (v == "post_data")
+        return CrashPhase::PostData;
+    esd_fatal("config key '%s': '%s' is not a crash phase (expected "
+              "pre_barrier, mid_journal, or post_data)",
+              key.c_str(), v.c_str());
+}
+
+} // namespace
+
+const char *
+eccEngineName(EccEngineKind k)
+{
+    switch (k) {
+      case EccEngineKind::Hamming: return "hamming";
+      case EccEngineKind::Bch: return "bch";
+      case EccEngineKind::Rs: return "rs";
+    }
+    esd_panic("unreachable ecc engine %d", static_cast<int>(k));
 }
 
 const char *
@@ -158,20 +172,6 @@ parsePersistDomain(const std::string &key, const std::string &v)
         return PersistDomain::Eadr;
     esd_fatal("config key '%s': '%s' is not a persistence domain "
               "(expected adr or eadr)",
-              key.c_str(), v.c_str());
-}
-
-CrashPhase
-parseCrashPhase(const std::string &key, const std::string &v)
-{
-    if (v == "pre_barrier")
-        return CrashPhase::PreBarrier;
-    if (v == "mid_journal")
-        return CrashPhase::MidJournal;
-    if (v == "post_data")
-        return CrashPhase::PostData;
-    esd_fatal("config key '%s': '%s' is not a crash phase (expected "
-              "pre_barrier, mid_journal, or post_data)",
               key.c_str(), v.c_str());
 }
 
@@ -247,10 +247,11 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     }
     // Memory channels.
     else if (k == "channels.count") {
-        cfg.channels.count = static_cast<unsigned>(asU64In(k, v, 1, 64));
+        cfg.channels.count = static_cast<unsigned>(asU64In(
+            k, v, kChannelCountRange.lo, kChannelCountRange.hi));
     } else if (k == "channels.wpq_depth") {
-        cfg.channels.wpqDepth =
-            static_cast<unsigned>(asU64In(k, v, 0, 1u << 16));
+        cfg.channels.wpqDepth = static_cast<unsigned>(
+            asU64In(k, v, kWpqDepthRange.lo, kWpqDepthRange.hi));
     } else if (k == "channels.wpq_coalescing") {
         cfg.channels.wpqCoalescing = asBool(k, v);
     }
@@ -413,6 +414,90 @@ loadConfigFile(SimConfig &cfg, const std::string &path)
                      path.c_str(),
                      static_cast<unsigned long long>(line_no),
                      key.c_str());
+    }
+}
+
+const std::vector<ConfigFlagAlias> &
+configFlagAliases()
+{
+    const char *const ras = "ras.enabled";
+    const char *const persist = "persistence.enabled";
+    static const std::vector<ConfigFlagAlias> table = {
+        {"-seed", "seed", "N", nullptr, nullptr},
+        {"-ecc", "ecc.engine", "hamming|bch|rs", nullptr, nullptr},
+        {"-channels", "channels.count", "N", nullptr, nullptr},
+        {"-wpq-depth", "channels.wpq_depth", "N", nullptr, nullptr},
+        {"-wpq-coalescing", "channels.wpq_coalescing", "B", nullptr,
+         nullptr},
+        {"-ras-read-ber", "ras.read_ber", "P", ras, nullptr},
+        {"-ras-write-ber", "ras.write_ber", "P", ras, nullptr},
+        {"-ras-patrol-interval", "ras.patrol_interval_writes", "N", ras,
+         nullptr},
+        {"-ras-write-verify", "ras.write_verify_retries", "N", ras,
+         nullptr},
+        {"-persist", "persistence.enabled", "B", nullptr, nullptr},
+        {"-persist-domain", "persistence.domain", "adr|eadr", persist,
+         nullptr},
+        {"-persist-epoch-writes", "persistence.epoch_writes", "N", persist,
+         nullptr},
+        {"-persist-checkpoint-epochs", "persistence.checkpoint_epochs",
+         "N", persist, nullptr},
+        {"-persist-counter-slack", "persistence.counter_slack", "N",
+         persist, nullptr},
+        {"-persist-crash-at", "persistence.crash_at_write", "N", persist,
+         nullptr},
+        {"-persist-crash-phase", "persistence.crash_phase",
+         "pre_barrier|mid_journal|post_data", persist, nullptr},
+        {"-trace-format", "trace.format", "auto|text|gzip|binary", nullptr,
+         nullptr},
+        {"-trace-payload", "trace.line_payload", "B", nullptr, nullptr},
+        {"-trace-read-ahead", "trace.read_ahead", "N", nullptr, nullptr},
+        {"-trace-ring", "telemetry.trace_ring_capacity", "N", nullptr,
+         nullptr},
+        {"-trace-cap", "telemetry.trace_ring_capacity", "N", nullptr,
+         nullptr},
+        {"-span-every", "telemetry.span_sample_every", "N", nullptr,
+         nullptr},
+        {"-metrics-every", "telemetry.metrics_every_writes", "N", nullptr,
+         nullptr},
+        {"-hist-buckets", "telemetry.histogram_buckets", "B", nullptr,
+         "true"},
+    };
+    return table;
+}
+
+bool
+ConfigFlags::take(const std::string &arg)
+{
+    std::size_t eq = arg.find('=');
+    for (const ConfigFlagAlias &a : configFlagAliases()) {
+        if (arg.compare(0, eq, a.flag) != 0)
+            continue;
+        if (eq == std::string::npos && !a.bare)
+            return false;
+        if (a.implies)
+            enables_.push_back(a.implies);
+        pairs_.emplace_back(a.key, eq == std::string::npos
+                                       ? std::string(a.bare)
+                                       : arg.substr(eq + 1));
+        return true;
+    }
+    // Generic form: -<section>.<key>=v.
+    if (arg[0] != '-' || eq == std::string::npos || arg.find('.') > eq)
+        return false;
+    pairs_.emplace_back(arg.substr(1, eq - 1), arg.substr(eq + 1));
+    return true;
+}
+
+void
+ConfigFlags::apply(SimConfig &cfg) const
+{
+    for (const std::string &key : enables_)
+        applyConfigKey(cfg, key, "true");
+    for (const auto &[key, value] : pairs_) {
+        if (!applyConfigKey(cfg, key, value))
+            esd_fatal("unknown config key '%s' in flag -%s=%s",
+                      key.c_str(), key.c_str(), value.c_str());
     }
 }
 

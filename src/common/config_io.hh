@@ -18,17 +18,38 @@
  *   metadata.decay_period, metadata.decay_delta, metadata.use_lrcu
  *   core.clock_ghz, core.base_cpi
  *   seed
+ *
+ * Command lines reach the same keys through ConfigFlags: the generic
+ * `-<section>.<key>=v` spelling of any key, or one of the legacy
+ * aliases in configFlagAliases() (`-channels=`, `-persist-*=`, ...).
  */
 
 #ifndef ESD_COMMON_CONFIG_IO_HH
 #define ESD_COMMON_CONFIG_IO_HH
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.hh"
 
 namespace esd
 {
+
+/** Inclusive bounds of an integer config key, for callers that must
+ * check a value without dying on it (sweep specs). */
+struct KeyRange
+{
+    std::uint64_t lo;
+    std::uint64_t hi;
+
+    bool contains(std::uint64_t v) const { return v >= lo && v <= hi; }
+};
+
+/** Bounds of channels.count and channels.wpq_depth (0 = inherit). */
+inline constexpr KeyRange kChannelCountRange{1, 64};
+inline constexpr KeyRange kWpqDepthRange{0, 1u << 16};
 
 /** Apply one `key = value` assignment to @p cfg.
  *  @return false (with no change) when the key is unknown. */
@@ -45,9 +66,6 @@ std::string renderConfig(const SimConfig &cfg);
 /** Config-file spelling of an ECC engine ("hamming"/"bch"/"rs"). */
 const char *eccEngineName(EccEngineKind k);
 
-/** Parse an ECC engine name; fatal on anything else. */
-EccEngineKind parseEccEngine(const std::string &key, const std::string &v);
-
 /** Config-file spelling of a persistence domain ("adr"/"eadr"). */
 const char *persistDomainName(PersistDomain d);
 
@@ -58,15 +76,49 @@ const char *crashPhaseName(CrashPhase p);
 PersistDomain parsePersistDomain(const std::string &key,
                                  const std::string &v);
 
-/** Parse a crash-phase name; fatal on anything else. */
-CrashPhase parseCrashPhase(const std::string &key, const std::string &v);
-
 /** Config-file spelling of a trace format ("auto"/"text"/...). */
 const char *traceFormatName(TraceFormat f);
 
 /** Parse a trace-format name; fatal on anything else. */
 TraceFormat parseTraceFormat(const std::string &key,
                              const std::string &v);
+
+/** A legacy command-line spelling of one config key. */
+struct ConfigFlagAlias
+{
+    const char *flag;     ///< e.g. "-channels"
+    const char *key;      ///< e.g. "channels.count"
+    const char *arg;      ///< value placeholder for usage text
+    /** Section switch the flag turns on ("ras.enabled"), or nullptr. */
+    const char *implies;
+    /** Value when given bare (no `=v`), or nullptr if one is needed. */
+    const char *bare;
+};
+
+/** Every legacy config-flag spelling, in usage order. */
+const std::vector<ConfigFlagAlias> &configFlagAliases();
+
+/**
+ * The config keys given on a tool's command line. take() records each
+ * config flag in argv order; apply() lays them over a SimConfig after
+ * `-ConfigFile=` is loaded, so a flag beats the file for every key.
+ */
+class ConfigFlags
+{
+  public:
+    /** Record @p arg if it is a config flag: `-<section>.<key>=v` or
+     * an alias. @return false (nothing recorded) for any other flag. */
+    bool take(const std::string &arg);
+
+    /** Apply the recorded flags to @p cfg: implied section enables
+     * first (so `-persist=0` wins in any argv position), then every
+     * pair in argv order. Fatal on an unknown key or a bad value. */
+    void apply(SimConfig &cfg) const;
+
+  private:
+    std::vector<std::string> enables_;
+    std::vector<std::pair<std::string, std::string>> pairs_;
+};
 
 } // namespace esd
 

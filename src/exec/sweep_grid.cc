@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/config_io.hh"
 #include "trace/workloads.hh"
 
 namespace esd::exec
@@ -125,10 +126,15 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
             if (!parseIntOrRange(value, ints))
                 return fail("bad integer or range '" + value +
                             "' for sweep dimension '" + key + "'");
+            // The config keys' own bounds (wpq_depth 0 = inherit).
+            KeyRange range = key == "channels" ? kChannelCountRange
+                                               : kWpqDepthRange;
             for (std::uint64_t v : ints) {
-                if (v == 0 || v > 1024)
+                if (!range.contains(v))
                     return fail(key + " value " + std::to_string(v) +
-                                " out of range (1..1024)");
+                                " out of range (" +
+                                std::to_string(range.lo) + ".." +
+                                std::to_string(range.hi) + ")");
                 if (key == "channels")
                     grid.channels.push_back(
                         static_cast<unsigned>(v));

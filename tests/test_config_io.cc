@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/config_io.hh"
 #include "common/logging.hh"
@@ -566,6 +567,122 @@ TEST(ConfigIoDeath, TraceKeysValidate)
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(applyConfigKey(cfg, "trace.read_ahead", "1048577"),
                 ::testing::ExitedWithCode(1), "out of range");
+}
+
+/** Apply @p args as command-line flags over a default config. */
+SimConfig
+fromFlags(std::initializer_list<std::string> args)
+{
+    ConfigFlags flags;
+    for (const std::string &a : args)
+        EXPECT_TRUE(flags.take(a)) << a;
+    SimConfig cfg;
+    flags.apply(cfg);
+    return cfg;
+}
+
+TEST(ConfigFlags, EveryAliasEqualsItsKey)
+{
+    // One non-default sample value per alias; the size check makes a
+    // new alias fail here until it gets one.
+    const std::map<std::string, std::string> sample = {
+        {"-seed", "7"},
+        {"-ecc", "rs"},
+        {"-channels", "4"},
+        {"-wpq-depth", "16"},
+        {"-wpq-coalescing", "1"},
+        {"-ras-read-ber", "0.25"},
+        {"-ras-write-ber", "0.5"},
+        {"-ras-patrol-interval", "100"},
+        {"-ras-write-verify", "3"},
+        {"-persist", "1"},
+        {"-persist-domain", "eadr"},
+        {"-persist-epoch-writes", "8"},
+        {"-persist-checkpoint-epochs", "5"},
+        {"-persist-counter-slack", "2000000"},
+        {"-persist-crash-at", "900"},
+        {"-persist-crash-phase", "mid_journal"},
+        {"-trace-format", "gzip"},
+        {"-trace-payload", "0"},
+        {"-trace-read-ahead", "64"},
+        {"-trace-ring", "32"},
+        {"-trace-cap", "33"},
+        {"-span-every", "9"},
+        {"-metrics-every", "1000"},
+        {"-hist-buckets", "1"},
+    };
+    ASSERT_EQ(sample.size(), configFlagAliases().size());
+    const std::string defaults = renderConfig(SimConfig{});
+    for (const ConfigFlagAlias &a : configFlagAliases()) {
+        ASSERT_TRUE(sample.count(a.flag)) << a.flag;
+        const std::string &v = sample.at(a.flag);
+        SimConfig want;
+        if (a.implies) {
+            ASSERT_TRUE(applyConfigKey(want, a.implies, "true"));
+        }
+        ASSERT_TRUE(applyConfigKey(want, a.key, v));
+        std::string got =
+            renderConfig(fromFlags({std::string(a.flag) + "=" + v}));
+        EXPECT_EQ(renderConfig(want), got) << a.flag;
+        EXPECT_NE(defaults, got) << a.flag << " changed nothing";
+        // The generic spelling of the same key sets the same value
+        // (without the alias's implied section enable).
+        SimConfig bare;
+        ASSERT_TRUE(applyConfigKey(bare, a.key, v));
+        std::string generic = std::string(a.key) + "=" + v;
+        EXPECT_EQ(renderConfig(bare),
+                  renderConfig(fromFlags({"-" + generic})))
+            << a.key;
+    }
+}
+
+TEST(ConfigFlags, ExplicitDisableBeatsImpliedEnable)
+{
+    for (bool disable_first : {true, false}) {
+        SimConfig cfg =
+            disable_first
+                ? fromFlags({"-persist=0", "-persist-domain=eadr"})
+                : fromFlags({"-persist-domain=eadr", "-persist=0"});
+        EXPECT_FALSE(cfg.persist.enabled) << disable_first;
+        EXPECT_EQ(cfg.persist.domain, PersistDomain::Eadr);
+    }
+    EXPECT_TRUE(fromFlags({"-persist-domain=eadr"}).persist.enabled);
+    EXPECT_TRUE(fromFlags({"-ras-write-verify=2"}).ras.enabled);
+}
+
+TEST(ConfigFlags, BareHistBucketsAndLastFlagWins)
+{
+    EXPECT_TRUE(fromFlags({"-hist-buckets"}).telemetry.histogramBuckets);
+    SimConfig cfg = fromFlags({"-channels=2", "-channels.count=8"});
+    EXPECT_EQ(cfg.channels.count, 8u);
+}
+
+TEST(ConfigFlags, ToolFlagsAreNotTaken)
+{
+    ConfigFlags flags;
+    for (const char *arg :
+         {"-records=10", "-stats-json=out.json", "-seed", "-channels",
+          "-metadata.efit_kb", "-trace-in=a.trace", "-persistx=1"})
+        EXPECT_FALSE(flags.take(arg)) << arg;
+}
+
+TEST(ConfigFlagsDeath, UnknownDottedKeyIsFatal)
+{
+    ConfigFlags flags;
+    ASSERT_TRUE(flags.take("-foo.bar=1"));
+    SimConfig cfg;
+    EXPECT_EXIT(flags.apply(cfg), ::testing::ExitedWithCode(1),
+                "unknown config key 'foo.bar'");
+}
+
+TEST(ConfigFlagsDeath, AliasTakesTheKeyRange)
+{
+    ConfigFlags flags;
+    ASSERT_TRUE(flags.take("-ras-write-verify=1000"));
+    SimConfig cfg;
+    EXPECT_EXIT(flags.apply(cfg), ::testing::ExitedWithCode(1),
+                "'ras.write_verify_retries': 1000 is out of range "
+                "\\[0, 64\\]");
 }
 
 } // namespace

@@ -249,6 +249,20 @@ TEST(SweepGridSpec, RejectsBadInputWithMessage)
     err.clear();
     EXPECT_FALSE(exec::parseSweepSpec("channels=0", grid, &err));
     EXPECT_FALSE(err.empty());
+
+    // Integer dimensions take their config key's bounds:
+    // channels.count is [1, 64] ...
+    err.clear();
+    EXPECT_FALSE(exec::parseSweepSpec("channels=65", grid, &err));
+    EXPECT_NE(std::string::npos, err.find("1..64")) << err;
+
+    // ... and channels.wpq_depth [0, 65536], where 0 inherits
+    // pcm.write_queue_depth.
+    SweepGrid wpq;
+    EXPECT_TRUE(exec::parseSweepSpec("wpq_depth=0,65536", wpq, &err))
+        << err;
+    EXPECT_EQ((std::vector<unsigned>{0, 65536}), wpq.wpqDepths);
+    EXPECT_FALSE(exec::parseSweepSpec("wpq_depth=65537", wpq, &err));
 }
 
 TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)

@@ -6,8 +6,8 @@
  *
  *   esd_batch [-records=N] [-warmup=N] [-schemes=0,3] [-apps=a,b,c]
  *             [-jobs=N] [-workers=N] [-ConfigFile=path]
- *             [-ecc=hamming|bch|rs] [-trace-in=path]
- *             [-out=results.csv]
+ *             [-trace-in=path] [-out=results.csv]
+ *             [-<section>.<key>=V | config-flag alias, e.g. -ecc=rs]...
  *
  * Unknown -schemes/-apps values are rejected up front with a non-zero
  * exit. With -jobs=N the grid runs on a thread pool (shared-nothing,
@@ -20,7 +20,8 @@
  * sniffed) across every scheme instead of generating synthetic apps —
  * each job streams the file through its own frontend. Incompatible
  * with -apps=; the whole file replays with no warmup unless -records /
- * -warmup are given explicitly.
+ * -warmup are given explicitly. Config flags (common/config_io.hh,
+ * ConfigFlags) lay over -ConfigFile= for every job.
  */
 
 #include <fstream>
@@ -79,7 +80,7 @@ main(int argc, char **argv)
     std::string out_path = "results.csv";
     std::string config_file;
     std::string trace_in;
-    std::string ecc_engine;
+    ConfigFlags config_flags;
     std::vector<SchemeKind> schemes = allSchemeKinds();
     std::vector<std::string> apps;
 
@@ -119,10 +120,7 @@ main(int argc, char **argv)
                 esd_fatal("-schemes= lists no schemes");
         } else if (arg.rfind("-apps=", 0) == 0) {
             apps = splitCsv(arg.substr(6));
-        } else if (arg.rfind("-ecc=", 0) == 0) {
-            ecc_engine = arg.substr(5);
-            parseEccEngine("-ecc", ecc_engine);  // fail fast
-        } else {
+        } else if (!config_flags.take(arg)) {
             esd_fatal("unknown argument '%s'", arg.c_str());
         }
     }
@@ -171,8 +169,7 @@ main(int argc, char **argv)
     SimConfig cfg;
     if (!config_file.empty())
         loadConfigFile(cfg, config_file);
-    if (!ecc_engine.empty())
-        cfg.ecc.engine = parseEccEngine("-ecc", ecc_engine);
+    config_flags.apply(cfg);
 
     std::ofstream out(out_path);
     if (!out)

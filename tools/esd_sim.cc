@@ -5,10 +5,11 @@
  *
  *   esd_sim -scheme=<0..5|name> [-ConfigFile=<path>]
  *           (-InputFile=<trace> | -trace-in=<trace> | -app=<name>)
- *           [-records=N] [-warmup=N] [-seed=N]
+ *           [-records=N] [-warmup=N] [-workers=N]
  *           [-latency-out=<path>] [-dump-config]
  *           [-stats-json=<path>] [-stats-interval=N]
- *           [-trace-out=<path>] [-trace-cap=N]
+ *           [-trace-out=<path>] [-spans-out=<path>] [-metrics-out=<path>]
+ *           [-<section>.<key>=V | config-flag alias]...
  *
  * Scheme selector follows the artifact: 0 Baseline, 1 Dedup_SHA1,
  * 2 DeWrite, 3 ESD (4/5 add the ESD_Full and ESD+ extensions).
@@ -21,49 +22,36 @@
  *   `-stats-json` writes the machine-readable run report (config +
  *   result + every registered stat + interval snapshots every
  *   `-stats-interval` measured writes);
- *   `-trace-out` dumps the first `-trace-ring` per-write events as
- *   JSONL (one record per line; `-trace-cap` is a legacy alias, and
- *   the default capacity comes from [telemetry] trace_ring_capacity);
+ *   `-trace-out` dumps the first telemetry.trace_ring_capacity
+ *   per-write events as JSONL (one record per line);
  *   `-spans-out` writes a Chrome trace-event / Perfetto JSON span
  *   trace of the write pipeline and per-channel device service,
- *   admitting every `-span-every`-th write (default [telemetry]
- *   span_sample_every);
+ *   admitting every telemetry.span_sample_every-th write;
  *   `-metrics-out` rewrites a Prometheus text-format snapshot of the
- *   stat registry every `-metrics-every` measured writes plus once at
- *   end of run (0 = final snapshot only);
- *   `-hist-buckets` embeds the exact latency histogram buckets in the
- *   `-stats-json` report (opt-in: widens the schema);
+ *   stat registry every telemetry.metrics_every_writes measured writes
+ *   plus once at end of run (0 = final snapshot only);
+ *   telemetry.histogram_buckets (`-hist-buckets`) embeds the exact
+ *   latency histogram buckets in the `-stats-json` report;
  *   `-profile` attributes host wall-clock to the write-path phases
  *   (fingerprint/lookup/compare/encrypt/device) and prints the table
  *   after the run — the `host.profile.*` gauges also land in
  *   `-stats-json` output when both flags are given.
  *
- * RAS fault campaign (any of these enables the RAS pipeline; see
- * `[ras]` config keys for the full parameter set):
- *   `-ras-read-ber=P` / `-ras-write-ber=P` raw bit-error probability
- *   per stored bit per line read / write;
- *   `-ras-patrol-interval=N` patrol-scrub sweep every N device writes;
- *   `-ras-write-verify=N` verify every content write with up to N
- *   retries.
- *
- * Memory-channel model (layers over `[channels]` config keys):
- *   `-channels=N` address-interleaved channels, each replicating the
- *   `[pcm]` bank geometry with its own write-pending queue;
- *   `-wpq-depth=N` per-channel WPQ depth (0 inherits
- *   pcm.write_queue_depth);
- *   `-wpq-coalescing=B` absorb re-writes to a still-queued line in
- *   place instead of issuing a second array write.
- *
- * Crash-consistency subsystem (any of these enables the `[persistence]`
- * pipeline; see the config section for the full parameter set):
- *   `-persist=B` master switch; `-persist-domain=adr|eadr` what a power
- *   cut preserves; `-persist-epoch-writes=N` group-commit epoch;
- *   `-persist-checkpoint-epochs=N` journal-truncation cadence;
- *   `-persist-counter-slack=N` counter-recovery probe window (0 auto);
- *   `-persist-crash-at=N` inject a crash on the Nth write (warmup
- *   counts), `-persist-crash-phase=pre_barrier|mid_journal|post_data`
- *   where in the write it strikes; `-recovery-json=path` writes the
- *   machine-readable crash + recovery + pad-safety report.
+ * Config flags: `-<section>.<key>=v` sets any `-ConfigFile=` key
+ * (`-metadata.efit_kb=64`, `-persistence.counter_slack=1`), validated
+ * by the same setter, and beats the file. The legacy spellings are
+ * aliases of one key each (common/config_io.cc, configFlagAliases):
+ *   -seed  -ecc  -channels  -wpq-depth  -wpq-coalescing
+ *   -ras-read-ber  -ras-write-ber  -ras-patrol-interval
+ *   -ras-write-verify  -persist  -persist-domain  -persist-epoch-writes
+ *   -persist-checkpoint-epochs  -persist-counter-slack
+ *   -persist-crash-at  -persist-crash-phase  -trace-format
+ *   -trace-payload  -trace-read-ahead  -trace-ring (-trace-cap)
+ *   -span-every  -metrics-every  -hist-buckets
+ * A `-ras-*` or `-persist-*` alias also turns its section on; an
+ * explicit `-persist=0` still turns it off. `-recovery-json=path`
+ * writes the machine-readable crash + recovery + pad-safety report of
+ * an injected crash (`-persist-crash-at=N`, warmup counts).
  *
  * Sharded write pipeline:
  *   `-workers=N` runs the simulation through the intra-simulation
@@ -83,12 +71,9 @@
  *   and crash injection. The whole file replays unless -records caps
  *   it; -warmup applies only when given (file input defaults to 0/0);
  *   `-capture-out=path` tees the consumed record stream to a trace
- *   file (format from -trace-format / [trace] format; address-only
- *   records with -trace-payload=0) so the run replays bit-identically
- *   via -trace-in. Requires a synthetic workload (-app=);
- *   `-trace-format=auto|text|gzip|binary` capture format (auto=text);
- *   `-trace-payload=B` capture 64 B write payloads (default 1);
- *   `-trace-read-ahead=N` frontend record buffer bound.
+ *   file (format from [trace] format, auto = text; address-only
+ *   records with line_payload off) so the run replays bit-identically
+ *   via -trace-in. Requires a synthetic workload (-app=).
  */
 
 #include <algorithm>
@@ -121,72 +106,24 @@ struct Options
 {
     SchemeKind scheme = SchemeKind::Esd;
     std::string configFile;
+    ConfigFlags config;  ///< config-key flags, applied over the file
     std::string app;
     std::string traceIn;  ///< -trace-in= or its alias -InputFile=
     std::string captureOut;
-    std::string traceFormat;
-    std::uint64_t traceReadAhead = ~0ull;  ///< not given: [trace] value
-    int tracePayload = -1;  // -1 not given, else 0/1
     std::string latencyOut;
     std::string statsJson;
     std::string traceOut;
     std::string spansOut;
     std::string metricsOut;
-    std::uint64_t traceCap = ~0ull;    ///< not given: [telemetry] value
-    std::uint64_t spanEvery = ~0ull;   ///< not given: [telemetry] value
-    std::uint64_t metricsEvery = ~0ull;
+    std::string recoveryJson;
     std::uint64_t statsInterval = 10000;
     std::uint64_t records = 200000;
     std::uint64_t warmup = 40000;
     bool recordsGiven = false;  ///< file input defaults differ
     bool warmupGiven = false;
-    std::uint64_t seed = 1;
     std::uint64_t workers = ~0ull;  ///< given at all = pipeline mode
     bool dumpConfig = false;
     bool profile = false;
-    bool histBuckets = false;
-
-    /** ECC engine override; empty means the [ecc] config value. */
-    std::string eccEngine;
-
-    // RAS overrides; negative / max mean "not given" (config-file
-    // values, applied earlier, then stand).
-    double rasReadBer = -1.0;
-    double rasWriteBer = -1.0;
-    std::uint64_t rasPatrolInterval = ~0ull;
-    std::uint64_t rasWriteVerify = ~0ull;
-
-    // Channel overrides, same "max means not given" convention.
-    std::uint64_t channels = ~0ull;
-    std::uint64_t wpqDepth = ~0ull;
-    int wpqCoalescing = -1;  // -1 not given, else 0/1
-
-    // Persistence overrides, same conventions.
-    int persist = -1;  // -1 not given, else 0/1
-    std::string persistDomain;
-    std::string persistCrashPhase;
-    std::uint64_t persistEpochWrites = ~0ull;
-    std::uint64_t persistCheckpointEpochs = ~0ull;
-    std::uint64_t persistCounterSlack = ~0ull;
-    std::uint64_t persistCrashAt = ~0ull;
-    std::string recoveryJson;
-
-    bool
-    rasRequested() const
-    {
-        return rasReadBer >= 0.0 || rasWriteBer >= 0.0 ||
-               rasPatrolInterval != ~0ull || rasWriteVerify != ~0ull;
-    }
-
-    bool
-    persistRequested() const
-    {
-        return persist == 1 || !persistDomain.empty() ||
-               !persistCrashPhase.empty() ||
-               persistEpochWrites != ~0ull ||
-               persistCheckpointEpochs != ~0ull ||
-               persistCounterSlack != ~0ull || persistCrashAt != ~0ull;
-    }
 };
 
 void
@@ -196,33 +133,23 @@ usage()
         << "usage: esd_sim -scheme=<0..5|name> [-ConfigFile=path]\n"
            "               (-trace-in=trace | -InputFile=trace | "
            "-app=name)\n"
-           "               [-records=N] [-warmup=N] [-seed=N] "
-           "[-workers=N]\n"
-           "               [-capture-out=path] "
-           "[-trace-format=auto|text|gzip|binary]\n"
-           "               [-trace-payload=B] [-trace-read-ahead=N]\n"
-           "               [-latency-out=path] [-dump-config]\n"
+           "               [-records=N] [-warmup=N] [-workers=N]\n"
+           "               [-capture-out=path] [-latency-out=path] "
+           "[-dump-config]\n"
            "               [-stats-json=path] [-stats-interval=N]\n"
-           "               [-trace-out=path] [-trace-ring=N]\n"
-           "               [-spans-out=path] [-span-every=N]\n"
-           "               [-metrics-out=path] [-metrics-every=N]\n"
-           "               [-hist-buckets]\n"
-           "               [-ras-read-ber=P] [-ras-write-ber=P]\n"
-           "               [-ras-patrol-interval=N] "
-           "[-ras-write-verify=N]\n"
-           "               [-channels=N] [-wpq-depth=N] "
-           "[-wpq-coalescing=B]\n"
-           "               [-ecc=hamming|bch|rs]\n"
-           "               [-persist=B] [-persist-domain=adr|eadr]\n"
-           "               [-persist-epoch-writes=N] "
-           "[-persist-checkpoint-epochs=N]\n"
-           "               [-persist-counter-slack=N] "
-           "[-persist-crash-at=N]\n"
-           "               [-persist-crash-phase=NAME] "
-           "[-recovery-json=path]\n"
-           "               [-profile]\n"
-           "schemes: 0 Baseline, 1 Dedup_SHA1, 2 DeWrite, 3 ESD, "
-           "4 ESD_Full, 5 ESD+\napps: ";
+           "               [-trace-out=path] [-spans-out=path] "
+           "[-metrics-out=path]\n"
+           "               [-recovery-json=path] [-profile]\n"
+           "               [-<section>.<key>=V]  (any -ConfigFile= key)\n"
+           "config-key aliases:\n";
+    for (const ConfigFlagAlias &a : configFlagAliases())
+        std::cerr << "  " << a.flag << (a.bare ? "[=" : "=") << a.arg
+                  << (a.bare ? "]" : "") << "  = " << a.key
+                  << (a.implies ? std::string(" (implies ") + a.implies + ")"
+                                : "")
+                  << "\n";
+    std::cerr << "schemes: 0 Baseline, 1 Dedup_SHA1, 2 DeWrite, 3 ESD, "
+                 "4 ESD_Full, 5 ESD+\napps: ";
     for (const AppProfile &p : paperApps())
         std::cerr << p.name << " ";
     std::cerr << "\n";
@@ -251,31 +178,12 @@ parseArgs(int argc, char **argv)
             opt.app = value("-app=");
         } else if (arg.rfind("-capture-out=", 0) == 0) {
             opt.captureOut = value("-capture-out=");
-        } else if (arg.rfind("-trace-format=", 0) == 0) {
-            opt.traceFormat = value("-trace-format=");
-            parseTraceFormat("-trace-format", opt.traceFormat);
-        } else if (arg.rfind("-trace-payload=", 0) == 0) {
-            opt.tracePayload = parseBool("-trace-payload",
-                                         value("-trace-payload="))
-                                   ? 1
-                                   : 0;
-        } else if (arg.rfind("-trace-read-ahead=", 0) == 0) {
-            opt.traceReadAhead = parseU64("-trace-read-ahead",
-                                          value("-trace-read-ahead="));
-            if (opt.traceReadAhead < 1 ||
-                opt.traceReadAhead > (1u << 20))
-                esd_fatal("-trace-read-ahead: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.traceReadAhead),
-                          1u << 20);
         } else if (arg.rfind("-records=", 0) == 0) {
             opt.records = parseU64("-records", value("-records="));
             opt.recordsGiven = true;
         } else if (arg.rfind("-warmup=", 0) == 0) {
             opt.warmup = parseU64("-warmup", value("-warmup="));
             opt.warmupGiven = true;
-        } else if (arg.rfind("-seed=", 0) == 0) {
-            opt.seed = parseU64("-seed", value("-seed="));
         } else if (arg.rfind("-workers=", 0) == 0) {
             opt.workers = parseU64("-workers", value("-workers="));
             if (opt.workers < 1 || opt.workers > 256)
@@ -290,105 +198,10 @@ parseArgs(int argc, char **argv)
                 parseU64("-stats-interval", value("-stats-interval="));
         } else if (arg.rfind("-trace-out=", 0) == 0) {
             opt.traceOut = value("-trace-out=");
-        } else if (arg.rfind("-trace-ring=", 0) == 0) {
-            opt.traceCap = parseU64("-trace-ring", value("-trace-ring="));
-            if (opt.traceCap < 1 || opt.traceCap > (1u << 24))
-                esd_fatal("-trace-ring: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(opt.traceCap),
-                          1u << 24);
-        } else if (arg.rfind("-trace-cap=", 0) == 0) {
-            // Legacy alias of -trace-ring= (0 still caught below).
-            opt.traceCap = parseU64("-trace-cap", value("-trace-cap="));
         } else if (arg.rfind("-spans-out=", 0) == 0) {
             opt.spansOut = value("-spans-out=");
-        } else if (arg.rfind("-span-every=", 0) == 0) {
-            opt.spanEvery =
-                parseU64("-span-every", value("-span-every="));
-            if (opt.spanEvery < 1 || opt.spanEvery > (1u << 30))
-                esd_fatal("-span-every: %llu out of range [1, %u]",
-                          static_cast<unsigned long long>(opt.spanEvery),
-                          1u << 30);
         } else if (arg.rfind("-metrics-out=", 0) == 0) {
             opt.metricsOut = value("-metrics-out=");
-        } else if (arg.rfind("-metrics-every=", 0) == 0) {
-            opt.metricsEvery =
-                parseU64("-metrics-every", value("-metrics-every="));
-        } else if (arg == "-hist-buckets") {
-            opt.histBuckets = true;
-        } else if (arg.rfind("-ras-read-ber=", 0) == 0) {
-            opt.rasReadBer =
-                parseProb("-ras-read-ber", value("-ras-read-ber="));
-        } else if (arg.rfind("-ras-write-ber=", 0) == 0) {
-            opt.rasWriteBer =
-                parseProb("-ras-write-ber", value("-ras-write-ber="));
-        } else if (arg.rfind("-ras-patrol-interval=", 0) == 0) {
-            opt.rasPatrolInterval = parseU64(
-                "-ras-patrol-interval", value("-ras-patrol-interval="));
-        } else if (arg.rfind("-ras-write-verify=", 0) == 0) {
-            opt.rasWriteVerify =
-                parseU64("-ras-write-verify", value("-ras-write-verify="));
-        } else if (arg.rfind("-channels=", 0) == 0) {
-            opt.channels = parseU64("-channels", value("-channels="));
-            if (opt.channels < 1 || opt.channels > 64)
-                esd_fatal("-channels: %llu out of range [1, 64]",
-                          static_cast<unsigned long long>(opt.channels));
-        } else if (arg.rfind("-wpq-depth=", 0) == 0) {
-            opt.wpqDepth = parseU64("-wpq-depth", value("-wpq-depth="));
-            if (opt.wpqDepth > (1u << 16))
-                esd_fatal("-wpq-depth: %llu out of range [0, 65536]",
-                          static_cast<unsigned long long>(opt.wpqDepth));
-        } else if (arg.rfind("-wpq-coalescing=", 0) == 0) {
-            opt.wpqCoalescing = parseBool("-wpq-coalescing",
-                                          value("-wpq-coalescing="))
-                                    ? 1
-                                    : 0;
-        } else if (arg.rfind("-ecc=", 0) == 0) {
-            opt.eccEngine = value("-ecc=");
-            parseEccEngine("-ecc", opt.eccEngine);  // fail fast
-        } else if (arg.rfind("-persist=", 0) == 0) {
-            opt.persist =
-                parseBool("-persist", value("-persist=")) ? 1 : 0;
-        } else if (arg.rfind("-persist-domain=", 0) == 0) {
-            opt.persistDomain = value("-persist-domain=");
-            parsePersistDomain("-persist-domain", opt.persistDomain);
-        } else if (arg.rfind("-persist-epoch-writes=", 0) == 0) {
-            opt.persistEpochWrites = parseU64(
-                "-persist-epoch-writes", value("-persist-epoch-writes="));
-            if (opt.persistEpochWrites < 1 ||
-                opt.persistEpochWrites > (1u << 20))
-                esd_fatal("-persist-epoch-writes: %llu out of range "
-                          "[1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistEpochWrites),
-                          1u << 20);
-        } else if (arg.rfind("-persist-checkpoint-epochs=", 0) == 0) {
-            opt.persistCheckpointEpochs =
-                parseU64("-persist-checkpoint-epochs",
-                         value("-persist-checkpoint-epochs="));
-            if (opt.persistCheckpointEpochs < 1 ||
-                opt.persistCheckpointEpochs > (1u << 20))
-                esd_fatal("-persist-checkpoint-epochs: %llu out of range "
-                          "[1, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistCheckpointEpochs),
-                          1u << 20);
-        } else if (arg.rfind("-persist-counter-slack=", 0) == 0) {
-            opt.persistCounterSlack =
-                parseU64("-persist-counter-slack",
-                         value("-persist-counter-slack="));
-            if (opt.persistCounterSlack > (1u << 20))
-                esd_fatal("-persist-counter-slack: %llu out of range "
-                          "[0, %u]",
-                          static_cast<unsigned long long>(
-                              opt.persistCounterSlack),
-                          1u << 20);
-        } else if (arg.rfind("-persist-crash-at=", 0) == 0) {
-            opt.persistCrashAt = parseU64("-persist-crash-at",
-                                          value("-persist-crash-at="));
-        } else if (arg.rfind("-persist-crash-phase=", 0) == 0) {
-            opt.persistCrashPhase = value("-persist-crash-phase=");
-            parseCrashPhase("-persist-crash-phase",
-                            opt.persistCrashPhase);
         } else if (arg.rfind("-recovery-json=", 0) == 0) {
             opt.recoveryJson = value("-recovery-json=");
         } else if (arg == "-profile") {
@@ -398,7 +211,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "-h" || arg == "--help") {
             usage();
             std::exit(0);
-        } else {
+        } else if (!opt.config.take(arg)) {
             usage();
             esd_fatal("unknown argument '%s'", arg.c_str());
         }
@@ -412,8 +225,8 @@ parseArgs(int argc, char **argv)
  * over @p shards — a single Simulator is one shard. @p pipe is the
  * pipeline that drove the shards, or nullptr for a single-simulator
  * run. @p check is the run's crash self-check: prints its crash: and
- * recovery: lines, writes -recovery-json off it, and dies when an
- * injected crash never fired.
+ * recovery: lines, writes -recovery-json off it, then dies when the
+ * check failed (crash never fired, recovery NOT-OK, pad reuse).
  */
 void
 printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
@@ -530,35 +343,34 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
               << " checkpoints=" << checkpoints
               << " barrier_ns=" << barrier_ns << "\n";
 
-    if (!check.image) {
-        if (!check.error.empty())
-            esd_fatal("%s", check.error.c_str());
-        return;
+    if (check.image) {
+        const CrashImage &img = *check.image;
+        const RecoverySummary &rs = check.recovered.summary;
+        std::cout << "crash: "
+                  << (pipe ? "shard=" + std::to_string(check.shard) + " "
+                           : "")
+                  << "write=" << img.crashWriteIndex
+                  << " phase=" << crashPhaseName(img.phase)
+                  << " surviving_lines=" << img.content.size()
+                  << " durable_records=" << img.records.size()
+                  << " torn=" << img.tornRecords << "\n"
+                  << "recovery: replayed=" << rs.recordsReplayed
+                  << " counters_repaired=" << rs.countersRepaired
+                  << " unresolved=" << rs.countersUnresolved
+                  << " mappings_invalidated=" << rs.mappingsInvalidated
+                  << " pad_violations=" << check.audit.violations
+                  << (rs.ok ? " ok" : " NOT-OK") << "\n";
+        if (!opt.recoveryJson.empty()) {
+            std::ostringstream os;
+            writeRecoveryJson(os, img, check.recovered);
+            if (!writeFileAtomic(opt.recoveryJson, os.str()))
+                esd_fatal("cannot write '%s'", opt.recoveryJson.c_str());
+            std::cout << "wrote recovery report to " << opt.recoveryJson
+                      << "\n";
+        }
     }
-    const CrashImage &img = *check.image;
-    const RecoverySummary &rs = check.recovered.summary;
-    std::cout << "crash: "
-              << (pipe ? "shard=" + std::to_string(check.shard) + " "
-                       : "")
-              << "write=" << img.crashWriteIndex
-              << " phase=" << crashPhaseName(img.phase)
-              << " surviving_lines=" << img.content.size()
-              << " durable_records=" << img.records.size()
-              << " torn=" << img.tornRecords << "\n"
-              << "recovery: replayed=" << rs.recordsReplayed
-              << " counters_repaired=" << rs.countersRepaired
-              << " unresolved=" << rs.countersUnresolved
-              << " mappings_invalidated=" << rs.mappingsInvalidated
-              << " pad_violations=" << check.audit.violations
-              << (rs.ok ? " ok" : " NOT-OK") << "\n";
-    if (!opt.recoveryJson.empty()) {
-        std::ostringstream os;
-        writeRecoveryJson(os, img, check.recovered);
-        if (!writeFileAtomic(opt.recoveryJson, os.str()))
-            esd_fatal("cannot write '%s'", opt.recoveryJson.c_str());
-        std::cout << "wrote recovery report to " << opt.recoveryJson
-                  << "\n";
-    }
+    if (!check.error.empty())
+        esd_fatal("%s", check.error.c_str());
 }
 
 } // namespace
@@ -569,67 +381,13 @@ main(int argc, char **argv)
     Options opt = parseArgs(argc, argv);
 
     SimConfig cfg;
-    cfg.seed = opt.seed;
     if (!opt.configFile.empty())
         loadConfigFile(cfg, opt.configFile);
-
-    // RAS flags layer over (and enable) whatever the config file set.
-    if (opt.rasRequested())
-        cfg.ras.enabled = true;
-    if (opt.rasReadBer >= 0.0)
-        cfg.ras.readBer = opt.rasReadBer;
-    if (opt.rasWriteBer >= 0.0)
-        cfg.ras.writeBer = opt.rasWriteBer;
-    if (opt.rasPatrolInterval != ~0ull)
-        cfg.ras.patrolIntervalWrites = opt.rasPatrolInterval;
-    if (opt.rasWriteVerify != ~0ull)
-        cfg.ras.writeVerifyRetries = opt.rasWriteVerify;
-
-    // Channel flags layer over the [channels] config section.
-    if (opt.channels != ~0ull)
-        cfg.channels.count = static_cast<unsigned>(opt.channels);
-    if (opt.wpqDepth != ~0ull)
-        cfg.channels.wpqDepth = static_cast<unsigned>(opt.wpqDepth);
-    if (opt.wpqCoalescing >= 0)
-        cfg.channels.wpqCoalescing = opt.wpqCoalescing != 0;
-
-    // The ECC engine flag layers over the [ecc] config section.
-    if (!opt.eccEngine.empty())
-        cfg.ecc.engine = parseEccEngine("-ecc", opt.eccEngine);
-
-    // Persistence flags layer over (and enable) the [persistence]
-    // section; -persist=0 force-disables whatever the file set.
-    if (opt.persistRequested())
-        cfg.persist.enabled = true;
-    if (opt.persist == 0)
-        cfg.persist.enabled = false;
-    if (!opt.persistDomain.empty())
-        cfg.persist.domain =
-            parsePersistDomain("-persist-domain", opt.persistDomain);
-    if (opt.persistEpochWrites != ~0ull)
-        cfg.persist.epochWrites = opt.persistEpochWrites;
-    if (opt.persistCheckpointEpochs != ~0ull)
-        cfg.persist.checkpointEpochs = opt.persistCheckpointEpochs;
-    if (opt.persistCounterSlack != ~0ull)
-        cfg.persist.counterSlack = opt.persistCounterSlack;
-    if (opt.persistCrashAt != ~0ull)
-        cfg.persist.crashAtWrite = opt.persistCrashAt;
-    if (!opt.persistCrashPhase.empty())
-        cfg.persist.crashPhase =
-            parseCrashPhase("-persist-crash-phase", opt.persistCrashPhase);
+    opt.config.apply(cfg);
     if (!opt.recoveryJson.empty() &&
         (!cfg.persist.enabled || cfg.persist.crashAtWrite == 0))
         esd_fatal("-recovery-json requires an injected crash "
                   "(-persist-crash-at=N)");
-
-    // Trace flags layer over the [trace] config section.
-    if (!opt.traceFormat.empty())
-        cfg.trace.format =
-            parseTraceFormat("-trace-format", opt.traceFormat);
-    if (opt.tracePayload >= 0)
-        cfg.trace.linePayload = opt.tracePayload != 0;
-    if (opt.traceReadAhead != ~0ull)
-        cfg.trace.readAhead = opt.traceReadAhead;
 
     if (opt.dumpConfig) {
         std::cout << renderConfig(cfg);
@@ -655,7 +413,7 @@ main(int argc, char **argv)
         trace = std::make_unique<TraceFrontend>(opt.traceIn, cfg.trace);
     else
         trace =
-            std::make_unique<SyntheticWorkload>(findApp(opt.app), opt.seed);
+            std::make_unique<SyntheticWorkload>(findApp(opt.app), cfg.seed);
 
     // Trace files replay to exhaustion with no warmup unless -records /
     // -warmup are given explicitly (replaying a captured run passes the
@@ -717,8 +475,7 @@ main(int argc, char **argv)
         if (!opt.statsJson.empty()) {
             std::ostringstream out;
             pipe.writeReport(out, /*indent=*/2,
-                             opt.histBuckets ||
-                                 cfg.telemetry.histogramBuckets);
+                             cfg.telemetry.histogramBuckets);
             if (!writeFileAtomic(opt.statsJson, out.str()))
                 esd_fatal("cannot write '%s'", opt.statsJson.c_str());
             std::cout << "wrote pipeline stats report ("
@@ -731,28 +488,18 @@ main(int argc, char **argv)
 
     Simulator sim(cfg, opt.scheme);
 
-    // Flags layer over the [telemetry] config section.
-    std::uint64_t trace_cap = opt.traceCap != ~0ull
-                                  ? opt.traceCap
-                                  : cfg.telemetry.traceRingCapacity;
-    if (!opt.traceOut.empty() && trace_cap == 0)
-        esd_fatal("-trace-ring must be > 0 when -trace-out= is set");
-    WriteEventTrace events(std::max<std::size_t>(trace_cap, 1));
+    WriteEventTrace events(cfg.telemetry.traceRingCapacity);
     if (!opt.traceOut.empty())
         sim.setEventTrace(&events);
 
     SpanTrace spans(cfg.telemetry.spanBufferCap,
-                    opt.spanEvery != ~0ull
-                        ? opt.spanEvery
-                        : cfg.telemetry.spanSampleEvery);
+                    cfg.telemetry.spanSampleEvery);
     if (!opt.spansOut.empty())
         sim.setSpanTrace(&spans);
 
     if (!opt.metricsOut.empty())
-        sim.enableMetricsExposition(
-            opt.metricsOut, opt.metricsEvery != ~0ull
-                                ? opt.metricsEvery
-                                : cfg.telemetry.metricsEveryWrites);
+        sim.enableMetricsExposition(opt.metricsOut,
+                                    cfg.telemetry.metricsEveryWrites);
 
     if (!opt.latencyOut.empty())
         sim.enableRawLatencySamples();
@@ -783,8 +530,7 @@ main(int argc, char **argv)
         std::ostringstream out;
         writeStatsReport(out, cfg, r, sim.statRegistry(),
                          &sim.sampler(), /*indent=*/2,
-                         opt.histBuckets ||
-                             cfg.telemetry.histogramBuckets);
+                         cfg.telemetry.histogramBuckets);
         if (!writeFileAtomic(opt.statsJson, out.str()))
             esd_fatal("cannot write '%s'", opt.statsJson.c_str());
         std::cout << "wrote stats report (" << sim.statRegistry().size()

@@ -7,6 +7,12 @@
  *   esd_sweep [-sweep scheme=0..5,channels=1,2,8] [-jobs=N]
  *             [-records=N] [-warmup=N] [-seed=N]
  *             [-ConfigFile=path] [-out=sweep.json]
+ *             [-<section>.<key>=V | config-flag alias]...
+ *
+ * Config flags (common/config_io.hh, ConfigFlags) lay over -ConfigFile=
+ * and set the base config of every job; swept dimensions then override
+ * it. -seed= is not the config key here but the base seed that job
+ * seeds derive from (default: the config's seed).
  *
  * The merged report is byte-identical for any -jobs value (enforced by
  * test_sweep_determinism): job seeds derive from (seed, job index),
@@ -38,6 +44,7 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string out_path = "sweep.json";
     std::string config_file;
+    ConfigFlags config_flags;
     SweepGrid grid;
 
     for (int i = 1; i < argc; ++i) {
@@ -63,7 +70,7 @@ main(int argc, char **argv)
             std::string err;
             if (!parseSweepSpec(arg.substr(7), grid, &err))
                 esd_fatal("bad -sweep spec: %s", err.c_str());
-        } else {
+        } else if (!config_flags.take(arg)) {
             esd_fatal("unknown argument '%s'", arg.c_str());
         }
     }
@@ -71,6 +78,7 @@ main(int argc, char **argv)
     SimConfig cfg;
     if (!config_file.empty())
         loadConfigFile(cfg, config_file);
+    config_flags.apply(cfg);
     if (!seed_set)
         base_seed = cfg.seed;
 

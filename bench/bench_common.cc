@@ -189,12 +189,12 @@ warmRunCache(const std::vector<std::string> &apps,
 {
     ensureDumpRegistered();
 
-    std::vector<exec::SweepJob> jobs;
+    std::vector<exec::JobSpec> jobs;
     for (const std::string &app : apps) {
         for (SchemeKind k : kinds) {
             if (runCache().count({app, static_cast<int>(k)}))
                 continue;
-            exec::SweepJob job;
+            exec::JobSpec job;
             job.app = app;
             job.scheme = k;
             job.cfg = benchConfig();

@@ -37,10 +37,10 @@ main(int argc, char **argv)
 
     const std::vector<std::string> apps = {"mcf", "lbm", "gcc",
                                            "deepsjeng"};
-    std::vector<SweepJob> grid;
+    std::vector<JobSpec> grid;
     for (const std::string &app : apps) {
         for (SchemeKind k : allSchemeKindsExtended()) {
-            SweepJob job;
+            JobSpec job;
             job.app = app;
             job.scheme = k;
             job.cfg = bench::benchConfig();

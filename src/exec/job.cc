@@ -1,0 +1,94 @@
+#include "exec/job.hh"
+
+#include "common/cli_flags.hh"
+#include "common/logging.hh"
+#include "trace/trace_frontend.hh"
+#include "trace/workloads.hh"
+
+namespace esd::exec
+{
+
+std::unique_ptr<TraceSource>
+openSource(const JobSpec &spec)
+{
+    if (!spec.traceFile.empty())
+        return std::make_unique<TraceFrontend>(spec.traceFile,
+                                               spec.cfg.trace);
+    return std::make_unique<SyntheticWorkload>(findApp(spec.app),
+                                               spec.cfg.seed);
+}
+
+bool
+JobFlags::take(const std::string &arg)
+{
+    auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
+    if (arg.rfind("-records=", 0) == 0) {
+        records_ = parseU64("-records", value());
+        recordsGiven_ = true;
+    } else if (arg.rfind("-warmup=", 0) == 0) {
+        warmup_ = parseU64("-warmup", value());
+        warmupGiven_ = true;
+    } else if (arg.rfind("-workers=", 0) == 0) {
+        std::uint64_t w = parseU64("-workers", value());
+        if (w < 1 || w > 256)
+            esd_fatal("-workers: %llu out of range [1, 256]",
+                      static_cast<unsigned long long>(w));
+        workers_ = static_cast<unsigned>(w);
+    } else {
+        return false;
+    }
+    return true;
+}
+
+void
+JobFlags::applyTo(JobSpec &spec) const
+{
+    // Replaying a captured run passes the original -warmup= to
+    // reproduce its stats byte-for-byte.
+    bool file_input = !spec.traceFile.empty();
+    spec.records = !file_input || recordsGiven_ ? records_ : 0;
+    spec.warmup = !file_input || warmupGiven_ ? warmup_ : 0;
+    spec.workers = workers_;
+}
+
+Job::Job(const JobSpec &spec) : spec_(spec)
+{
+    if (spec_.workers >= 1) {
+        pipe_ = std::make_unique<ShardedPipeline>(spec_.cfg, spec_.scheme,
+                                                  spec_.workers);
+        for (unsigned s = 0; s < pipe_->shardCount(); ++s)
+            sims_.push_back(&pipe_->shard(s));
+    } else {
+        sim_ = std::make_unique<Simulator>(spec_.cfg, spec_.scheme);
+        sims_.push_back(sim_.get());
+    }
+}
+
+const RunResult &
+Job::run(TraceSource &trace)
+{
+    if (pipe_)
+        return pipe_->run(trace, spec_.records, spec_.warmup);
+    result_ = sim_->run(trace, spec_.records, spec_.warmup);
+    return result_;
+}
+
+CrashCheck
+Job::checkInjectedCrash() const
+{
+    return pipe_ ? pipe_->checkInjectedCrash()
+                 : esd::checkInjectedCrash(*sim_, spec_.cfg);
+}
+
+void
+Job::writeReport(std::ostream &os, int indent) const
+{
+    const bool buckets = spec_.cfg.telemetry.histogramBuckets;
+    if (pipe_)
+        pipe_->writeReport(os, indent, buckets);
+    else
+        writeStatsReport(os, spec_.cfg, result_, sim_->statRegistry(),
+                         &sim_->sampler(), indent, buckets);
+}
+
+} // namespace esd::exec

@@ -147,7 +147,7 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
     return true;
 }
 
-std::vector<SweepJob>
+std::vector<JobSpec>
 expandGrid(const SweepGrid &grid, const SimConfig &base,
            std::uint64_t records, std::uint64_t warmup,
            std::uint64_t base_seed)
@@ -165,14 +165,14 @@ expandGrid(const SweepGrid &grid, const SimConfig &base,
     if (wpq.empty())
         wpq.push_back(base.channels.wpqDepth);
 
-    std::vector<SweepJob> jobs;
+    std::vector<JobSpec> jobs;
     jobs.reserve(apps.size() * schemes.size() * channels.size() *
                  wpq.size());
     for (const std::string &app : apps) {
         for (SchemeKind k : schemes) {
             for (unsigned ch : channels) {
                 for (unsigned d : wpq) {
-                    SweepJob job;
+                    JobSpec job;
                     job.app = app;
                     job.scheme = k;
                     job.cfg = base;

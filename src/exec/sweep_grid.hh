@@ -56,7 +56,7 @@ bool parseSweepSpec(const std::string &spec, SweepGrid &grid,
  * schemes to all six when unswept. Job i's seed is
  * deriveJobSeed(base_seed, i).
  */
-std::vector<SweepJob> expandGrid(const SweepGrid &grid,
+std::vector<JobSpec> expandGrid(const SweepGrid &grid,
                                  const SimConfig &base,
                                  std::uint64_t records,
                                  std::uint64_t warmup,

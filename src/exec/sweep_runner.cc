@@ -8,11 +8,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/stat_registry.hh"
-#include "core/run_report.hh"
-#include "exec/pipeline.hh"
-#include "trace/trace_frontend.hh"
-#include "trace/workloads.hh"
 
 namespace esd::exec
 {
@@ -22,7 +17,7 @@ namespace
 
 /** Job-identity preamble shared by report and error fragments. */
 void
-writeJobIdentity(JsonWriter &w, const SweepJob &job, std::size_t index)
+writeJobIdentity(JsonWriter &w, const JobSpec &job, std::size_t index)
 {
     w.kv("index", static_cast<std::uint64_t>(index));
     w.kv("app", job.app);
@@ -39,84 +34,50 @@ writeJobIdentity(JsonWriter &w, const SweepJob &job, std::size_t index)
 
 /** Run one grid point start to finish on the calling thread. */
 SweepOutcome
-runOneJob(const SweepJob &job, std::size_t index)
+runOneJob(const JobSpec &spec, std::size_t index)
 {
     auto t0 = std::chrono::steady_clock::now();
 
     SweepOutcome out;
+    std::string report;
     try {
-        std::unique_ptr<TraceSource> trace_owner;
-        if (!job.traceFile.empty())
-            trace_owner = std::make_unique<TraceFrontend>(
-                job.traceFile, job.cfg.trace);
-        else
-            trace_owner = std::make_unique<SyntheticWorkload>(
-                findApp(job.app), job.cfg.seed);
-        TraceSource &trace = *trace_owner;
-        std::string rep_str;
-        if (job.pipelineWorkers >= 1) {
-            // Sharded intra-simulation pipeline: the job still owns
-            // its whole world (pipeline included), so jobs stay
-            // shared-nothing across the sweep pool.
-            ShardedPipeline pipe(job.cfg, job.scheme,
-                                 job.pipelineWorkers);
-            out.result = pipe.run(trace, job.records, job.warmup);
-            out.error = pipe.checkInjectedCrash().error;
-            out.ok = out.error.empty();
-            if (out.ok) {
-                std::ostringstream rep;
-                pipe.writeReport(rep, /*indent=*/0);
-                rep_str = rep.str();
-            }
-        } else {
-            Simulator sim(job.cfg, job.scheme);
-            out.result = sim.run(trace, job.records, job.warmup);
-            // A crash-injected job whose self-check fails is a job
-            // failure, not a quiet row of crash-tainted numbers.
-            out.error = checkInjectedCrash(sim, job.cfg).error;
-            out.ok = out.error.empty();
-            if (out.ok) {
-                // Per-job report fragment, serialized here while the
-                // job's StatRegistry is alive. Compact (indent 0) so
-                // the merged document stays one line per job.
-                std::ostringstream rep;
-                writeStatsReport(rep, job.cfg, out.result,
-                                 sim.statRegistry(), nullptr,
-                                 /*indent=*/0);
-                rep_str = rep.str();
-            }
-        }
-
+        std::unique_ptr<TraceSource> trace = openSource(spec);
+        Job job(spec);
+        out.result = job.run(*trace);
+        // A crash-injected job whose self-check fails is a job
+        // failure, not a quiet row of crash-tainted numbers.
+        out.error = job.checkInjectedCrash().error;
+        out.ok = out.error.empty();
         if (out.ok) {
-            while (!rep_str.empty() && rep_str.back() == '\n')
-                rep_str.pop_back();
-
-            std::ostringstream frag;
-            JsonWriter w(frag, /*indent=*/0);
-            w.beginObject();
-            writeJobIdentity(w, job, index);
-            w.key("report");
-            w.rawValue(rep_str);
-            w.endObject();
-            out.reportJson = frag.str();
+            // Serialized here while the job's registries are alive.
+            // Compact (indent 0) so the merged document stays one line
+            // per job.
+            std::ostringstream rep;
+            job.writeReport(rep, /*indent=*/0);
+            report = rep.str();
+            while (!report.empty() && report.back() == '\n')
+                report.pop_back();
         }
     } catch (const std::exception &e) {
         out.ok = false;
         out.error = e.what();
     }
 
-    if (!out.ok) {
-        // Failed slots keep their grid position with an error fragment
-        // instead of a report — the merged document stays valid JSON
-        // and the failure is machine-readable in place.
-        std::ostringstream frag;
-        JsonWriter w(frag, /*indent=*/0);
-        w.beginObject();
-        writeJobIdentity(w, job, index);
+    // Failed slots keep their grid position with an error fragment
+    // instead of a report — the merged document stays valid JSON and
+    // the failure is machine-readable in place.
+    std::ostringstream frag;
+    JsonWriter w(frag, /*indent=*/0);
+    w.beginObject();
+    writeJobIdentity(w, spec, index);
+    if (out.ok) {
+        w.key("report");
+        w.rawValue(report);
+    } else {
         w.kv("error", out.error);
-        w.endObject();
-        out.reportJson = frag.str();
     }
+    w.endObject();
+    out.reportJson = frag.str();
 
     out.hostSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -149,7 +110,7 @@ SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs)
 }
 
 std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs,
+SweepRunner::run(const std::vector<JobSpec> &jobs,
                  const SweepProgressFn &progress) const
 {
     std::vector<SweepOutcome> out(jobs.size());

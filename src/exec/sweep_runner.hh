@@ -4,11 +4,11 @@
  *
  * Every paper figure and ablation is a grid of independent
  * (application x scheme x config) simulations; SweepRunner executes
- * those grid points on a host thread pool. Each job owns its entire
- * simulated world — config, trace generator (PCG-seeded), Simulator,
- * StatRegistry, PcmDevice — so workers share no mutable state and the
- * merged sweep report is byte-identical whatever the thread count or
- * completion order:
+ * those grid points on a host thread pool, one exec::Job each (job.hh).
+ * Each job owns its entire simulated world — config, trace generator
+ * (PCG-seeded), Simulator or pipeline shards, StatRegistry, PcmDevice —
+ * so workers share no mutable state and the merged sweep report is
+ * byte-identical whatever the thread count or completion order:
  *
  *   - job seeds are fixed by the job list (deriveJobSeed(base, index)
  *     or the caller's explicit cfg.seed), never by scheduling;
@@ -28,33 +28,10 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
-#include "core/simulator.hh"
+#include "exec/job.hh"
 
 namespace esd::exec
 {
-
-/** One grid point: a full simulation the runner owns end to end. */
-struct SweepJob
-{
-    std::string app;          ///< paper application profile name
-    SchemeKind scheme = SchemeKind::Baseline;
-    SimConfig cfg;            ///< complete config incl. the job's seed
-    std::uint64_t records = 0;
-    std::uint64_t warmup = 0;
-
-    /** On-disk trace to replay through the streaming frontend instead
-     * of generating `app` synthetically (esd_batch -trace-in=). Each
-     * job opens its own frontend, so jobs stay shared-nothing. */
-    std::string traceFile;
-
-    /** Intra-simulation pipeline threads (exec/pipeline.hh). 0 keeps
-     * the classic single-Simulator path; >= 1 runs the job through a
-     * ShardedPipeline, whose report fragment uses the pipeline schema
-     * (per-shard results) and is byte-identical at any thread count.
-     * Don't mix modes within one sweep — the two schemas differ. */
-    unsigned pipelineWorkers = 0;
-};
 
 /** What one finished job yields. */
 struct SweepOutcome
@@ -89,10 +66,10 @@ std::uint64_t deriveJobSeed(std::uint64_t base_seed,
 
 /** Serialized progress callback: (job index, job, its result). */
 using SweepProgressFn =
-    std::function<void(std::size_t, const SweepJob &, const RunResult &)>;
+    std::function<void(std::size_t, const JobSpec &, const RunResult &)>;
 
 /**
- * Thread-pooled executor for independent Simulator jobs.
+ * Thread-pooled executor for independent jobs.
  *
  * Workers pull job indices from an atomic cursor and write outcomes
  * into per-job slots, so results always come back in job order
@@ -109,7 +86,7 @@ class SweepRunner
     unsigned jobs() const { return jobs_; }
 
     /** Execute every job; outcomes[i] belongs to jobs[i]. */
-    std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs,
+    std::vector<SweepOutcome> run(const std::vector<JobSpec> &jobs,
                                   const SweepProgressFn &progress =
                                       nullptr) const;
 

@@ -26,6 +26,7 @@
 
 #include "core/run_report.hh"
 #include "core/simulator.hh"
+#include "exec/job.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -55,19 +56,23 @@ loadGolden(int scheme)
     return buf.str();
 }
 
-/** The exact pipeline `esd_sim -scheme=K -app=mcf -records=20000
- * -warmup=4000 -stats-interval=5000 -stats-json=...` runs. */
+/** The run `esd_sim -scheme=K -app=mcf -records=20000 -warmup=4000
+ * -stats-interval=5000 -stats-json=...` makes: the same JobSpec, the
+ * interval sampler esd_sim attaches, and the report exec::Job writes. */
 std::string
 renderReport(SchemeKind kind)
 {
-    SimConfig cfg;
-    cfg.seed = kSeed;
-    Simulator sim(cfg, kind);
-    sim.enableIntervalSampling(kInterval);
-    SyntheticWorkload trace(findApp("mcf"), kSeed);
-    RunResult r = sim.run(trace, kRecords, kWarmup);
+    exec::JobSpec spec;
+    spec.app = "mcf";
+    spec.scheme = kind;
+    spec.cfg.seed = kSeed;
+    spec.records = kRecords;
+    spec.warmup = kWarmup;
+    exec::Job job(spec);
+    job.simulators().front()->enableIntervalSampling(kInterval);
+    job.run(*exec::openSource(spec));
     std::ostringstream os;
-    writeStatsReport(os, cfg, r, sim.statRegistry(), &sim.sampler());
+    job.writeReport(os, /*indent=*/2);
     return os.str();
 }
 

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cmath>
+#include <fstream>
+#include <sstream>
+
+#include "common/atomic_file.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -246,6 +253,57 @@ TEST(Logging, WarnCountsAndQuiet)
 TEST(Logging, FormatProducesPrintfOutput)
 {
     EXPECT_EQ(detail::format("x=%d s=%s", 5, "abc"), "x=5 s=abc");
+}
+
+/** A fresh private directory under the test temp dir. */
+std::string
+makeTempDir()
+{
+    std::string dir = ::testing::TempDir() + "esd_atomic_XXXXXX";
+    EXPECT_NE(::mkdtemp(dir.data()), nullptr);
+    return dir;
+}
+
+TEST(AtomicFile, RegularTargetIsReplacedWhole)
+{
+    const std::string dir = makeTempDir();
+    const std::string path = dir + "/report.json";
+    ASSERT_TRUE(writeFileAtomic(path, "first, and longer\n"));
+    ASSERT_TRUE(writeFileAtomic(path, "second\n"));
+
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), "second\n");
+    EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+    ::unlink(path.c_str());
+    ::rmdir(dir.c_str());
+}
+
+TEST(AtomicFile, FifoTargetIsWrittenInPlace)
+{
+    const std::string dir = makeTempDir();
+    const std::string fifo = dir + "/report.fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    // An open reader lets the writer's open() return at once.
+    int rd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(rd, 0);
+
+    const std::string body = "{\"ok\": true}\n";
+    EXPECT_TRUE(writeFileAtomic(fifo, body));
+
+    struct stat st;
+    ASSERT_EQ(::stat(fifo.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISFIFO(st.st_mode));
+    std::string got(256, '\0');
+    ssize_t n = ::read(rd, got.data(), got.size());
+    ASSERT_GT(n, 0);
+    got.resize(static_cast<std::size_t>(n));
+    EXPECT_EQ(got, body);
+
+    ::close(rd);
+    ::unlink(fifo.c_str());
+    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 
 #include "common/json.hh"
 #include "common/write_trace.hh"
-#include "core/cpu_system.hh"
 #include "core/run_report.hh"
 #include "core/simulator.hh"
 #include "metrics/prometheus.hh"
@@ -347,22 +346,6 @@ TEST(Prometheus, TextExpositionCoversEveryKind)
               std::string::npos);
     EXPECT_NE(text.find("esd_scheme_write_latency_sum 5050"),
               std::string::npos);
-}
-
-TEST(Observability, CpuSystemRegistersCacheHierarchy)
-{
-    CpuSystem sys(fastConfig(), SchemeKind::Esd);
-    const StatRegistry &reg = sys.statRegistry();
-    for (const char *name :
-         {"cache.l1.hits", "cache.l2.misses", "cache.l3.hit_rate",
-          "cache.amt.cache_hits", "esd.efit.hits", "pcm.reads"})
-        EXPECT_TRUE(reg.has(name)) << name;
-
-    CacheLine data;
-    data.setWord(0, 1);
-    sys.store(0x1000, data);
-    sys.load(0x1000);
-    EXPECT_GT(reg.scalar("cache.l1.hits"), 0.0);
 }
 
 } // namespace

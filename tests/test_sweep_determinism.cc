@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "exec/sweep_grid.hh"
 #include "exec/sweep_runner.hh"
 #include "trace/workloads.hh"
@@ -23,18 +24,18 @@ namespace
 {
 
 using exec::SweepGrid;
-using exec::SweepJob;
+using exec::JobSpec;
 using exec::SweepOutcome;
 using exec::SweepRunner;
 
 /** All six schemes over one app — small enough for TSan, rich enough
  * that every scheme's write/verify/metadata machinery runs. */
-std::vector<SweepJob>
+std::vector<JobSpec>
 goldenJobs()
 {
-    std::vector<SweepJob> jobs;
+    std::vector<JobSpec> jobs;
     for (SchemeKind k : allSchemeKindsExtended()) {
-        SweepJob job;
+        JobSpec job;
         job.app = "mcf";
         job.scheme = k;
         job.cfg = SimConfig{};
@@ -49,7 +50,7 @@ goldenJobs()
 }
 
 std::string
-mergedReport(const std::vector<SweepJob> &jobs, unsigned workers)
+mergedReport(const std::vector<JobSpec> &jobs, unsigned workers)
 {
     SweepRunner runner(workers);
     std::vector<SweepOutcome> outcomes = runner.run(jobs);
@@ -60,7 +61,7 @@ mergedReport(const std::vector<SweepJob> &jobs, unsigned workers)
 
 TEST(SweepDeterminism, ParallelByteIdenticalToSerial)
 {
-    std::vector<SweepJob> jobs = goldenJobs();
+    std::vector<JobSpec> jobs = goldenJobs();
     std::string serial = mergedReport(jobs, 1);
     std::string parallel = mergedReport(jobs, 8);
     ASSERT_EQ(serial, parallel)
@@ -70,7 +71,7 @@ TEST(SweepDeterminism, ParallelByteIdenticalToSerial)
 
 TEST(SweepDeterminism, RepeatedRunsByteIdentical)
 {
-    std::vector<SweepJob> jobs = goldenJobs();
+    std::vector<JobSpec> jobs = goldenJobs();
     std::string first = mergedReport(jobs, 8);
     for (int repeat = 0; repeat < 3; ++repeat) {
         std::string again = mergedReport(jobs, 8);
@@ -82,7 +83,7 @@ TEST(SweepDeterminism, RepeatedRunsByteIdentical)
 
 TEST(SweepDeterminism, ReportIndependentOfOddWorkerCounts)
 {
-    std::vector<SweepJob> jobs = goldenJobs();
+    std::vector<JobSpec> jobs = goldenJobs();
     std::string serial = mergedReport(jobs, 1);
     for (unsigned workers : {2u, 3u, 5u}) {
         std::string other = mergedReport(jobs, workers);
@@ -104,9 +105,9 @@ TEST(SweepRunner, OutcomesInJobOrderRegardlessOfCompletion)
 {
     // Front-load a long job so short jobs finish first under any
     // scheduling; outcome slots must still match job slots.
-    std::vector<SweepJob> jobs;
+    std::vector<JobSpec> jobs;
     for (unsigned i = 0; i < 6; ++i) {
-        SweepJob job;
+        JobSpec job;
         job.app = "mcf";
         job.scheme = i == 0 ? SchemeKind::Esd : SchemeKind::Baseline;
         job.cfg = SimConfig{};
@@ -130,9 +131,9 @@ TEST(SweepRunner, FailedJobKeepsSlotAndSurfacesInReport)
     // Job 1 injects a crash but forbids counter probing, so recovery
     // must fail; the slot keeps its position, carries the error, and
     // the merged report names the failure instead of dropping it.
-    std::vector<SweepJob> jobs;
+    std::vector<JobSpec> jobs;
     for (unsigned i = 0; i < 3; ++i) {
-        SweepJob job;
+        JobSpec job;
         job.app = "mcf";
         job.scheme = SchemeKind::Esd;
         job.cfg = SimConfig{};
@@ -171,12 +172,35 @@ TEST(SweepRunner, FailedJobKeepsSlotAndSurfacesInReport)
     EXPECT_EQ(green.str().find("failed_jobs"), std::string::npos);
 }
 
+TEST(SweepRunner, HistogramBucketsReachTheFragmentInBothModes)
+{
+    // telemetry.histogram_buckets (-hist-buckets) widens a sweep job's
+    // report exactly as it widens esd_sim's, single or pipelined.
+    for (unsigned workers : {0u, 2u}) {
+        for (bool buckets : {false, true}) {
+            JobSpec job = goldenJobs()[0];
+            job.workers = workers;
+            job.cfg.telemetry.histogramBuckets = buckets;
+            std::vector<SweepOutcome> out = SweepRunner(1).run({job});
+            ASSERT_TRUE(out[0].ok) << out[0].error;
+            JsonValue frag;
+            ASSERT_TRUE(tryParseJson(out[0].reportJson, frag));
+            const JsonValue *lat = frag.find("report")
+                                       ->find("result")
+                                       ->find("write_latency");
+            ASSERT_NE(lat, nullptr);
+            EXPECT_EQ(buckets, lat->find("buckets") != nullptr)
+                << "workers=" << workers;
+        }
+    }
+}
+
 TEST(SweepRunner, ProgressFiresOncePerJobWithMatchingIndex)
 {
-    std::vector<SweepJob> jobs = goldenJobs();
+    std::vector<JobSpec> jobs = goldenJobs();
     std::set<std::size_t> seen;
     SweepRunner runner(8);
-    runner.run(jobs, [&](std::size_t index, const SweepJob &job,
+    runner.run(jobs, [&](std::size_t index, const JobSpec &job,
                          const RunResult &r) {
         // Callback runs under the runner's mutex: plain set insert.
         EXPECT_TRUE(seen.insert(index).second)
@@ -273,7 +297,7 @@ TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)
                                      grid, &err))
         << err;
     SimConfig base;
-    std::vector<SweepJob> jobs =
+    std::vector<JobSpec> jobs =
         exec::expandGrid(grid, base, 1000, 100, 42);
     ASSERT_EQ(8u, jobs.size());
     // app-major, then scheme, then channels.

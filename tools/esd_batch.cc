@@ -71,12 +71,9 @@ knownAppNames()
 int
 main(int argc, char **argv)
 {
-    std::uint64_t records = 100000;
-    std::uint64_t warmup = 20000;
-    bool records_given = false;
-    bool warmup_given = false;
+    exec::JobFlags run_flags(/*default_records=*/100000,
+                             /*default_warmup=*/20000);
     unsigned jobs = 1;
-    unsigned workers = 0;  ///< 0 = classic single-Simulator jobs
     std::string out_path = "results.csv";
     std::string config_file;
     std::string trace_in;
@@ -86,22 +83,12 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("-records=", 0) == 0) {
-            records = parseU64("-records", arg.substr(9));
-            records_given = true;
-        } else if (arg.rfind("-warmup=", 0) == 0) {
-            warmup = parseU64("-warmup", arg.substr(8));
-            warmup_given = true;
-        } else if (arg.rfind("-trace-in=", 0) == 0) {
+        if (run_flags.take(arg))
+            continue;
+        if (arg.rfind("-trace-in=", 0) == 0) {
             trace_in = arg.substr(10);
         } else if (arg.rfind("-jobs=", 0) == 0) {
             jobs = static_cast<unsigned>(parseU64("-jobs", arg.substr(6)));
-        } else if (arg.rfind("-workers=", 0) == 0) {
-            std::uint64_t w = parseU64("-workers", arg.substr(9));
-            if (w < 1 || w > 256)
-                esd_fatal("-workers: %llu out of range [1, 256]",
-                          static_cast<unsigned long long>(w));
-            workers = static_cast<unsigned>(w);
         } else if (arg.rfind("-out=", 0) == 0) {
             out_path = arg.substr(5);
         } else if (arg.rfind("-ConfigFile=", 0) == 0) {
@@ -132,10 +119,6 @@ main(int argc, char **argv)
         // Sniffing validates up front that the file opens; a typo'd
         // path must exit non-zero before any simulation runs.
         detectTraceFormat(trace_in);
-        if (!records_given)
-            records = 0;
-        if (!warmup_given)
-            warmup = 0;
     }
     if (apps.empty() && trace_in.empty()) {
         for (const AppProfile &p : paperApps())
@@ -148,11 +131,16 @@ main(int argc, char **argv)
             esd_fatal("unknown application '%s' in -apps= (valid: %s)",
                       app.c_str(), knownAppNames().c_str());
     }
+    // Trace replay: one job per scheme, each streaming its own frontend
+    // over the same file. The app column carries the trace path so CSV
+    // rows stay self-describing.
+    if (!trace_in.empty())
+        apps = {trace_in};
 
     // Pipeline workers multiply under the sweep pool: -jobs=J each
     // running a -workers=W pipeline is J*W live threads. Refuse plans
     // that oversubscribe the host instead of quietly thrashing it.
-    if (workers >= 1) {
+    if (unsigned workers = run_flags.workers()) {
         unsigned hc = std::thread::hardware_concurrency();
         if (hc == 0)
             hc = 1;
@@ -184,42 +172,23 @@ main(int argc, char **argv)
     // Grid order fixes both the CSV row order and (under -jobs=N) the
     // outcome slots; every pair keeps the historical cfg.seed trace so
     // results stay comparable with serial runs of older versions.
-    std::vector<exec::SweepJob> grid;
-    if (!trace_in.empty()) {
-        // Trace replay: one job per scheme, each streaming its own
-        // frontend over the same file. The app column carries the
-        // trace path so CSV rows stay self-describing.
-        grid.reserve(schemes.size());
+    std::vector<exec::JobSpec> grid;
+    grid.reserve(apps.size() * schemes.size());
+    for (const std::string &app : apps) {
         for (SchemeKind k : schemes) {
-            exec::SweepJob job;
-            job.app = trace_in;
+            exec::JobSpec job;
+            job.app = app;
             job.traceFile = trace_in;
             job.scheme = k;
             job.cfg = cfg;
-            job.records = records;
-            job.warmup = warmup;
-            job.pipelineWorkers = workers;
+            run_flags.applyTo(job);
             grid.push_back(std::move(job));
-        }
-    } else {
-        grid.reserve(apps.size() * schemes.size());
-        for (const std::string &app : apps) {
-            for (SchemeKind k : schemes) {
-                exec::SweepJob job;
-                job.app = app;
-                job.scheme = k;
-                job.cfg = cfg;
-                job.records = records;
-                job.warmup = warmup;
-                job.pipelineWorkers = workers;
-                grid.push_back(std::move(job));
-            }
         }
     }
 
     exec::SweepRunner runner(jobs);
     std::vector<exec::SweepOutcome> outcomes = runner.run(
-        grid, [](std::size_t, const exec::SweepJob &job,
+        grid, [](std::size_t, const exec::JobSpec &job,
                  const RunResult &r) {
             std::cout << job.app << " / " << r.schemeName << " done\n";
         });
@@ -227,7 +196,7 @@ main(int argc, char **argv)
     std::uint64_t failed = 0;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const RunResult &r = outcomes[i].result;
-        const exec::SweepJob &job = grid[i];
+        const exec::JobSpec &job = grid[i];
         if (!outcomes[i].ok) {
             // A failed job keeps its grid slot as a comment row: the
             // CSV stays aligned with the grid and the failure is

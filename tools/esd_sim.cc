@@ -77,9 +77,9 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,11 +90,9 @@
 #include "common/logging.hh"
 #include "common/write_trace.hh"
 #include "core/run_report.hh"
-#include "core/simulator.hh"
-#include "exec/pipeline.hh"
+#include "exec/job.hh"
 #include "metrics/report.hh"
 #include "trace/trace_capture.hh"
-#include "trace/trace_frontend.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -104,11 +102,9 @@ using namespace esd;
 
 struct Options
 {
-    SchemeKind scheme = SchemeKind::Esd;
+    exec::JobSpec spec;  ///< scheme, app | trace file; cfg built in main
     std::string configFile;
     ConfigFlags config;  ///< config-key flags, applied over the file
-    std::string app;
-    std::string traceIn;  ///< -trace-in= or its alias -InputFile=
     std::string captureOut;
     std::string latencyOut;
     std::string statsJson;
@@ -117,11 +113,7 @@ struct Options
     std::string metricsOut;
     std::string recoveryJson;
     std::uint64_t statsInterval = 10000;
-    std::uint64_t records = 200000;
-    std::uint64_t warmup = 40000;
-    bool recordsGiven = false;  ///< file input defaults differ
-    bool warmupGiven = false;
-    std::uint64_t workers = ~0ull;  ///< given at all = pipeline mode
+    exec::JobFlags run{/*default_records=*/200000, /*default_warmup=*/40000};
     bool dumpConfig = false;
     bool profile = false;
 };
@@ -159,36 +151,28 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
+    opt.spec.scheme = SchemeKind::Esd;  // without -scheme=
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&](const char *prefix) -> std::string {
             return arg.substr(std::string(prefix).size());
         };
+        if (opt.run.take(arg))
+            continue;
         if (arg.rfind("-scheme=", 0) == 0) {
-            opt.scheme = parseSchemeKind(value("-scheme="));
+            opt.spec.scheme = parseSchemeKind(value("-scheme="));
         } else if (arg.rfind("-ConfigFile=", 0) == 0) {
             opt.configFile = value("-ConfigFile=");
         } else if (arg.rfind("-trace-in=", 0) == 0 ||
                    arg.rfind("-InputFile=", 0) == 0) {
-            if (!opt.traceIn.empty())
+            if (!opt.spec.traceFile.empty())
                 esd_fatal("trace file given twice (-InputFile= is an "
                           "alias of -trace-in=)");
-            opt.traceIn = arg.substr(arg.find('=') + 1);
+            opt.spec.traceFile = arg.substr(arg.find('=') + 1);
         } else if (arg.rfind("-app=", 0) == 0) {
-            opt.app = value("-app=");
+            opt.spec.app = value("-app=");
         } else if (arg.rfind("-capture-out=", 0) == 0) {
             opt.captureOut = value("-capture-out=");
-        } else if (arg.rfind("-records=", 0) == 0) {
-            opt.records = parseU64("-records", value("-records="));
-            opt.recordsGiven = true;
-        } else if (arg.rfind("-warmup=", 0) == 0) {
-            opt.warmup = parseU64("-warmup", value("-warmup="));
-            opt.warmupGiven = true;
-        } else if (arg.rfind("-workers=", 0) == 0) {
-            opt.workers = parseU64("-workers", value("-workers="));
-            if (opt.workers < 1 || opt.workers > 256)
-                esd_fatal("-workers: %llu out of range [1, 256]",
-                          static_cast<unsigned long long>(opt.workers));
         } else if (arg.rfind("-latency-out=", 0) == 0) {
             opt.latencyOut = value("-latency-out=");
         } else if (arg.rfind("-stats-json=", 0) == 0) {
@@ -220,19 +204,31 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * The console summary of a finished run, in both modes: the metric
+ * Publish one export, rendered in memory, through writeFileAtomic: a
+ * reader never sees a torn file, even if we die mid-write, and a failed
+ * write exits non-zero.
+ */
+void
+publish(const std::string &path, const std::string &body)
+{
+    if (!writeFileAtomic(path, body))
+        esd_fatal("cannot write '%s'", path.c_str());
+}
+
+/**
+ * The console summary of a finished @p job, in both modes: the metric
  * table, the -profile table, and the ras:/persist:/crash: lines summed
- * over @p shards — a single Simulator is one shard. @p pipe is the
- * pipeline that drove the shards, or nullptr for a single-simulator
- * run. @p check is the run's crash self-check: prints its crash: and
- * recovery: lines, writes -recovery-json off it, then dies when the
- * check failed (crash never fired, recovery NOT-OK, pad reuse).
+ * over the job's simulators. Then the job's crash self-check: prints
+ * its crash: and recovery: lines, writes -recovery-json off it, and
+ * dies when the check failed (crash never fired, recovery NOT-OK, pad
+ * reuse).
  */
 void
 printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
-             const std::vector<Simulator *> &shards,
-             const exec::ShardedPipeline *pipe, const CrashCheck &check)
+             const exec::Job &job)
 {
+    const std::vector<Simulator *> &shards = job.simulators();
+    const auto *pipe = job.pipeline();
     std::cout << "scheme: " << r.schemeName << "\n"
               << "records: " << r.records << " (" << r.logicalWrites
               << " writes, " << r.logicalReads << " reads)\n";
@@ -343,6 +339,7 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
               << " checkpoints=" << checkpoints
               << " barrier_ns=" << barrier_ns << "\n";
 
+    const CrashCheck check = job.checkInjectedCrash();
     if (check.image) {
         const CrashImage &img = *check.image;
         const RecoverySummary &rs = check.recovered.summary;
@@ -363,8 +360,7 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
         if (!opt.recoveryJson.empty()) {
             std::ostringstream os;
             writeRecoveryJson(os, img, check.recovered);
-            if (!writeFileAtomic(opt.recoveryJson, os.str()))
-                esd_fatal("cannot write '%s'", opt.recoveryJson.c_str());
+            publish(opt.recoveryJson, os.str());
             std::cout << "wrote recovery report to " << opt.recoveryJson
                       << "\n";
         }
@@ -380,7 +376,8 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
 
-    SimConfig cfg;
+    exec::JobSpec &spec = opt.spec;
+    SimConfig &cfg = spec.cfg;
     if (!opt.configFile.empty())
         loadConfigFile(cfg, opt.configFile);
     opt.config.apply(cfg);
@@ -396,55 +393,20 @@ main(int argc, char **argv)
 
     // Exactly one workload source: reject ambiguous combinations up
     // front instead of silently preferring one.
-    if (!opt.traceIn.empty() && !opt.app.empty())
+    if (!spec.traceFile.empty() && !spec.app.empty())
         esd_fatal("-trace-in is incompatible with -app= (the trace is "
                   "the workload)");
-    if (opt.traceIn.empty() && opt.app.empty()) {
+    if (spec.traceFile.empty() && spec.app.empty()) {
         usage();
         esd_fatal("need -app or -trace-in (alias -InputFile)");
     }
     // Capture re-exports a synthetic run; capturing a replayed file
     // would only copy it.
-    if (!opt.captureOut.empty() && opt.app.empty())
+    if (!opt.captureOut.empty() && spec.app.empty())
         esd_fatal("-capture-out requires a synthetic workload (-app=)");
+    opt.run.applyTo(spec);
 
-    std::unique_ptr<TraceSource> trace;
-    if (!opt.traceIn.empty())
-        trace = std::make_unique<TraceFrontend>(opt.traceIn, cfg.trace);
-    else
-        trace =
-            std::make_unique<SyntheticWorkload>(findApp(opt.app), cfg.seed);
-
-    // Trace files replay to exhaustion with no warmup unless -records /
-    // -warmup are given explicitly (replaying a captured run passes the
-    // original -warmup to reproduce its stats byte-for-byte).
-    bool file_input = !opt.traceIn.empty();
-    std::uint64_t records =
-        !file_input || opt.recordsGiven ? opt.records : 0;
-    std::uint64_t warmup =
-        !file_input || opt.warmupGiven ? opt.warmup : 0;
-
-    // Capture tee: the pipeline demux and Simulator::run are each the
-    // sole consumer of the source, so the captured order is exactly
-    // the consumed order in both modes.
-    std::unique_ptr<TraceCaptureWriter> capture;
-    std::unique_ptr<TraceSource> captured_inner;
-    if (!opt.captureOut.empty()) {
-        capture = std::make_unique<TraceCaptureWriter>(opt.captureOut,
-                                                       cfg.trace);
-        captured_inner = std::move(trace);
-        trace = std::make_unique<CapturingSource>(*captured_inner,
-                                                  *capture);
-    }
-    auto finish_capture = [&] {
-        if (!capture)
-            return;
-        capture->close();
-        std::cout << "captured " << capture->count() << " records to "
-                  << opt.captureOut << "\n";
-    };
-
-    if (opt.workers != ~0ull) {
+    if (spec.workers) {
         // Per-write observability exports attach to one Simulator's
         // sinks; they have no deterministic merged form across shards.
         if (!opt.traceOut.empty())
@@ -459,38 +421,31 @@ main(int argc, char **argv)
             esd_fatal("-workers is incompatible with -profile");
         if (!opt.recoveryJson.empty())
             esd_fatal("-workers is incompatible with -recovery-json=");
-
-        // Shard simulators + worker threads in place of the single
-        // Simulator; stats-JSON via the pipeline report (per-shard
-        // fragments, worker-count-free).
-        exec::ShardedPipeline pipe(cfg, opt.scheme,
-                                   static_cast<unsigned>(opt.workers));
-        const RunResult &r = pipe.run(*trace, records, warmup);
-        std::vector<Simulator *> shards;
-        for (unsigned s = 0; s < pipe.shardCount(); ++s)
-            shards.push_back(&pipe.shard(s));
-        printSummary(opt, cfg, r, shards, &pipe,
-                     pipe.checkInjectedCrash());
-
-        if (!opt.statsJson.empty()) {
-            std::ostringstream out;
-            pipe.writeReport(out, /*indent=*/2,
-                             cfg.telemetry.histogramBuckets);
-            if (!writeFileAtomic(opt.statsJson, out.str()))
-                esd_fatal("cannot write '%s'", opt.statsJson.c_str());
-            std::cout << "wrote pipeline stats report ("
-                      << pipe.shardCount() << " shards) to "
-                      << opt.statsJson << "\n";
-        }
-        finish_capture();
-        return 0;
     }
 
-    Simulator sim(cfg, opt.scheme);
+    std::unique_ptr<TraceSource> trace = exec::openSource(spec);
 
-    WriteEventTrace events(cfg.telemetry.traceRingCapacity);
+    // Capture tee: the pipeline demux and Simulator::run are each the
+    // sole consumer of the source, so the captured order is exactly
+    // the consumed order in both modes.
+    std::unique_ptr<TraceCaptureWriter> capture;
+    std::unique_ptr<TraceSource> captured_inner;
+    if (!opt.captureOut.empty()) {
+        capture = std::make_unique<TraceCaptureWriter>(opt.captureOut,
+                                                       cfg.trace);
+        captured_inner = std::move(trace);
+        trace = std::make_unique<CapturingSource>(*captured_inner,
+                                                  *capture);
+    }
+
+    // The single-simulator sinks attach to the job's first simulator;
+    // the checks above keep them out of pipeline mode.
+    exec::Job job(spec);
+    Simulator &sim = *job.simulators().front();
+
+    std::optional<WriteEventTrace> events;
     if (!opt.traceOut.empty())
-        sim.setEventTrace(&events);
+        sim.setEventTrace(&events.emplace(cfg.telemetry.traceRingCapacity));
 
     SpanTrace spans(cfg.telemetry.spanBufferCap,
                     cfg.telemetry.spanSampleEvery);
@@ -503,46 +458,53 @@ main(int argc, char **argv)
 
     if (!opt.latencyOut.empty())
         sim.enableRawLatencySamples();
-    if (!opt.statsJson.empty())
+    // A pipeline samples at its epoch barriers instead ([pipeline]
+    // sample_epochs).
+    if (!opt.statsJson.empty() && !job.pipeline())
         sim.enableIntervalSampling(opt.statsInterval);
     if (opt.profile)
         sim.enableProfiling();
 
-    RunResult r = sim.run(*trace, records, warmup);
-    finish_capture();
-    printSummary(opt, cfg, r, {&sim}, nullptr,
-                 checkInjectedCrash(sim, cfg));
+    const RunResult &r = job.run(*trace);
+    // Closed before the crash self-check can exit, so even a failed
+    // run leaves a complete capture.
+    if (capture) {
+        capture->close();
+        std::cout << "captured " << capture->count() << " records to "
+                  << opt.captureOut << "\n";
+    }
+    printSummary(opt, cfg, r, job);
 
     if (!opt.latencyOut.empty()) {
-        std::ofstream out(opt.latencyOut);
-        if (!out)
-            esd_fatal("cannot open '%s'", opt.latencyOut.c_str());
+        std::ostringstream out;
         for (double v : r.writeLatency.samples())
             out << v << "\n";
+        publish(opt.latencyOut, out.str());
         std::cout << "wrote " << r.writeLatency.count()
                   << " write-latency samples to " << opt.latencyOut
                   << "\n";
     }
 
     if (!opt.statsJson.empty()) {
-        // Rendered in memory and published with an atomic rename: a
-        // reader never sees a torn report, even if we die mid-write.
         std::ostringstream out;
-        writeStatsReport(out, cfg, r, sim.statRegistry(),
-                         &sim.sampler(), /*indent=*/2,
-                         cfg.telemetry.histogramBuckets);
-        if (!writeFileAtomic(opt.statsJson, out.str()))
-            esd_fatal("cannot write '%s'", opt.statsJson.c_str());
-        std::cout << "wrote stats report (" << sim.statRegistry().size()
-                  << " stats, " << sim.sampler().rows().size()
-                  << " interval samples) to " << opt.statsJson << "\n";
+        job.writeReport(out, /*indent=*/2);
+        publish(opt.statsJson, out.str());
+        if (const auto *pipe = job.pipeline())
+            std::cout << "wrote pipeline stats report ("
+                      << pipe->shardCount() << " shards) to "
+                      << opt.statsJson << "\n";
+        else
+            std::cout << "wrote stats report ("
+                      << sim.statRegistry().size() << " stats, "
+                      << sim.sampler().rows().size()
+                      << " interval samples) to " << opt.statsJson
+                      << "\n";
     }
 
     if (!opt.spansOut.empty()) {
         std::ostringstream out;
         spans.writeChromeJson(out);
-        if (!writeFileAtomic(opt.spansOut, out.str()))
-            esd_fatal("cannot write '%s'", opt.spansOut.c_str());
+        publish(opt.spansOut, out.str());
         std::cout << "wrote " << spans.size() << " of "
                   << spans.totalRecorded() << " spans to "
                   << opt.spansOut << "\n";
@@ -553,12 +515,11 @@ main(int argc, char **argv)
                   << " metric snapshots to " << opt.metricsOut << "\n";
 
     if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut);
-        if (!out)
-            esd_fatal("cannot open '%s'", opt.traceOut.c_str());
-        events.writeJsonl(out);
-        std::cout << "wrote " << events.size() << " of "
-                  << events.totalRecorded() << " write events to "
+        std::ostringstream out;
+        events->writeJsonl(out);
+        publish(opt.traceOut, out.str());
+        std::cout << "wrote " << events->size() << " of "
+                  << events->totalRecorded() << " write events to "
                   << opt.traceOut << "\n";
     }
     return 0;

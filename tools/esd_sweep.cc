@@ -82,7 +82,7 @@ main(int argc, char **argv)
     if (!seed_set)
         base_seed = cfg.seed;
 
-    std::vector<SweepJob> grid_jobs =
+    std::vector<JobSpec> grid_jobs =
         expandGrid(grid, cfg, records, warmup, base_seed);
     std::cout << "sweep: " << grid_jobs.size() << " jobs, -jobs="
               << jobs << ", base seed " << base_seed << "\n";
@@ -91,7 +91,7 @@ main(int argc, char **argv)
     SweepRunner runner(jobs);
     std::vector<SweepOutcome> outcomes = runner.run(
         grid_jobs,
-        [](std::size_t index, const SweepJob &job, const RunResult &r) {
+        [](std::size_t index, const JobSpec &job, const RunResult &r) {
             std::cout << "  [" << index << "] " << job.app << " / "
                       << r.schemeName << " ch="
                       << job.cfg.channels.count << " done\n";

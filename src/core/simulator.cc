@@ -3,10 +3,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "dedup/dewrite.hh"
-#include "dedup/dedup_sha1.hh"
-#include "dedup/esd.hh"
-#include "dedup/mapped_scheme.hh"
 
 namespace esd
 {
@@ -173,15 +169,9 @@ Simulator::endRun()
             out.logicalWrites;
     }
 
-    if (auto *esd_s = dynamic_cast<const EsdScheme *>(scheme_.get()))
-        out.fpCacheHitRate = esd_s->efit().stats().hitRate();
-    else if (auto *s1 = dynamic_cast<const DedupSha1Scheme *>(scheme_.get()))
-        out.fpCacheHitRate = s1->fpTable().stats().cacheHitRate();
-    else if (auto *dw = dynamic_cast<const DeWriteScheme *>(scheme_.get()))
-        out.fpCacheHitRate = dw->fpTable().stats().cacheHitRate();
-
-    if (auto *m = dynamic_cast<const MappedDedupScheme *>(scheme_.get()))
-        out.amtCacheHitRate = m->amt().stats().hitRate();
+    MetadataCacheCounts mc = scheme_->metadataCacheCounts();
+    out.fpCacheHitRate = mc.fpHitRate();
+    out.amtCacheHitRate = mc.amtHitRate();
 
     return out;
 }

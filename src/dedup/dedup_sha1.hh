@@ -10,15 +10,13 @@
 #ifndef ESD_DEDUP_DEDUP_SHA1_HH
 #define ESD_DEDUP_DEDUP_SHA1_HH
 
-#include "common/flat_map.hh"
-#include "dedup/fp_table.hh"
-#include "dedup/mapped_scheme.hh"
+#include "dedup/full_index_scheme.hh"
 
 namespace esd
 {
 
 /** SHA-1 full deduplication. */
-class DedupSha1Scheme : public MappedDedupScheme
+class DedupSha1Scheme : public FullIndexScheme
 {
   public:
     DedupSha1Scheme(const SimConfig &cfg, PcmDevice &device,
@@ -28,23 +26,6 @@ class DedupSha1Scheme : public MappedDedupScheme
                        Tick now) override;
 
     std::string name() const override { return "Dedup_SHA1"; }
-
-    std::uint64_t metadataNvmBytes() const override;
-
-    /** Adds the fingerprint index under "cache.fp.*". */
-    void registerStats(StatRegistry &reg) const override;
-
-    const FpTable &fpTable() const { return fps_; }
-
-  protected:
-    void onPhysFreed(Addr phys) override;
-
-  private:
-    /** SHA-1 entry: 20 B digest + 5 B packed phys + 1 B refcount. */
-    static constexpr std::uint64_t kEntryBytes = 26;
-
-    FpTable fps_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

@@ -20,16 +20,14 @@
 #define ESD_DEDUP_DEWRITE_HH
 
 
-#include "common/flat_map.hh"
-#include "dedup/fp_table.hh"
-#include "dedup/mapped_scheme.hh"
+#include "dedup/full_index_scheme.hh"
 #include "dedup/predictor.hh"
 
 namespace esd
 {
 
 /** DeWrite: CRC + prediction + parallel encryption, full dedup. */
-class DeWriteScheme : public MappedDedupScheme
+class DeWriteScheme : public FullIndexScheme
 {
   public:
     DeWriteScheme(const SimConfig &cfg, PcmDevice &device,
@@ -40,44 +38,21 @@ class DeWriteScheme : public MappedDedupScheme
 
     std::string name() const override { return "DeWrite"; }
 
-    std::uint64_t metadataNvmBytes() const override;
-
-    /** Adds the fingerprint index ("cache.fp.*") and the predictor
-     * ("scheme.predictor.*"). */
+    /** Adds the predictor ("scheme.predictor.*"). */
     void registerStats(StatRegistry &reg) const override;
 
-    const FpTable &fpTable() const { return fps_; }
     const DupPredictor &predictor() const { return predictor_; }
-
-  protected:
-    void onPhysFreed(Addr phys) override;
 
   private:
     /** The duplicate-or-not resolution common to both predicted paths:
      * fingerprint lookup plus byte comparison of the candidate.
-     * Advances @p t along the *check* path. */
-    struct CheckOutcome
-    {
-        bool dup = false;
-        Addr phys = kInvalidAddr;
-        bool viaCache = false;
+     * Advances the clock along the *check* path; `found` means a
+     * verified duplicate. */
+    FpTable::LookupResult resolveDuplicate(WriteCtx &w, std::uint64_t fp,
+                                           const CacheLine &data,
+                                           unsigned shard);
 
-        // Trace annotations.
-        FpProbe probe = FpProbe::Miss;
-        CompareVerdict verdict = CompareVerdict::None;
-        Addr cand = kInvalidAddr;  ///< compared candidate line
-        Tick compareQueue = 0;     ///< candidate-read bank wait
-    };
-    CheckOutcome resolveDuplicate(std::uint64_t fp, const CacheLine &data,
-                                  unsigned shard, Tick &t,
-                                  WriteBreakdown &bd);
-
-    /** DeWrite entry: 16 B + 3 bits, modelled as 17 B. */
-    static constexpr std::uint64_t kEntryBytes = 17;
-
-    FpTable fps_;
     DupPredictor predictor_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

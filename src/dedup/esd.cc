@@ -17,6 +17,15 @@ EsdScheme::registerStats(StatRegistry &reg) const
     efit_.registerStats(reg, "esd.efit");
 }
 
+MetadataCacheCounts
+EsdScheme::metadataCacheCounts() const
+{
+    MetadataCacheCounts c = MappedDedupScheme::metadataCacheCounts();
+    c.fpHits = efit_.stats().hits.value();
+    c.fpLookups = efit_.stats().lookups.value();
+    return c;
+}
+
 void
 EsdScheme::onPhysFreed(Addr phys)
 {
@@ -31,82 +40,58 @@ EsdScheme::onPhysFreed(Addr phys)
     }
 }
 
+bool
+EsdScheme::compareCandidate(WriteCtx &w, const Efit::Entry &entry,
+                            const CacheLine &data)
+{
+    return timedCompare(w, entry.phys.toAddr(), data);
+}
+
 AccessResult
 EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
 {
-    stats_.logicalWrites.inc();
-    AccessResult res;
-    WriteBreakdown bd;
-    addr = lineAlign(addr);
+    WriteCtx w = beginWrite(addr, now);
 
     // 1. The fingerprint is the ECC the controller already computed —
     //    zero latency, zero energy on the critical path.
-    LineEcc ecc = encodeEcc(data);
-    Tick t = now + cfg_.crypto.eccLatency;
-    bd.fpCompute += static_cast<double>(cfg_.crypto.eccLatency);
-    stats_.hashEnergy += cfg_.crypto.eccEnergy;
+    LineEcc ecc = eccFingerprint(w, data);
 
     // 2. EFIT probe — on-chip only; a miss never consults NVMM.
-    Tick m = metadataAccess();
-    t += m;
-    bd.metadata += static_cast<double>(m);
+    chargeMetadata(w);
 
     // The RAS UE policy can suspend dedup: skip the probe, never
     // insert, and let every write take the unique path.
     bool suspended = dedupSuspended();
-    unsigned shard = channelOf(addr);
+    unsigned shard = channelOf(w.addr);
     Efit::Entry *entry = nullptr;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
         if (!suspended)
             entry = efit_.lookup(ecc, shard);
     }
-    bool dedup_done = false;
     bool saturated_rewrite = false;
 
-    FpProbe probe = FpProbe::Miss;
-    CompareVerdict verdict = CompareVerdict::None;
-    Addr decisive_addr = addr;
-    Tick decisive_queue = 0;
-    Tick encrypt_ns = 0;
-
     if (entry && lines_.isLive(entry->phys.toAddr())) {
-        probe = FpProbe::Hit;
+        Addr cand = entry->phys.toAddr();
+        w.probe = FpProbe::Hit;
+        w.bankAddr = cand;
         // 3. Similar line: fetch and byte-compare (PCM reads are half
         //    the cost of the write being saved — the asymmetry the
-        //    selective design exploits).
-        Addr cand = entry->phys.toAddr();
-        NvmAccessResult r = deviceRead(cand, t);
-        bd.readCompare += static_cast<double>(r.complete - t);
-        t = r.complete;
-        decisive_addr = cand;
-        decisive_queue = r.queueDelay;
-        stats_.compareReads.inc();
-        stats_.metadataEnergy += cfg_.crypto.compareEnergy;
-        t += cfg_.crypto.compareLatency;
-
-        if (compareStored(cand, data, t)) {
-            verdict = CompareVerdict::Equal;
+        //    selective design exploits). A mismatch is an ECC
+        //    collision caught by the content comparison.
+        if (compareCandidate(w, *entry, data)) {
             if (efit_.bumpRef(entry)) {
                 // Duplicate eliminated.
-                stats_.dedupHits.inc();
-                if (data.isZero())
-                    stats_.dedupHitsZeroLine.inc();
-                stats_.dedupHitsFpCache.inc();
-                res.issuerStall += remap(addr, cand, t, bd);
-                res.dedup = true;
-                dedup_done = true;
+                countDedupHit(w, data, /*via_cache=*/true);
+                remap(w, cand);
             } else {
                 // referH saturated: the paper writes the line as a new
                 // cache line and updates the AMT (Section III-D); the
                 // fresh copy becomes the dedup target from now on.
                 stats_.refHOverflowRewrites.inc();
+                onSaturatedRewrite(cand);
                 saturated_rewrite = true;
             }
-        } else {
-            // ECC collision caught by the content comparison.
-            stats_.compareMismatches.inc();
-            verdict = CompareVerdict::Mismatch;
         }
     } else if (entry) {
         // Stale entry whose line died — drop it.
@@ -115,15 +100,10 @@ EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
         efit_.erase(entry->ecc, entry->phys.toAddr(), shard);
     }
 
-    if (!dedup_done) {
+    if (!w.res.dedup) {
         // Non-duplicate (or collision / saturation): encrypt + write,
         // then remember the fingerprint under LRCU.
-        Addr phys;
-        NvmAccessResult w = writeNewLine(addr, data, ecc, phys, t, bd);
-        res.issuerStall += w.issuerStall;
-        decisive_addr = phys;
-        decisive_queue = w.queueDelay;
-        encrypt_ns = cfg_.crypto.encryptLatency;
+        Addr phys = writeUnique(w, data, ecc);
 
         {
             Profiler::Scope ps = profScope(Profiler::Lookup);
@@ -143,22 +123,9 @@ EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
             }
         }
 
-        res.issuerStall += remap(addr, phys, t, bd);
+        remap(w, phys);
     }
-
-    res.latency = t - now;
-    stats_.breakdown.add(bd);
-
-    WriteOutcome outcome = WriteOutcome::Unique;
-    if (dedup_done)
-        outcome = WriteOutcome::Dedup;
-    else if (saturated_rewrite)
-        outcome = WriteOutcome::SaturatedRewrite;
-    else if (verdict == CompareVerdict::Mismatch)
-        outcome = WriteOutcome::Collision;
-    traceWrite(now, addr, ecc, probe, verdict, outcome, decisive_addr,
-               decisive_queue, encrypt_ns, res.latency, bd);
-    return res;
+    return finishWrite(w, ecc, saturated_rewrite);
 }
 
 } // namespace esd

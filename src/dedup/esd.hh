@@ -53,8 +53,24 @@ class EsdScheme : public MappedDedupScheme
 
     const Efit &efit() const { return efit_; }
 
+    /** The EFIT's counts plus the AMT's. */
+    MetadataCacheCounts metadataCacheCounts() const override;
+
   protected:
     void onPhysFreed(Addr phys) override;
+
+    /**
+     * Step 3: whether @p data equals the live candidate behind the
+     * EFIT hit @p entry, advancing the clock past the comparison. ESD
+     * reads the candidate from NVMM (timedCompare).
+     */
+    virtual bool compareCandidate(WriteCtx &w, const Efit::Entry &entry,
+                                  const CacheLine &data);
+
+    /** The candidate matched but its referH is saturated, so a fresh
+     * copy replaces it as the dedup target. ESD keeps nothing per
+     * candidate beyond the EFIT entry. */
+    virtual void onSaturatedRewrite(Addr /*cand*/) {}
 
     Efit efit_;
     FlatMap<Addr, LineEcc> physToEcc_;

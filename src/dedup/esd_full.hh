@@ -14,16 +14,13 @@
 #ifndef ESD_DEDUP_ESD_FULL_HH
 #define ESD_DEDUP_ESD_FULL_HH
 
-
-#include "common/flat_map.hh"
-#include "dedup/fp_table.hh"
-#include "dedup/mapped_scheme.hh"
+#include "dedup/full_index_scheme.hh"
 
 namespace esd
 {
 
 /** ECC fingerprints + full NVMM-resident index. */
-class EsdFullScheme : public MappedDedupScheme
+class EsdFullScheme : public FullIndexScheme
 {
   public:
     EsdFullScheme(const SimConfig &cfg, PcmDevice &device,
@@ -33,23 +30,6 @@ class EsdFullScheme : public MappedDedupScheme
                        Tick now) override;
 
     std::string name() const override { return "ESD_Full"; }
-
-    std::uint64_t metadataNvmBytes() const override;
-
-    /** Adds the fingerprint index under "cache.fp.*". */
-    void registerStats(StatRegistry &reg) const override;
-
-    const FpTable &fpTable() const { return fps_; }
-
-  protected:
-    void onPhysFreed(Addr phys) override;
-
-  private:
-    /** ECC fp (8 B) + packed phys (5 B) + refcount (1 B). */
-    static constexpr std::uint64_t kEntryBytes = 14;
-
-    FpTable fps_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

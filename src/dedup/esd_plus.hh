@@ -33,9 +33,6 @@ class EsdPlusScheme : public EsdScheme
     EsdPlusScheme(const SimConfig &cfg, PcmDevice &device,
                   NvmStore &store);
 
-    AccessResult write(Addr addr, const CacheLine &data,
-                       Tick now) override;
-
     std::string name() const override { return "ESD+"; }
 
     /** Adds the content cache under "esd.content_cache.*". */
@@ -48,6 +45,14 @@ class EsdPlusScheme : public EsdScheme
 
   protected:
     void onPhysFreed(Addr phys) override;
+
+    /** Answers the compare on chip when the candidate's content is
+     * cached; otherwise reads it as ESD does and caches it once hot. */
+    bool compareCandidate(WriteCtx &w, const Efit::Entry &entry,
+                          const CacheLine &data) override;
+
+    /** The fresh copy becomes the target: drop the old one's content. */
+    void onSaturatedRewrite(Addr cand) override { eraseContent(cand); }
 
   private:
     struct CachedLine

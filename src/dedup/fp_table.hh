@@ -1,10 +1,11 @@
 /**
  * @file
- * Full-deduplication fingerprint table, as used by Dedup_SHA1 and
- * DeWrite (Section II-B / Fig. 10): the complete fingerprint index
- * resides in NVMM while a small on-chip cache holds recently used
- * entries. A cache miss forces a fingerprint NVMM_lookup — the exact
- * bottleneck ESD's selective deduplication eliminates.
+ * Full-deduplication fingerprint table, as used by Dedup_SHA1,
+ * DeWrite and ESD_Full through FullIndexScheme (Section II-B /
+ * Fig. 10): the complete fingerprint index resides in NVMM while a
+ * small on-chip cache holds recently used entries. A cache miss forces
+ * a fingerprint NVMM_lookup — the exact bottleneck ESD's selective
+ * deduplication eliminates.
  */
 
 #ifndef ESD_DEDUP_FP_TABLE_HH

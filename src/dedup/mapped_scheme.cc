@@ -34,6 +34,15 @@ MappedDedupScheme::registerStats(StatRegistry &reg) const
     amt_.registerStats(reg, "cache.amt");
 }
 
+MetadataCacheCounts
+MappedDedupScheme::metadataCacheCounts() const
+{
+    MetadataCacheCounts c;
+    c.amtHits = amt_.stats().cacheHits.value();
+    c.amtLookups = amt_.stats().lookups.value();
+    return c;
+}
+
 void
 MappedDedupScheme::setPersistence(PersistenceManager *pm)
 {
@@ -43,24 +52,20 @@ MappedDedupScheme::setPersistence(PersistenceManager *pm)
         pm->setEpochCommitHook([this] { lines_.promoteFreed(); });
 }
 
-Tick
-MappedDedupScheme::remap(Addr addr, Addr phys, Tick &t, WriteBreakdown &bd)
+void
+MappedDedupScheme::remap(WriteCtx &w, Addr phys)
 {
-    Tick stall = 0;
-
     // Rewriting an address with its current mapping (the common case
     // for in-place duplicate rewrites) changes nothing: charge the
     // cache probe, leave the AMT clean.
     std::optional<Addr> old;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
-        old = amt_.peek(addr);
+        old = amt_.peek(w.addr);
     }
     if (old && *old == phys) {
-        Tick m = metadataAccess();
-        t += m;
-        bd.metadata += static_cast<double>(m);
-        return stall;
+        chargeMetadata(w);
+        return;
     }
 
     // Order matters: take the new reference before dropping the old
@@ -80,48 +85,83 @@ MappedDedupScheme::remap(Addr addr, Addr phys, Tick &t, WriteBreakdown &bd)
     if (freed)
         onPhysFreed(*old);
 
-    Tick m = metadataAccess();
-    t += m;
-    bd.metadata += static_cast<double>(m);
+    chargeMetadata(w);
 
     MetadataEffects eff;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
-        eff = amt_.update(addr, phys);
+        eff = amt_.update(w.addr, phys);
     }
-    noteJournal(JournalOp::AmtUpdate, addr, phys);
+    noteJournal(JournalOp::AmtUpdate, w.addr, phys);
     if (eff.nvmWriteback) {
         // Dirty metadata write-back: off the critical path but real
         // device traffic (and possible queue backpressure).
         stats_.amtTrafficWrites.inc();
-        NvmAccessResult r = deviceWrite(eff.nvmWritebackAddr, t);
-        stall += r.issuerStall;
+        NvmAccessResult r = deviceWrite(eff.nvmWritebackAddr, w.t);
+        w.res.issuerStall += r.issuerStall;
     }
-    return stall;
 }
 
-NvmAccessResult
-MappedDedupScheme::writeNewLine(Addr addr, const CacheLine &data,
-                                LineEcc ecc, Addr &phys_out, Tick &t,
-                                WriteBreakdown &bd)
+Addr
+MappedDedupScheme::writeUnique(WriteCtx &w, const CacheLine &data,
+                               LineEcc ecc)
 {
     // Allocate on the logical address's channel so the data write, and
     // every later dedup probe for this content, stay channel-local.
+    Addr phys;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
-        phys_out = lines_.allocate(channelOf(addr));
+        phys = lines_.allocate(channelOf(w.addr));
     }
 
     Tick enc = cfg_.crypto.encryptLatency;
-    CacheLine cipher = encryptLine(phys_out, data);
-    t += enc;
-    bd.encrypt += static_cast<double>(enc);
+    CacheLine cipher = encryptLine(phys, data);
+    w.t += enc;
+    w.bd.encrypt += static_cast<double>(enc);
 
-    NvmAccessResult r = writeLine(phys_out, cipher, ecc, t);
-    bd.lineWrite += static_cast<double>(r.complete - t);
-    t = r.complete;
+    NvmAccessResult r = writeLine(phys, cipher, ecc, w.t);
+    w.bd.lineWrite += static_cast<double>(r.complete - w.t);
+    w.t = r.complete;
     stats_.nvmDataWrites.inc();
-    return r;
+
+    w.res.issuerStall += r.issuerStall;
+    w.bankAddr = phys;
+    w.queueWait = r.queueDelay;
+    w.encryptNs = enc;
+    return phys;
+}
+
+bool
+MappedDedupScheme::timedCompare(WriteCtx &w, Addr cand,
+                                const CacheLine &data, CacheLine *plain_out)
+{
+    NvmAccessResult r = deviceRead(cand, w.t);
+    w.bd.readCompare += static_cast<double>(r.complete - w.t);
+    w.t = r.complete;
+    w.queueWait = r.queueDelay;
+    stats_.compareReads.inc();
+    stats_.metadataEnergy += cfg_.crypto.compareEnergy;
+    w.t += cfg_.crypto.compareLatency;
+    return recordVerdict(w, compareStored(cand, data, w.t, plain_out));
+}
+
+AccessResult
+MappedDedupScheme::finishWrite(WriteCtx &w, std::uint64_t fp,
+                               bool saturated_rewrite)
+{
+    w.res.latency = w.t - w.now;
+    stats_.breakdown.add(w.bd);
+
+    WriteOutcome outcome = WriteOutcome::Unique;
+    if (w.res.dedup)
+        outcome = WriteOutcome::Dedup;
+    else if (saturated_rewrite)
+        outcome = WriteOutcome::SaturatedRewrite;
+    else if (w.verdict == CompareVerdict::Mismatch)
+        outcome = WriteOutcome::Collision;
+    traceWrite(w.now, w.addr, fp, w.probe, w.verdict, outcome, w.bankAddr,
+               w.queueWait, w.encryptNs, w.res.latency, w.bd);
+    return w.res;
 }
 
 AccessResult

@@ -1,9 +1,9 @@
 /**
  * @file
- * The scheme abstraction: one object per evaluated design point
- * (Baseline, Dedup_SHA1, DeWrite, ESD) handling the write path (LLC
- * eviction) and the read path (LLC miss fill) against a shared PCM
- * timing device and content store.
+ * The scheme abstraction: one object per design point (Baseline,
+ * Dedup_SHA1, DeWrite, ESD, and the ESD_Full and ESD+ variants)
+ * handling the write path (LLC eviction) and the read path (LLC miss
+ * fill) against a shared PCM timing device and content store.
  *
  * Every scheme reports the Fig. 17 write-latency breakdown
  * (fingerprint computation / fingerprint NVMM_lookup / read-for-
@@ -147,6 +147,41 @@ struct SchemeStats
     void registerIn(StatRegistry &reg, const std::string &prefix) const;
 };
 
+/** Hit and lookup counts of a scheme's two on-chip metadata caches:
+ * the fingerprint index (EFIT or fingerprint cache) and the AMT cache.
+ * Run reports derive their hit rates from these, and the sharded
+ * pipeline sums them across shards before dividing. */
+struct MetadataCacheCounts
+{
+    std::uint64_t fpHits = 0;
+    std::uint64_t fpLookups = 0;
+    std::uint64_t amtHits = 0;
+    std::uint64_t amtLookups = 0;
+
+    void
+    add(const MetadataCacheCounts &o)
+    {
+        fpHits += o.fpHits;
+        fpLookups += o.fpLookups;
+        amtHits += o.amtHits;
+        amtLookups += o.amtLookups;
+    }
+
+    double
+    fpHitRate() const
+    {
+        return fpLookups == 0 ? 0.0
+                              : static_cast<double>(fpHits) / fpLookups;
+    }
+
+    double
+    amtHitRate() const
+    {
+        return amtLookups == 0 ? 0.0
+                               : static_cast<double>(amtHits) / amtLookups;
+    }
+};
+
 /**
  * Base class wiring a scheme to the shared device/store and providing
  * the timed-access helpers every scheme uses.
@@ -172,6 +207,10 @@ class DedupScheme
 
     /** Bytes of scheme metadata resident in NVMM (Fig. 19). */
     virtual std::uint64_t metadataNvmBytes() const = 0;
+
+    /** Fingerprint-index and AMT cache counts; zero for a scheme
+     * without them (Baseline). */
+    virtual MetadataCacheCounts metadataCacheCounts() const { return {}; }
 
     const SchemeStats &stats() const { return stats_; }
 

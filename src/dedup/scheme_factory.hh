@@ -1,8 +1,9 @@
 /**
  * @file
- * Construction of the four evaluated schemes by enum — mirrors the
- * artifact's scheme selector (0: Baseline, 1: Tra_sha1, 2: DeWrite,
- * 3: ESD).
+ * Construction of the six schemes by enum — mirrors the artifact's
+ * scheme selector (0: Baseline, 1: Tra_sha1, 2: DeWrite, 3: ESD) and
+ * extends it with the ESD_Full ablation (4) and the ESD+ extension
+ * (5).
  */
 
 #ifndef ESD_DEDUP_SCHEME_FACTORY_HH
@@ -36,7 +37,7 @@ enum class SchemeKind
     EsdPlus = 5,
 };
 
-/** All four kinds in evaluation order. */
+/** The paper's four kinds (0..3) in evaluation order. */
 const std::vector<SchemeKind> &allSchemeKinds();
 
 /** Display name of a kind. */

@@ -13,10 +13,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/run_report.hh"
-#include "dedup/dewrite.hh"
-#include "dedup/dedup_sha1.hh"
-#include "dedup/esd.hh"
-#include "dedup/mapped_scheme.hh"
 
 namespace esd::exec
 {
@@ -393,29 +389,12 @@ ShardedPipeline::mergeResults() const
     // equally regardless of traffic.
     std::uint64_t fp_cache_hits = 0;
     std::uint64_t fp_nvm_hits = 0;
-    std::uint64_t fp_hits = 0;
-    std::uint64_t fp_lookups = 0;
-    std::uint64_t amt_hits = 0;
-    std::uint64_t amt_lookups = 0;
+    MetadataCacheCounts mc;
     for (unsigned s = 0; s < shardCount_; ++s) {
         const DedupScheme &sch = shards_[s]->scheme();
         fp_cache_hits += sch.stats().dedupHitsFpCache.value();
         fp_nvm_hits += sch.stats().dedupHitsFpNvm.value();
-        if (auto *esd_s = dynamic_cast<const EsdScheme *>(&sch)) {
-            fp_hits += esd_s->efit().stats().hits.value();
-            fp_lookups += esd_s->efit().stats().lookups.value();
-        } else if (auto *s1 =
-                       dynamic_cast<const DedupSha1Scheme *>(&sch)) {
-            fp_hits += s1->fpTable().stats().cacheHits.value();
-            fp_lookups += s1->fpTable().stats().lookups.value();
-        } else if (auto *dw = dynamic_cast<const DeWriteScheme *>(&sch)) {
-            fp_hits += dw->fpTable().stats().cacheHits.value();
-            fp_lookups += dw->fpTable().stats().lookups.value();
-        }
-        if (auto *mp = dynamic_cast<const MappedDedupScheme *>(&sch)) {
-            amt_hits += mp->amt().stats().cacheHits.value();
-            amt_lookups += mp->amt().stats().lookups.value();
-        }
+        mc.add(sch.metadataCacheCounts());
     }
     if (m.logicalWrites > 0) {
         m.dedupViaFpCacheFrac =
@@ -423,10 +402,8 @@ ShardedPipeline::mergeResults() const
         m.dedupViaFpNvmFrac =
             static_cast<double>(fp_nvm_hits) / m.logicalWrites;
     }
-    if (fp_lookups > 0)
-        m.fpCacheHitRate = static_cast<double>(fp_hits) / fp_lookups;
-    if (amt_lookups > 0)
-        m.amtCacheHitRate = static_cast<double>(amt_hits) / amt_lookups;
+    m.fpCacheHitRate = mc.fpHitRate();
+    m.amtCacheHitRate = mc.amtHitRate();
 
     return m;
 }

@@ -16,6 +16,20 @@
  *       -warmup=4000 -stats-interval=5000 \
  *       -stats-json=tests/golden/stats_scheme$s.json
  *   done
+ *
+ * The goldens run a fault-free default config, so they never reach
+ * RAS uncorrectable errors, dedup suspension, the crash journal or the
+ * write-event trace. BitIdentityFaultPath pins those paths with one
+ * FNV-1a-64 digest per scheme over the stats JSON, the write-event
+ * JSONL and the recovery report of the run
+ *   esd_sim -scheme=K -app=mcf -records=12000 -warmup=0 \
+ *     -stats-interval=5000 -ras.enabled=1 -ras.read_ber=1.2e-4 \
+ *     -ras.write_ber=1e-6 -ras.dedup_suspend_ues=1 -persist=1 \
+ *     -persist-crash-at=100 -stats-json=s.json -trace-out=t.jsonl \
+ *     -recovery-json=r.json
+ * (digest of the three files' bytes concatenated in that order, less
+ * the stats JSON's fp_cache_hit_rate line: that summary ratio is
+ * pinned by the goldens above and by EsdFull.ReportsFpCacheHitRate).
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +38,11 @@
 #include <sstream>
 #include <string>
 
+#include "common/write_trace.hh"
 #include "core/run_report.hh"
 #include "core/simulator.hh"
 #include "exec/job.hh"
+#include "persist/recovery.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -151,6 +167,120 @@ TEST(BitIdentityProfiling, ProfiledRunKeepsSimulatedResults)
     EXPECT_EQ(golden.find("\"host.profile.lookup_ns\""),
               std::string::npos);
 }
+
+/** FNV-1a, 64-bit. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** What the fault-path run exercised, beside its digest. */
+struct FaultPathRun
+{
+    std::uint64_t digest = 0;
+    std::uint64_t dedupHits = 0;
+    std::uint64_t suspendedWrites = 0;
+    std::uint64_t compareReads = 0;
+    std::uint64_t journalRecords = 0;
+    std::string crashError;
+};
+
+/** @p doc without its lines containing @p key. */
+std::string
+dropLines(const std::string &doc, const std::string &key)
+{
+    std::istringstream in(doc);
+    std::string out;
+    for (std::string line; std::getline(in, line);)
+        if (line.find(key) == std::string::npos)
+            out += line + "\n";
+    return out;
+}
+
+/** The fault-path run in the file header, rendered as esd_sim writes
+ * its three outputs. */
+FaultPathRun
+runFaultPath(SchemeKind kind)
+{
+    exec::JobSpec spec;
+    spec.app = "mcf";
+    spec.scheme = kind;
+    spec.cfg.seed = kSeed;
+    spec.cfg.ras.enabled = true;
+    spec.cfg.ras.readBer = 1.2e-4;
+    spec.cfg.ras.writeBer = 1e-6;
+    spec.cfg.ras.dedupSuspendUes = 1;
+    spec.cfg.persist.enabled = true;
+    spec.cfg.persist.domain = PersistDomain::Adr;
+    spec.cfg.persist.crashAtWrite = 100;
+    spec.records = 12000;
+    spec.warmup = 0;
+    exec::Job job(spec);
+    Simulator &sim = *job.simulators().front();
+    WriteEventTrace events(spec.cfg.telemetry.traceRingCapacity);
+    sim.setEventTrace(&events);
+    sim.enableIntervalSampling(kInterval);
+    job.run(*exec::openSource(spec));
+
+    std::ostringstream report;
+    job.writeReport(report, /*indent=*/2);
+    std::ostringstream os;
+    os << dropLines(report.str(), "\"fp_cache_hit_rate\":");
+    events.writeJsonl(os);
+    const CrashCheck check = job.checkInjectedCrash();
+    if (check.image)
+        writeRecoveryJson(os, *check.image, check.recovered);
+
+    FaultPathRun out;
+    out.digest = fnv1a64(os.str());
+    const SchemeStats &ss = sim.scheme().stats();
+    out.dedupHits = ss.dedupHits.value();
+    out.suspendedWrites = ss.dedupSuspendedWrites.value();
+    out.compareReads = ss.compareReads.value();
+    out.journalRecords =
+        sim.persistence()->stats().journalRecords.value();
+    out.crashError = check.image ? check.error : "crash never fired";
+    return out;
+}
+
+/** Digests of runFaultPath for schemes 0-5. */
+constexpr std::uint64_t kFaultPathDigest[6] = {
+    0x14da7f0839c54708ull, 0xc3000b341ae63282ull, 0xabac4bb80ccd0056ull,
+    0x3a3570017c6333f6ull, 0x205fb3de1e0e65cfull, 0x2c475aee4e3a958full,
+};
+
+class BitIdentityFaultPath : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BitIdentityFaultPath, DigestMatchesPin)
+{
+    int scheme = GetParam();
+    SchemeKind kind = allSchemeKindsExtended()[scheme];
+    FaultPathRun r = runFaultPath(kind);
+
+    EXPECT_EQ(r.crashError, "");
+    EXPECT_GT(r.journalRecords, 0u);
+    if (kind != SchemeKind::Baseline) {
+        EXPECT_GT(r.dedupHits, 0u);
+        EXPECT_GT(r.suspendedWrites, 0u) << "BER too low to latch";
+    }
+    // Dedup_SHA1 trusts its fingerprint; the others verify by compare.
+    if (kind != SchemeKind::Baseline && kind != SchemeKind::DedupSha1) {
+        EXPECT_GT(r.compareReads, 0u);
+    }
+    EXPECT_EQ(r.digest, kFaultPathDigest[scheme])
+        << schemeName(kind) << std::hex << ": digest 0x" << r.digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, BitIdentityFaultPath,
+                         ::testing::Range(0, 6));
 
 } // namespace
 } // namespace esd

@@ -9,6 +9,7 @@
 #include "common/random.hh"
 #include "core/simulator.hh"
 #include "dedup/esd_full.hh"
+#include "exec/pipeline.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -115,6 +116,43 @@ TEST(EsdFull, MatchesSha1ReductionOnSameTrace)
     RunResult sha = run(SchemeKind::DedupSha1);
     RunResult full = run(SchemeKind::EsdFull);
     EXPECT_NEAR(sha.writeReduction(), full.writeReduction(), 0.01);
+}
+
+/** The run summary's fp_cache_hit_rate is the full index's cache hit
+ * rate, in one Simulator and merged across pipeline shards alike. */
+TEST(EsdFull, ReportsFpCacheHitRate)
+{
+    SimConfig c;
+    {
+        Simulator sim(c, SchemeKind::EsdFull);
+        SyntheticWorkload trace(findApp("mcf"), c.seed);
+        RunResult r = sim.run(trace, 20000, 4000);
+        const FpTable &fps =
+            static_cast<EsdFullScheme &>(sim.scheme()).fpTable();
+        EXPECT_GT(r.fpCacheHitRate, 0.0);
+        EXPECT_EQ(r.fpCacheHitRate, fps.stats().cacheHitRate());
+    }
+
+    c.channels.count = 2;
+    SyntheticWorkload trace(findApp("mcf"), c.seed);
+    exec::ShardedPipeline pipe(c, SchemeKind::EsdFull, 2);
+    const RunResult &merged = pipe.run(trace, 20000, 4000);
+    std::uint64_t hits = 0;
+    std::uint64_t lookups = 0;
+    for (unsigned s = 0; s < pipe.shardCount(); ++s) {
+        const FpTable &fps =
+            static_cast<EsdFullScheme &>(pipe.shard(s).scheme()).fpTable();
+        EXPECT_GT(pipe.shardResult(s).fpCacheHitRate, 0.0) << "shard " << s;
+        EXPECT_EQ(pipe.shardResult(s).fpCacheHitRate,
+                  fps.stats().cacheHitRate())
+            << "shard " << s;
+        hits += fps.stats().cacheHits.value();
+        lookups += fps.stats().lookups.value();
+    }
+    ASSERT_GT(lookups, 0u);
+    EXPECT_GT(merged.fpCacheHitRate, 0.0);
+    EXPECT_EQ(merged.fpCacheHitRate,
+              static_cast<double>(hits) / static_cast<double>(lookups));
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
+#include <string>
 
 #include "common/random.hh"
 #include "dedup/baseline.hh"
@@ -380,6 +382,46 @@ TEST(Esd, StaleEfitEntryAfterLineDeathIsHandled)
     EXPECT_FALSE(r.dedup);  // must not dedup against a dead line
     EXPECT_EQ(h.read(kLineSize), data);
 }
+
+/** Every ECC-fingerprinting scheme charges the fingerprint's latency
+ * to the write breakdown and its energy to the hash energy. */
+class EccFingerprintCost : public ::testing::TestWithParam<SchemeKind>
+{
+};
+
+TEST_P(EccFingerprintCost, ChargedOncePerWrite)
+{
+    SimConfig cfg = testConfig();
+    cfg.crypto.eccLatency = 4;
+    cfg.crypto.eccEnergy = 3;
+    Harness h(GetParam(), cfg);
+    Pcg32 rng(11);
+    for (int i = 0; i < 64; ++i) {
+        CacheLine data;
+        if (i % 3 == 0)
+            data.setWord(0, rng.below(4));  // some duplicates
+        else
+            rng.fillLine(data);
+        h.write(static_cast<Addr>(rng.below(32)) * kLineSize, data);
+    }
+    const SchemeStats &st = h.scheme->stats();
+    ASSERT_EQ(st.logicalWrites.value(), 64u);
+    EXPECT_GT(st.dedupHits.value(), 0u);
+    EXPECT_DOUBLE_EQ(st.breakdown.fpCompute, 4.0 * 64);
+    EXPECT_DOUBLE_EQ(st.hashEnergy, 3.0 * 64);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EccSchemes, EccFingerprintCost,
+    ::testing::Values(SchemeKind::Esd, SchemeKind::EsdFull,
+                      SchemeKind::EsdPlus),
+    [](const ::testing::TestParamInfo<SchemeKind> &info) {
+        std::string n = schemeName(info.param);
+        for (char &ch : n)
+            if (!std::isalnum(static_cast<unsigned char>(ch)))
+                ch = '_';
+        return n;
+    });
 
 // ------------------------------------------------------------ factory
 

@@ -199,6 +199,12 @@ Aes128::encryptBlock(const AesBlock &in) const
     if (cpuHasAesni())
         return encryptBlockHw(roundKeys_.data(), in);
 #endif
+    return encryptBlockPortable(in);
+}
+
+AesBlock
+Aes128::encryptBlockPortable(const AesBlock &in) const
+{
     // Column-major state: word j holds s[0..3][j], byte 0 = row 0.
     std::uint32_t c[4];
     for (int j = 0; j < 4; ++j) {

@@ -43,6 +43,11 @@ class Aes128
      */
     void encryptBlocks4(const AesBlock in[4], AesBlock out[4]) const;
 
+    /** The portable T-table path encryptBlock() takes without AES-NI
+     * (exposed so tests can hold the hardware path against it on any
+     * host). */
+    AesBlock encryptBlockPortable(const AesBlock &in) const;
+
     /** The S-box value of @p x (exposed for tests). */
     static std::uint8_t sbox(std::uint8_t x);
 

@@ -18,6 +18,7 @@
 #define ESD_CRYPTO_CTR_MODE_HH
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/flat_map.hh"
 #include "common/types.hh"
@@ -37,12 +38,17 @@ class CtrModeEngine
 
     /**
      * Encrypt @p plain for @p addr, bumping the line's write counter.
+     * @param ctr_out when non-null, receives the bumped counter (saves
+     *        the journal a second counter-table probe)
      * @return the ciphertext line.
      */
     CacheLine
-    encrypt(Addr addr, const CacheLine &plain)
+    encrypt(Addr addr, const CacheLine &plain,
+            std::uint64_t *ctr_out = nullptr)
     {
         std::uint64_t ctr = ++counters_[lineAlign(addr)];
+        if (ctr_out)
+            *ctr_out = ctr;
         return applyPad(addr, ctr, plain);
     }
 
@@ -72,26 +78,32 @@ class CtrModeEngine
      * would be reused). */
     const FlatMap<Addr, std::uint64_t> &table() const { return counters_; }
 
-    /** Stateless pad application used by both directions. */
+    /**
+     * Stateless pad application used by both directions. Each counter
+     * block is two little-endian words: the address, then the
+     * counter's low 7 bytes under the block index in the top byte.
+     */
     CacheLine
     applyPad(Addr addr, std::uint64_t ctr, const CacheLine &in) const
     {
         static_assert(kLineSize == 64, "pad batch assumes 4 AES blocks");
+        static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                      "counter blocks are built as little-endian words");
+        std::uint64_t lo = addr;
+        std::uint64_t hi = ctr & 0x00ffffffffffffffull;
         AesBlock cb[4];
         for (unsigned blk = 0; blk < 4; ++blk) {
-            // Counter block: addr | ctr | blk.
-            for (int i = 0; i < 8; ++i)
-                cb[blk][i] = static_cast<std::uint8_t>(addr >> (8 * i));
-            for (int i = 0; i < 7; ++i)
-                cb[blk][8 + i] = static_cast<std::uint8_t>(ctr >> (8 * i));
-            cb[blk][15] = static_cast<std::uint8_t>(blk);
+            std::uint64_t h = hi | (std::uint64_t{blk} << 56);
+            std::memcpy(cb[blk].data(), &lo, 8);
+            std::memcpy(cb[blk].data() + 8, &h, 8);
         }
         AesBlock pad[4];
         aes_.encryptBlocks4(cb, pad);
-        CacheLine out;
-        for (unsigned blk = 0; blk < 4; ++blk) {
-            for (unsigned i = 0; i < 16; ++i)
-                out[blk * 16 + i] = in[blk * 16 + i] ^ pad[blk][i];
+        CacheLine out(in);
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            std::uint64_t p;
+            std::memcpy(&p, pad[w / 2].data() + (w % 2) * 8, 8);
+            out.setWord(w, out.word(w) ^ p);
         }
         return out;
     }

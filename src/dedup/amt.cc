@@ -133,18 +133,34 @@ Amt::lookup(Addr logical)
     return res;
 }
 
+Amt::Slot
+Amt::claim(Addr logical)
+{
+    Slot slot;
+    slot.line = lineIndex(logical);
+    auto [it, fresh] = map_.emplace(slot.line, PackedPhys{});
+    slot.entry = &it->second;
+    slot.mapped = !fresh;
+    return slot;
+}
+
 MetadataEffects
 Amt::update(Addr logical, Addr phys)
 {
+    return update(claim(logical), phys);
+}
+
+MetadataEffects
+Amt::update(const Slot &slot, Addr phys)
+{
     MetadataEffects eff;
-    std::uint64_t line = lineIndex(logical);
     stats_.updates.inc();
 
-    map_[line] = PackedPhys::fromAddr(phys);
+    *slot.entry = PackedPhys::fromAddr(phys);
 
     // Write-allocate without fetch: the controller write-combines the
     // entry into its block; only dirty evictions touch NVMM.
-    if (auto wb = fill(groupOf(line), true)) {
+    if (auto wb = fill(groupOf(slot.line), true)) {
         stats_.nvmWritebacks.inc();
         eff.nvmWriteback = true;
         eff.nvmWritebackAddr = nvmBase_ + *wb * kLineSize;

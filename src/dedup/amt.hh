@@ -139,6 +139,36 @@ class Amt
     LookupResult lookup(Addr logical);
 
     /**
+     * A logical line's entry in the NVMM-resident table, found or
+     * created by one probe (claim()). Valid until the next call that
+     * inserts into the table.
+     */
+    struct Slot
+    {
+        std::uint64_t line = 0;
+        PackedPhys *entry = nullptr;
+        bool mapped = false;  ///< the entry held a mapping before claim()
+
+        /** The mapping before claim(), if any. */
+        std::optional<Addr>
+        previous() const
+        {
+            if (!mapped)
+                return std::nullopt;
+            return entry->toAddr();
+        }
+    };
+
+    /**
+     * Find-or-create @p logical 's table entry with one probe: the
+     * write path reads the old mapping from it and then installs the
+     * new one with update(slot, phys). A fresh entry holds no mapping
+     * until that update, so no other table call may come in between.
+     * Touches neither the cache nor the statistics.
+     */
+    Slot claim(Addr logical);
+
+    /**
      * Install/overwrite the mapping (write path). The entry becomes
      * dirty in the cache; the returned effects may include a write-back
      * of a displaced dirty entry (and a fill read when the paper's
@@ -146,8 +176,11 @@ class Amt
      */
     MetadataEffects update(Addr logical, Addr phys);
 
-    /** Previous mapping of @p logical without touching the cache —
-     * used by write paths to find the reference to release. */
+    /** update() through an entry claim() already found. */
+    MetadataEffects update(const Slot &slot, Addr phys);
+
+    /** Current mapping of @p logical without touching the cache or
+     * the statistics. */
     std::optional<Addr> peek(Addr logical) const;
 
     /** NVMM line address holding @p logical 's entry. */

@@ -27,17 +27,9 @@ EsdScheme::metadataCacheCounts() const
 }
 
 void
-EsdScheme::onPhysFreed(Addr phys)
+EsdScheme::dropIndexEntry(std::uint64_t fp, Addr phys, unsigned shard)
 {
-    Profiler::Scope ps = profScope(Profiler::Lookup);
-    auto it = physToEcc_.find(phys);
-    if (it != physToEcc_.end()) {
-        // Lines allocate on their logical address's channel, so the
-        // owning EFIT shard is recoverable from the physical address.
-        efit_.erase(it->second, phys, channelOf(phys));
-        physToEcc_.erase(it);
-        noteJournal(JournalOp::EfitEvict, phys);
-    }
+    efit_.erase(fp, phys, shard);
 }
 
 bool
@@ -112,12 +104,12 @@ EsdScheme::write(Addr addr, const CacheLine &data, Tick now)
                 // it.
                 noteJournal(JournalOp::EfitEvict, entry->phys.toAddr());
                 efit_.redirect(entry, phys);
-                physToEcc_[phys] = ecc;
+                lines_.setFingerprint(phys, ecc);
                 noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr,
                             ecc);
             } else if (!suspended) {
                 efit_.insert(ecc, phys, shard);
-                physToEcc_[phys] = ecc;
+                lines_.setFingerprint(phys, ecc);
                 noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr,
                             ecc);
             }

@@ -23,8 +23,6 @@
 #ifndef ESD_DEDUP_ESD_HH
 #define ESD_DEDUP_ESD_HH
 
-
-#include "common/flat_map.hh"
 #include "dedup/efit.hh"
 #include "dedup/mapped_scheme.hh"
 
@@ -57,7 +55,8 @@ class EsdScheme : public MappedDedupScheme
     MetadataCacheCounts metadataCacheCounts() const override;
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropIndexEntry(std::uint64_t fp, Addr phys,
+                        unsigned shard) override;
 
     /**
      * Step 3: whether @p data equals the live candidate behind the
@@ -73,7 +72,6 @@ class EsdScheme : public MappedDedupScheme
     virtual void onSaturatedRewrite(Addr /*cand*/) {}
 
     Efit efit_;
-    FlatMap<Addr, LineEcc> physToEcc_;
 };
 
 } // namespace esd

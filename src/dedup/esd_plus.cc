@@ -70,7 +70,7 @@ void
 EsdPlusScheme::onPhysFreed(Addr phys)
 {
     eraseContent(phys);
-    EsdScheme::onPhysFreed(phys);
+    MappedDedupScheme::onPhysFreed(phys);
 }
 
 bool

@@ -35,17 +35,10 @@ FullIndexScheme::metadataCacheCounts() const
 }
 
 void
-FullIndexScheme::onPhysFreed(Addr phys)
+FullIndexScheme::dropIndexEntry(std::uint64_t fp, Addr /*phys*/,
+                                unsigned shard)
 {
-    Profiler::Scope ps = profScope(Profiler::Lookup);
-    auto it = physToFp_.find(phys);
-    if (it != physToFp_.end()) {
-        // Lines allocate on their logical address's channel, so the
-        // owning fingerprint shard follows from the physical address.
-        fps_.erase(it->second, channelOf(phys));
-        physToFp_.erase(it);
-        noteJournal(JournalOp::EfitEvict, phys);
-    }
+    fps_.erase(fp, shard);
 }
 
 FpTable::LookupResult
@@ -84,7 +77,7 @@ FullIndexScheme::indexNewLine(std::uint64_t fp, Addr phys, unsigned shard,
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
         fps_.insert(fp, phys, fp_store, shard);
-        physToFp_[phys] = fp;
+        lines_.setFingerprint(phys, fp);
     }
     noteJournal(JournalOp::EfitInsert, phys, kInvalidAddr, fp);
     stats_.fpNvmStores.inc();

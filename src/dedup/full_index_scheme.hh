@@ -12,7 +12,6 @@
 #ifndef ESD_DEDUP_FULL_INDEX_SCHEME_HH
 #define ESD_DEDUP_FULL_INDEX_SCHEME_HH
 
-#include "common/flat_map.hh"
 #include "dedup/fp_table.hh"
 #include "dedup/mapped_scheme.hh"
 
@@ -43,7 +42,8 @@ class FullIndexScheme : public MappedDedupScheme
     const FpTable &fpTable() const { return fps_; }
 
   protected:
-    void onPhysFreed(Addr phys) override;
+    void dropIndexEntry(std::uint64_t fp, Addr phys,
+                        unsigned shard) override;
 
     /**
      * Look @p fp up in @p shard: the on-chip cache, then on a miss the
@@ -68,7 +68,6 @@ class FullIndexScheme : public MappedDedupScheme
 
   private:
     FpTable fps_;
-    FlatMap<Addr, std::uint64_t> physToFp_;
 };
 
 } // namespace esd

@@ -53,16 +53,30 @@ MappedDedupScheme::setPersistence(PersistenceManager *pm)
 }
 
 void
+MappedDedupScheme::onPhysFreed(Addr phys)
+{
+    Profiler::Scope ps = profScope(Profiler::Lookup);
+    if (std::optional<std::uint64_t> fp = lines_.takeFingerprint(phys)) {
+        // Lines allocate on their logical address's channel, so the
+        // owning index shard follows from the physical address.
+        dropIndexEntry(*fp, phys, channelOf(phys));
+        noteJournal(JournalOp::EfitEvict, phys);
+    }
+}
+
+void
 MappedDedupScheme::remap(WriteCtx &w, Addr phys)
 {
     // Rewriting an address with its current mapping (the common case
     // for in-place duplicate rewrites) changes nothing: charge the
-    // cache probe, leave the AMT clean.
-    std::optional<Addr> old;
+    // cache probe, leave the AMT clean. The one table probe here finds
+    // the entry the update below writes through.
+    Amt::Slot slot;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
-        old = amt_.peek(w.addr);
+        slot = amt_.claim(w.addr);
     }
+    std::optional<Addr> old = slot.previous();
     if (old && *old == phys) {
         chargeMetadata(w);
         return;
@@ -76,9 +90,9 @@ MappedDedupScheme::remap(WriteCtx &w, Addr phys)
         lines_.addRef(phys);
         noteJournal(JournalOp::RefAdd, phys);
         if (old) {
-            bool was_live = lines_.isLive(*old);
-            freed = was_live && lines_.release(*old);
-            if (was_live)
+            LineStore::Released r = lines_.releaseIfLive(*old);
+            freed = r == LineStore::Released::Freed;
+            if (r != LineStore::Released::NotLive)
                 noteJournal(JournalOp::RefRelease, *old);
         }
     }
@@ -90,7 +104,7 @@ MappedDedupScheme::remap(WriteCtx &w, Addr phys)
     MetadataEffects eff;
     {
         Profiler::Scope ps = profScope(Profiler::Lookup);
-        eff = amt_.update(w.addr, phys);
+        eff = amt_.update(slot, phys);
     }
     noteJournal(JournalOp::AmtUpdate, w.addr, phys);
     if (eff.nvmWriteback) {

@@ -160,9 +160,17 @@ class MappedDedupScheme : public DedupScheme
         w.res.dedup = true;
     }
 
-    /** Hook: the physical line @p phys lost its last reference; the
-     * scheme must drop any fingerprint entry referencing it. */
-    virtual void onPhysFreed(Addr phys) = 0;
+    /**
+     * The physical line @p phys lost its last reference (or was
+     * retired): drop the index entry its record was filed under, once,
+     * and journal the eviction.
+     */
+    virtual void onPhysFreed(Addr phys);
+
+    /** Erase the index entry filed under @p fp for line @p phys from
+     * index shard @p shard. */
+    virtual void dropIndexEntry(std::uint64_t fp, Addr phys,
+                                unsigned shard) = 0;
 
     /**
      * Point the write's address at @p phys: bump the new reference,

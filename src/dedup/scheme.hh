@@ -367,10 +367,11 @@ class DedupScheme
     {
         Profiler::Scope ps(prof_, Profiler::Encrypt);
         stats_.cryptoEnergy += cfg_.crypto.encryptEnergy;
-        CacheLine out = crypto_.encrypt(phys, plain);
+        std::uint64_t ctr;
+        CacheLine out = crypto_.encrypt(phys, plain, &ctr);
         if (persist_)
             persist_->note(JournalOp::CtrBump, lineAlign(phys),
-                           kInvalidAddr, crypto_.counter(phys));
+                           kInvalidAddr, ctr);
         return out;
     }
 

@@ -56,9 +56,9 @@ class NvmStore
     {
         esd_assert(lineIndex(phys) < capacityLines_,
                    "physical address beyond device capacity");
-        Addr key = lineAlign(phys);
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        // One probe: find-or-insert, then fill a fresh entry's slot.
+        auto [it, fresh] = index_.emplace(lineAlign(phys), 0);
+        if (!fresh) {
             pool_[it->second].data = data;
             pool_[it->second].ecc = ecc;
             return;
@@ -73,7 +73,7 @@ class NvmStore
             slot = static_cast<std::uint32_t>(pool_.size());
             pool_.push_back(StoredLine{data, ecc});
         }
-        index_.emplace(key, slot);
+        it->second = slot;
     }
 
     /**
@@ -103,12 +103,11 @@ class NvmStore
     void
     erase(Addr phys)
     {
-        Addr key = lineAlign(phys);
-        auto it = index_.find(key);
+        auto it = index_.find(lineAlign(phys));
         if (it == index_.end())
             return;
         freeSlots_.push_back(it->second);
-        index_.erase(key);
+        index_.erase(it);
     }
 
     /**

@@ -8,16 +8,21 @@
  *     test-local mask-formula reference decoder under injected flips,
  *     and the kernel's use during static initialisation, and
  *   - the early-exit 64-bit-word line compare vs memcmp on equal,
- *     near-equal, and random lines.
+ *     near-equal, and random lines, and
+ *   - the word-wide counter-mode pad vs a byte-loop reference, and the
+ *     AES batch and hardware paths vs the one-block portable path.
  */
 
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
 #include "common/types.hh"
+#include "crypto/aes.hh"
+#include "crypto/ctr_mode.hh"
 #include "ecc/line_ecc.hh"
 
 namespace esd
@@ -367,6 +372,181 @@ TEST(FastLineCompare, RandomPairsAgreeWithMemcmp)
         bool ref = std::memcmp(a.data(), b.data(), kLineSize) == 0;
         ASSERT_EQ(ref, linesEqualFast(a, b)) << "iteration " << it;
     }
+}
+
+// ------------------------------------------------- counter-mode pad
+
+/** Byte-loop reference pad: counter block bytes 0-7 are the address,
+ * 8-14 the counter's low 7 bytes, 15 the block index (all
+ * little-endian), each line byte XORed with its pad byte. */
+CacheLine
+applyPadReference(const Aes128 &aes, Addr addr, std::uint64_t ctr,
+                  const CacheLine &in)
+{
+    CacheLine out;
+    for (unsigned blk = 0; blk < 4; ++blk) {
+        AesBlock cb{};
+        for (int i = 0; i < 8; ++i)
+            cb[i] = static_cast<std::uint8_t>(addr >> (8 * i));
+        for (int i = 0; i < 7; ++i)
+            cb[8 + i] = static_cast<std::uint8_t>(ctr >> (8 * i));
+        cb[15] = static_cast<std::uint8_t>(blk);
+        AesBlock pad = aes.encryptBlock(cb);
+        for (unsigned i = 0; i < 16; ++i)
+            out[blk * 16 + i] = in[blk * 16 + i] ^ pad[i];
+    }
+    return out;
+}
+
+AesKey
+randomKey(Pcg32 &rng)
+{
+    AesKey key;
+    for (std::uint8_t &b : key)
+        b = static_cast<std::uint8_t>(rng.next());
+    return key;
+}
+
+std::string
+hexOf(const CacheLine &l)
+{
+    static const char *digits = "0123456789abcdef";
+    std::string s;
+    for (unsigned i = 0; i < kLineSize; ++i) {
+        s += digits[l[i] >> 4];
+        s += digits[l[i] & 0xf];
+    }
+    return s;
+}
+
+TEST(CtrPadKernel, RandomTriplesMatchByteLoopReference)
+{
+    Pcg32 rng(0xc7a, 0x888);
+    for (int k = 0; k < 8; ++k) {
+        AesKey key = randomKey(rng);
+        Aes128 aes(key);
+        CtrModeEngine eng(key);
+        for (int it = 0; it < 500; ++it) {
+            // Full 64-bit draws: every address byte and, in most
+            // draws, counter bits at and above 2^56 are nonzero.
+            Addr addr = rng.next64();
+            std::uint64_t ctr = rng.next64();
+            if (rng.chance(0.3))
+                ctr &= 0xffffu;  // small, realistic counters too
+            CacheLine in = randomLine(rng);
+            ASSERT_TRUE(eng.applyPad(addr, ctr, in) ==
+                        applyPadReference(aes, addr, ctr, in))
+                << "key " << k << " iteration " << it;
+        }
+    }
+}
+
+TEST(CtrPadKernel, CounterTruncatesToSevenBytes)
+{
+    // Only the counter's low 7 bytes reach the counter block: counters
+    // that differ only at or above bit 56 share a pad.
+    AesKey key{};
+    key.fill(0x5a);
+    Aes128 aes(key);
+    CtrModeEngine eng(key);
+    CacheLine in;
+    in.setWord(3, 0x0123456789abcdefull);
+    Addr addr = 0x8877665544332211ull;
+    std::uint64_t low = 0x00aabbccddeeff01ull;
+    for (std::uint64_t top : {0ull, 1ull, 0x80ull, 0xffull}) {
+        std::uint64_t ctr = low | (top << 56);
+        EXPECT_TRUE(eng.applyPad(addr, ctr, in) ==
+                    applyPadReference(aes, addr, ctr, in));
+        EXPECT_TRUE(eng.applyPad(addr, ctr, in) ==
+                    eng.applyPad(addr, low, in));
+    }
+}
+
+TEST(CtrPadKernel, KnownAnswerPads)
+{
+    // Recorded from the byte-loop implementation the word-wide kernel
+    // replaced; the ciphertext must not change bit for bit.
+    AesKey k1{};
+    for (int i = 0; i < 16; ++i)
+        k1[i] = static_cast<std::uint8_t>(i);
+    CacheLine l1;
+    for (unsigned i = 0; i < kLineSize; ++i)
+        l1[i] = static_cast<std::uint8_t>(i * 3 + 1);
+    EXPECT_EQ(hexOf(CtrModeEngine(k1).applyPad(0x0123456789abcdc0ull,
+                                                0x0102030405060708ull, l1)),
+              "cbacea09040b29c4cebd648c5b87173b389bf448e17dfa364913fefc"
+              "fde13d073572491d456180f49dc94acc5f38af61f652369dae0cb915"
+              "2449bb93e99f322b");
+
+    AesKey k2 = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+                 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
+    EXPECT_EQ(hexOf(CtrModeEngine(k2).applyPad(12345 * kLineSize, 1,
+                                                CacheLine{})),
+              "16021d36af2194b2265aa6dafdc3df888f8e99b112f56260c1c5ac1b"
+              "4a48d760ccdec20c6e0a4cb5a37e538d6172b0545f05687cd6c017fa"
+              "c0a2affef5b8fac2");
+}
+
+// -------------------------------------------------------- AES paths
+
+AesBlock
+randomBlock(Pcg32 &rng)
+{
+    AesBlock b;
+    for (std::uint8_t &x : b)
+        x = static_cast<std::uint8_t>(rng.next());
+    return b;
+}
+
+TEST(AesBatch, FourBlocksEqualFourSingleCalls)
+{
+    Pcg32 rng(0xae5, 0x999);
+    for (int k = 0; k < 50; ++k) {
+        Aes128 aes(randomKey(rng));
+        AesBlock in[4], out[4];
+        for (AesBlock &b : in)
+            b = randomBlock(rng);
+        aes.encryptBlocks4(in, out);
+        for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(out[i], aes.encryptBlock(in[i]))
+                << "key " << k << " block " << i;
+    }
+}
+
+TEST(AesBatch, DispatchedPathEqualsPortablePath)
+{
+    // On an AES-NI host encryptBlock() runs the hardware path, so this
+    // holds it against the portable T-table path; elsewhere both are
+    // the portable path.
+    Pcg32 rng(0xae6, 0xaaa);
+    for (int k = 0; k < 50; ++k) {
+        Aes128 aes(randomKey(rng));
+        for (int it = 0; it < 20; ++it) {
+            AesBlock in = randomBlock(rng);
+            ASSERT_EQ(aes.encryptBlock(in), aes.encryptBlockPortable(in))
+                << "key " << k << " block " << it;
+        }
+    }
+}
+
+TEST(AesBatch, Fips197VectorThroughBatchEntry)
+{
+    AesKey key{};
+    AesBlock pt{};
+    for (int i = 0; i < 16; ++i) {
+        key[i] = static_cast<std::uint8_t>(i);
+        pt[i] = static_cast<std::uint8_t>(i * 0x11);
+    }
+    // FIPS-197 Appendix C.1: ciphertext 69c4e0d86a7b0430d8cdb78070b4c55a.
+    const AesBlock expect = {0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
+                             0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a};
+    Aes128 aes(key);
+    AesBlock in[4] = {pt, pt, pt, pt};
+    AesBlock out[4];
+    aes.encryptBlocks4(in, out);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(out[i], expect) << "lane " << i;
+    EXPECT_EQ(aes.encryptBlockPortable(pt), expect);
 }
 
 } // namespace

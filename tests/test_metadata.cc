@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/config.hh"
 #include "dedup/amt.hh"
 #include "dedup/efit.hh"
@@ -78,6 +80,157 @@ TEST(LineStore, FreedAddressIsReused)
     ls.release(a);
     Addr b = ls.allocate();
     EXPECT_EQ(a, b);
+}
+
+TEST(LineStore, ShardsAllocateOnTheirOwnInterleave)
+{
+    constexpr unsigned kShards = 4;
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, kShards);
+    for (unsigned round = 0; round < 3; ++round) {
+        for (unsigned s = 0; s < kShards; ++s) {
+            Addr a = ls.allocate(s);
+            EXPECT_EQ(lineIndex(a) % kShards, s);
+            EXPECT_EQ(ls.shardOf(a), s);
+            EXPECT_EQ(lineIndex(a) / kShards, round);
+        }
+    }
+    EXPECT_EQ(ls.liveLines(), 3u * kShards);
+}
+
+TEST(LineStore, FreedLineReturnsToItsOwnShard)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, 4);
+    Addr a = ls.allocate(1);
+    Addr b = ls.allocate(2);
+    ls.addRef(a);
+    EXPECT_TRUE(ls.release(a));
+    // Another shard never sees the freed line ...
+    Addr c = ls.allocate(2);
+    EXPECT_NE(c, a);
+    EXPECT_NE(c, b);
+    EXPECT_EQ(ls.shardOf(c), 2u);
+    // ... its own shard reuses it first.
+    EXPECT_EQ(ls.allocate(1), a);
+}
+
+TEST(LineStore, DeferredReclaimKeepsDeadLineUntilPromoted)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm);
+    ls.setDeferredReclaim(true);
+    Addr a = ls.allocate();
+    CacheLine content;
+    content.setWord(0, 0xfeedfacecafef00dull);
+    nvm.write(a, content, 7);
+    ls.addRef(a);
+    EXPECT_TRUE(ls.release(a));
+    EXPECT_FALSE(ls.isLive(a));
+    EXPECT_EQ(ls.refCount(a), 0u);
+    EXPECT_EQ(ls.liveLines(), 0u);
+    // Dead but unreclaimed: the content stays and the address is not
+    // handed out again.
+    ASSERT_TRUE(nvm.contains(a));
+    EXPECT_TRUE(nvm.peek(a)->data == content);
+    Addr b = ls.allocate();
+    EXPECT_NE(b, a);
+    ls.promoteFreed();
+    EXPECT_FALSE(nvm.contains(a));
+    EXPECT_EQ(ls.allocate(), a);
+}
+
+TEST(LineStore, UnallocatedAddressesAreNotLive)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, 2);
+    Addr a = ls.allocate(0);
+    ls.addRef(a);
+    // Never allocated: the other shard's first line, and lines past
+    // each shard's high-water mark, up to far beyond the device.
+    for (Addr x : {Addr{1} * kLineSize, Addr{2} * kLineSize,
+                   Addr{1000} * kLineSize, Addr{1} << 45,
+                   lineAlign(kInvalidAddr)}) {
+        EXPECT_FALSE(ls.isLive(x)) << x;
+        EXPECT_EQ(ls.refCount(x), 0u) << x;
+    }
+    EXPECT_TRUE(ls.isLive(a + 5));  // any byte of the line
+    EXPECT_EQ(ls.refCount(a), 1u);
+}
+
+TEST(LineStore, FingerprintIsTakenOnce)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm);
+    Addr a = ls.allocate();
+    EXPECT_FALSE(ls.takeFingerprint(a).has_value());
+    ls.setFingerprint(a, 0xabcdef);
+    ls.addRef(a);
+    EXPECT_TRUE(ls.release(a));
+    // The dying line hands its fingerprint back exactly once.
+    std::optional<std::uint64_t> fp = ls.takeFingerprint(a);
+    ASSERT_TRUE(fp.has_value());
+    EXPECT_EQ(*fp, 0xabcdefu);
+    EXPECT_FALSE(ls.takeFingerprint(a).has_value());
+    // A reused line starts without one.
+    EXPECT_EQ(ls.allocate(), a);
+    EXPECT_FALSE(ls.takeFingerprint(a).has_value());
+    EXPECT_FALSE(ls.takeFingerprint(Addr{1} << 40).has_value());
+}
+
+TEST(LineStore, RetireDropsFingerprintButLineStaysLive)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm);
+    Addr a = ls.allocate();
+    ls.setFingerprint(a, 42);
+    ls.addRef(a);
+    ls.addRef(a);
+    // A RAS retirement takes the fingerprint while mappings remain.
+    EXPECT_EQ(ls.takeFingerprint(a), std::optional<std::uint64_t>(42));
+    EXPECT_TRUE(ls.isLive(a));
+    EXPECT_EQ(ls.refCount(a), 2u);
+    EXPECT_FALSE(ls.release(a));
+    EXPECT_TRUE(ls.release(a));
+    EXPECT_FALSE(ls.takeFingerprint(a).has_value());
+}
+
+TEST(LineStore, ReleaseIfLiveSkipsDeadLines)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm);
+    Addr a = ls.allocate();
+    ls.addRef(a);
+    ls.addRef(a);
+    EXPECT_EQ(ls.releaseIfLive(a), LineStore::Released::Dropped);
+    EXPECT_EQ(ls.releaseIfLive(a), LineStore::Released::Freed);
+    EXPECT_EQ(ls.releaseIfLive(a), LineStore::Released::NotLive);
+    EXPECT_EQ(ls.releaseIfLive(Addr{1} << 40),
+              LineStore::Released::NotLive);
+}
+
+TEST(LineStore, RefTableListsLiveLines)
+{
+    NvmStore nvm(1 << 20);
+    LineStore ls(nvm, 2);
+    Addr a = ls.allocate(0);
+    Addr b = ls.allocate(1);
+    Addr c = ls.allocate(1);
+    ls.addRef(a);
+    ls.addRef(b);
+    ls.addRef(b);
+    ls.addRef(c);
+    ls.release(c);
+    std::uint64_t refs = 0;
+    std::uint64_t lines = 0;
+    for (const auto &[phys, n] : ls.refTable()) {
+        EXPECT_TRUE(ls.isLive(phys));
+        EXPECT_EQ(ls.refCount(phys), n);
+        refs += n;
+        ++lines;
+    }
+    EXPECT_EQ(refs, 3u);
+    EXPECT_EQ(lines, ls.liveLines());
 }
 
 // ----------------------------------------------------------------- AMT
@@ -177,6 +330,24 @@ TEST(Amt, PeekDoesNotDisturbCache)
     EXPECT_EQ(*p, 64u);
     EXPECT_EQ(amt.stats().cacheHits.value(), hits);
     EXPECT_FALSE(amt.peek(999 * kLineSize).has_value());
+}
+
+TEST(Amt, ClaimFindsTheEntryUpdateWritesThrough)
+{
+    Amt amt(tinyMeta(), 1 << 30);
+    Amt::Slot fresh = amt.claim(640);
+    EXPECT_FALSE(fresh.previous().has_value());
+    amt.update(fresh, 128);
+    EXPECT_EQ(amt.peek(640), std::optional<Addr>(128));
+    EXPECT_EQ(amt.mappingCount(), 1u);
+
+    Amt::Slot again = amt.claim(640 + 7);  // same line
+    EXPECT_EQ(again.previous(), std::optional<Addr>(128));
+    amt.update(again, 256);
+    EXPECT_EQ(amt.peek(640), std::optional<Addr>(256));
+    EXPECT_EQ(amt.mappingCount(), 1u);
+    EXPECT_EQ(amt.stats().updates.value(), 2u);
+    EXPECT_EQ(amt.stats().lookups.value(), 0u);  // claim is not a lookup
 }
 
 TEST(Amt, ManyToOneMapping)

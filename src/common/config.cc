@@ -9,15 +9,9 @@ std::string
 SimConfig::summary() const
 {
     std::ostringstream os;
-    os << "Processor and Cache\n"
+    os << "Processor\n"
        << "  CPU:            in-order, " << core.clockGhz << " GHz, base CPI "
        << core.baseCpi << "\n"
-       << "  L1 cache:       " << cache.l1Size / 1024 << " KB, "
-       << cache.l1Assoc << "-way, " << cache.l1Latency << "-cycle\n"
-       << "  L2 cache:       " << cache.l2Size / 1024 << " KB, "
-       << cache.l2Assoc << "-way, " << cache.l2Latency << "-cycle\n"
-       << "  L3 cache:       " << cache.l3Size / (1024 * 1024) << " MB, "
-       << cache.l3Assoc << "-way, " << cache.l3Latency << "-cycle\n"
        << "  Cache line:     " << kLineSize << " B\n"
        << "Main Memory (PCM)\n"
        << "  Capacity:       " << (pcm.capacityBytes >> 30) << " GB\n"

@@ -104,22 +104,6 @@ struct ChannelConfig
     bool wpqCoalescing = false;
 };
 
-/** CPU-side cache hierarchy parameters (Table I). */
-struct CacheConfig
-{
-    std::uint64_t l1Size = 32 * 1024;
-    unsigned l1Assoc = 8;
-    Cycles l1Latency = 2;
-
-    std::uint64_t l2Size = 256 * 1024;
-    unsigned l2Assoc = 8;
-    Cycles l2Latency = 8;
-
-    std::uint64_t l3Size = 16ull * 1024 * 1024;
-    unsigned l3Assoc = 8;
-    Cycles l3Latency = 25;
-};
-
 /** Latency/energy cost model for fingerprint and encryption engines.
  * Latencies from Section III-C / DeWrite; energies follow the SHA-3
  * round-2 power comparison study [56] scaled to a 64 B block. */
@@ -458,7 +442,6 @@ struct SimConfig
 {
     PcmConfig pcm;
     ChannelConfig channels;
-    CacheConfig cache;
     CryptoCostConfig crypto;
     MetadataConfig metadata;
     RasConfig ras;

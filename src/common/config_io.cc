@@ -255,20 +255,6 @@ applyConfigKey(SimConfig &cfg, const std::string &key,
     } else if (k == "channels.wpq_coalescing") {
         cfg.channels.wpqCoalescing = asBool(k, v);
     }
-    // Cache hierarchy.
-    else if (k == "cache.l1_kb") {
-        cfg.cache.l1Size = asU64(k, v) << 10;
-    } else if (k == "cache.l2_kb") {
-        cfg.cache.l2Size = asU64(k, v) << 10;
-    } else if (k == "cache.l3_kb") {
-        cfg.cache.l3Size = asU64(k, v) << 10;
-    } else if (k == "cache.l1_assoc") {
-        cfg.cache.l1Assoc = static_cast<unsigned>(asU64(k, v));
-    } else if (k == "cache.l2_assoc") {
-        cfg.cache.l2Assoc = static_cast<unsigned>(asU64(k, v));
-    } else if (k == "cache.l3_assoc") {
-        cfg.cache.l3Assoc = static_cast<unsigned>(asU64(k, v));
-    }
     // Crypto cost model.
     else if (k == "crypto.sha1_latency") {
         cfg.crypto.sha1Latency = asU64(k, v);
@@ -529,12 +515,6 @@ renderConfig(const SimConfig &cfg)
        << "channels.wpq_depth = " << cfg.channels.wpqDepth << "\n"
        << "channels.wpq_coalescing = "
        << (cfg.channels.wpqCoalescing ? "true" : "false") << "\n"
-       << "cache.l1_kb = " << (cfg.cache.l1Size >> 10) << "\n"
-       << "cache.l2_kb = " << (cfg.cache.l2Size >> 10) << "\n"
-       << "cache.l3_kb = " << (cfg.cache.l3Size >> 10) << "\n"
-       << "cache.l1_assoc = " << cfg.cache.l1Assoc << "\n"
-       << "cache.l2_assoc = " << cfg.cache.l2Assoc << "\n"
-       << "cache.l3_assoc = " << cfg.cache.l3Assoc << "\n"
        << "crypto.sha1_latency = " << cfg.crypto.sha1Latency << "\n"
        << "crypto.md5_latency = " << cfg.crypto.md5Latency << "\n"
        << "crypto.crc_latency = " << cfg.crypto.crcLatency << "\n"

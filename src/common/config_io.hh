@@ -9,15 +9,34 @@
  *   pcm.capacity_gb, pcm.read_latency, pcm.write_latency,
  *   pcm.read_energy_pj, pcm.write_energy_pj, pcm.channels,
  *   pcm.ranks, pcm.banks, pcm.write_queue_depth,
- *   pcm.row_buffer_lines, pcm.row_hit_read_latency, pcm.read_priority
- *   cache.l1_kb, cache.l2_kb, cache.l3_kb,
- *   cache.l1_assoc, cache.l2_assoc, cache.l3_assoc
+ *   pcm.row_buffer_lines, pcm.row_hit_read_latency, pcm.read_priority,
+ *   pcm.start_gap, pcm.gap_move_period, pcm.start_gap_region_lines
+ *   channels.count, channels.wpq_depth, channels.wpq_coalescing
  *   crypto.sha1_latency, crypto.md5_latency, crypto.crc_latency,
  *   crypto.encrypt_latency, crypto.compare_latency
  *   metadata.efit_kb, metadata.amt_kb, metadata.refer_h_max,
  *   metadata.decay_period, metadata.decay_delta, metadata.use_lrcu
+ *   ras.enabled, ras.read_ber, ras.write_ber, ras.stuck_at_onset_writes,
+ *   ras.stuck_at_per_write, ras.demand_scrub, ras.patrol_interval_writes,
+ *   ras.patrol_lines_per_sweep, ras.write_verify_retries,
+ *   ras.write_verify_backoff_ns, ras.spare_region_lines,
+ *   ras.dedup_suspend_ues
+ *   telemetry.trace_ring_capacity, telemetry.span_sample_every,
+ *   telemetry.span_buffer_cap, telemetry.metrics_every_writes,
+ *   telemetry.histogram_buckets
+ *   ecc.engine
+ *   persistence.enabled, persistence.domain, persistence.epoch_writes,
+ *   persistence.checkpoint_epochs, persistence.barrier_ns,
+ *   persistence.journal_append_ns, persistence.metadata_buffer_records,
+ *   persistence.counter_slack, persistence.counter_probe_max,
+ *   persistence.crash_at_write, persistence.crash_phase
+ *   trace.format, trace.line_payload, trace.read_ahead
+ *   pipeline.epoch_records, pipeline.queue_epochs, pipeline.sample_epochs
  *   core.clock_ghz, core.base_cpi
  *   seed
+ *
+ * Any other key is unknown: a config file warns once per such line
+ * and skips it, a `-<section>.<key>=` flag dies naming it.
  *
  * Command lines reach the same keys through ConfigFlags: the generic
  * `-<section>.<key>=v` spelling of any key, or one of the legacy

@@ -30,9 +30,6 @@ using Addr = std::uint64_t;
 /** Energy in picojoules. */
 using Energy = double;
 
-/** Cycle count of the modelled core. */
-using Cycles = std::uint64_t;
-
 /** Size of the cache line moved between LLC and NVMM (fixed by Table I). */
 constexpr std::size_t kLineSize = 64;
 

@@ -36,16 +36,6 @@ writeConfigJson(JsonWriter &w, const SimConfig &cfg)
     w.kv("wpq_coalescing", cfg.channels.wpqCoalescing);
     w.endObject();
 
-    w.key("cache");
-    w.beginObject();
-    w.kv("l1_size", cfg.cache.l1Size);
-    w.kv("l1_assoc", cfg.cache.l1Assoc);
-    w.kv("l2_size", cfg.cache.l2Size);
-    w.kv("l2_assoc", cfg.cache.l2Assoc);
-    w.kv("l3_size", cfg.cache.l3Size);
-    w.kv("l3_assoc", cfg.cache.l3Assoc);
-    w.endObject();
-
     w.key("crypto");
     w.beginObject();
     w.kv("sha1_latency_ns", cfg.crypto.sha1Latency);

@@ -1,5 +1,6 @@
 #include "core/simulator.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.hh"
@@ -47,11 +48,8 @@ Simulator::resetMeasurement()
 void
 Simulator::beginRun()
 {
-    coreTime_ = 0;
-    instructions_ = 0;
-    measureStartTime_ = 0;
-    measureStartInstr_ = 0;
-    measuredRecords_ = 0;
+    cores_.assign(1, Core{});
+    warmCores_ = 0;
     measuredWrites_ = 0;
     measuring_ = false;
     sawUnmeasured_ = false;
@@ -64,28 +62,36 @@ Simulator::beginRun()
 }
 
 void
-Simulator::stepRecord(const TraceRecord &rec, bool measured)
+Simulator::leaveWarmup(Core &c)
 {
-    if (measured && !measuring_) {
-        // First measured record: close the warm-up window. A run with
-        // no unmeasured prefix skips the reset — everything is still
-        // in its freshly-constructed state.
-        if (sawUnmeasured_)
-            resetMeasurement();
-        measureStartTime_ = coreTime_;
-        measureStartInstr_ = instructions_;
-        measuring_ = true;
-        hostStart_ = std::chrono::steady_clock::now();
-    }
+    c.measuring = true;
+    c.measureStartTime = c.time;
+    c.measureStartInstr = c.instructions;
+    if (++warmCores_ < cores_.size())
+        return;
+    // The last core left its warm-up: open the shared window. Shared
+    // structures can't be split per core, so they reset only now. A
+    // run with no unmeasured prefix skips the reset — everything is
+    // still in its freshly-constructed state.
+    if (sawUnmeasured_)
+        resetMeasurement();
+    measuring_ = true;
+    hostStart_ = std::chrono::steady_clock::now();
+}
+
+void
+Simulator::step(Core &c, const TraceRecord &rec, bool measured)
+{
+    if (measured && !c.measuring)
+        leaveWarmup(c);
     if (!measured)
         sawUnmeasured_ = true;
 
     // The core retires the inter-request instructions first.
-    const double ns_per_cycle = 1.0 / cfg_.core.clockGhz;
-    coreTime_ += rec.icount * cfg_.core.baseCpi * ns_per_cycle;
-    instructions_ += rec.icount;
+    c.time = issueTime(c, rec);
+    c.instructions += rec.icount;
 
-    auto now = static_cast<Tick>(coreTime_);
+    auto now = static_cast<Tick>(c.time);
     if (rec.op == OpType::Write) {
         if (persist_)
             persist_->onWriteBegin(now);
@@ -96,7 +102,7 @@ Simulator::stepRecord(const TraceRecord &rec, bool measured)
             // shows in the latency histograms.
             Tick extra = persist_->onWriteEnd(now + r.latency);
             r.latency += extra;
-            coreTime_ += static_cast<double>(extra);
+            c.time += static_cast<double>(extra);
         }
         if (measuring_) {
             writeLatency_.sample(static_cast<double>(r.latency));
@@ -104,17 +110,17 @@ Simulator::stepRecord(const TraceRecord &rec, bool measured)
             metrics_.onWrite(measuredWrites_);
         }
         // Posted write: only backpressure stalls the core.
-        coreTime_ += static_cast<double>(r.issuerStall);
+        c.time += static_cast<double>(r.issuerStall);
     } else {
         CacheLine data;
         AccessResult r = scheme_->read(rec.addr, data, now);
         if (measuring_)
             readLatency_.sample(static_cast<double>(r.latency));
         // Miss fills block the core.
-        coreTime_ += static_cast<double>(r.latency + r.issuerStall);
+        c.time += static_cast<double>(r.latency + r.issuerStall);
     }
-    if (measuring_)
-        ++measuredRecords_;
+    if (c.measuring)
+        ++c.measuredRecords;
 }
 
 RunResult
@@ -122,13 +128,6 @@ Simulator::endRun()
 {
     RunResult out;
     out.schemeName = scheme_->name();
-
-    if (!measuring_) {
-        // No measured record (e.g. an empty pipeline shard): an empty
-        // measurement window starting now.
-        measureStartTime_ = coreTime_;
-        measureStartInstr_ = instructions_;
-    }
 
     out.hostNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -141,9 +140,18 @@ Simulator::endRun()
 
     out.readLatency = readLatency_;
     out.writeLatency = writeLatency_;
-    out.records = measuredRecords_;
-    out.instructions = instructions_ - measureStartInstr_;
-    out.runtimeNs = coreTime_ - measureStartTime_;
+    for (Core &c : cores_) {
+        // A core with no measured record (e.g. an empty pipeline
+        // shard) has an empty window starting now.
+        if (!c.measuring) {
+            c.measureStartTime = c.time;
+            c.measureStartInstr = c.instructions;
+        }
+        out.records += c.measuredRecords;
+        out.instructions += c.instructions - c.measureStartInstr;
+        out.runtimeNs =
+            std::max(out.runtimeNs, c.time - c.measureStartTime);
+    }
     double cycles = out.runtimeNs * cfg_.core.clockGhz;
     out.ipc = cycles > 0 ? out.instructions / cycles : 0.0;
 
@@ -177,28 +185,68 @@ Simulator::endRun()
 }
 
 RunResult
-Simulator::run(TraceSource &trace, std::uint64_t records,
-               std::uint64_t warmup)
+Simulator::run(const std::vector<TraceSource *> &traces,
+               std::uint64_t records, std::uint64_t warmup)
 {
+    esd_assert(!traces.empty(), "need at least one core trace");
     beginRun();
+    cores_.resize(traces.size());
+    if (warmup == 0)
+        for (Core &c : cores_)
+            leaveWarmup(c);
 
-    // Pull in batches (TraceSource::nextBatch): streaming sources pay
-    // one virtual call per buffer instead of per record, and the
-    // record sequence is identical to one-at-a-time consumption.
+    // Each core pulls its trace in batches (TraceSource::nextBatch):
+    // streaming sources pay one virtual call per buffer instead of per
+    // record, and the record sequence is identical to one-at-a-time
+    // consumption.
     constexpr std::size_t kRunChunk = 1024;
-    std::vector<TraceRecord> chunk(kRunChunk);
-    std::uint64_t processed = 0;
-    while (records == 0 || processed < records) {
+    struct Feed
+    {
+        TraceSource *trace;
+        std::vector<TraceRecord> chunk;
+        std::size_t head = 0;
+        std::size_t size = 0;
+        std::uint64_t pulled = 0;
+        std::uint64_t processed = 0;
+    };
+    std::vector<Feed> feeds;
+    feeds.reserve(traces.size());
+    for (TraceSource *t : traces)
+        feeds.push_back(Feed{t, std::vector<TraceRecord>(kRunChunk)});
+    auto refill = [&](Feed &f) {
         std::size_t want = kRunChunk;
-        if (records != 0 && records - processed < want)
-            want = static_cast<std::size_t>(records - processed);
-        std::size_t got = trace.nextBatch(chunk.data(), want);
-        if (got == 0)
-            break;
-        for (std::size_t i = 0; i < got; ++i) {
-            stepRecord(chunk[i], processed >= warmup);
-            ++processed;
+        if (records != 0 && records - f.pulled < want)
+            want = static_cast<std::size_t>(records - f.pulled);
+        f.head = 0;
+        f.size = want == 0 ? 0 : f.trace->nextBatch(f.chunk.data(), want);
+        f.pulled += f.size;
+    };
+    for (Feed &f : feeds)
+        refill(f);
+
+    for (;;) {
+        // Fire the core whose pending record issues earliest (the
+        // lowest core index on a tie).
+        std::size_t next = feeds.size();
+        double next_at = 0;
+        for (std::size_t i = 0; i < feeds.size(); ++i) {
+            const Feed &f = feeds[i];
+            if (f.head == f.size)
+                continue;
+            double at = issueTime(cores_[i], f.chunk[f.head]);
+            if (next == feeds.size() || at < next_at) {
+                next = i;
+                next_at = at;
+            }
         }
+        if (next == feeds.size())
+            break;
+
+        Feed &f = feeds[next];
+        step(cores_[next], f.chunk[f.head], f.processed >= warmup);
+        ++f.processed;
+        if (++f.head == f.size)
+            refill(f);
     }
 
     if (warmup > 0 && !measuring_)

@@ -11,6 +11,13 @@
  * memory latency; evictions (writes) are posted and only stall the
  * core via write-queue backpressure — exactly the asymmetry that lets
  * write reduction translate into IPC (Fig. 14).
+ *
+ * Several cores (Table I's CPU is 8-core) share the one scheme,
+ * metadata caches and device: run() takes one trace per core, each
+ * core keeps its own clock, and a next-event loop fires the core whose
+ * pending record issues earliest, so device arrival times stay
+ * globally non-decreasing (which the bank model requires). A read
+ * blocks only the core that issued it.
  */
 
 #ifndef ESD_CORE_SIMULATOR_HH
@@ -19,6 +26,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/stat_registry.hh"
@@ -44,13 +52,15 @@ struct RunResult
 {
     std::string schemeName;
 
+    /** Measured records and retired instructions, summed over cores. */
     std::uint64_t records = 0;
     std::uint64_t instructions = 0;
 
-    /** Simulated wall time in ns. */
+    /** Simulated wall time in ns: the slowest core's measured window. */
     double runtimeNs = 0;
 
-    /** Instructions per core cycle. */
+    /** Instructions per core cycle of wall time (system IPC when
+     * several cores ran). */
     double ipc = 0;
 
     LatencyStat readLatency;
@@ -98,7 +108,7 @@ struct RunResult
 };
 
 /**
- * One simulated system instance: core model + scheme + device.
+ * One simulated system instance: cores + scheme + device.
  */
 class Simulator
 {
@@ -106,40 +116,55 @@ class Simulator
     Simulator(const SimConfig &cfg, SchemeKind kind);
 
     /**
-     * Play @p trace through the system.
+     * Play one trace per core through the system; one trace is the
+     * single-core run.
      *
-     * @param records total records to consume (0 = until exhausted)
-     * @param warmup  leading records excluded from statistics (the
-     *                paper warms the NVMM before measuring)
+     * @param records records each core consumes (0 = until its trace
+     *                is exhausted)
+     * @param warmup  each core's leading records excluded from its
+     *                timing window (the paper warms the NVMM before
+     *                measuring); the shared statistics reset when the
+     *                last core leaves its warm-up
      */
-    RunResult run(TraceSource &trace, std::uint64_t records,
-                  std::uint64_t warmup = 0);
+    RunResult run(const std::vector<TraceSource *> &traces,
+                  std::uint64_t records, std::uint64_t warmup = 0);
+
+    /** The single-core run of @p trace. */
+    RunResult
+    run(TraceSource &trace, std::uint64_t records, std::uint64_t warmup = 0)
+    {
+        return run(std::vector<TraceSource *>{&trace}, records, warmup);
+    }
 
     // ------------------------------------------------------------------
     // Incremental run API.
     //
     // The sharded write pipeline (exec/pipeline.hh) drives one
     // Simulator per shard record by record instead of handing it a
-    // whole TraceSource; run() above is exactly beginRun() + one
-    // stepRecord() per record + endRun(), so both paths share one
+    // whole TraceSource; a single-core run() is exactly beginRun() +
+    // one stepRecord() per record + endRun(), so both paths share one
     // timing model.
 
     /** Reset run-loop state; call once before the first stepRecord(). */
     void beginRun();
 
     /**
-     * Advance the system by one trace record. @p measured marks
-     * records inside the measurement window (the caller owns the
-     * warmup policy); the first measured record after an unmeasured
-     * prefix closes the warm-up window exactly like run() does.
+     * Advance core 0 by one trace record. @p measured marks records
+     * inside the measurement window (the caller owns the warmup
+     * policy); the first measured record after an unmeasured prefix
+     * closes the warm-up window exactly like run() does.
      */
-    void stepRecord(const TraceRecord &rec, bool measured);
+    void
+    stepRecord(const TraceRecord &rec, bool measured)
+    {
+        step(cores_.front(), rec, measured);
+    }
 
     /** Close the run and assemble the RunResult over the measured
      * window. A run that saw no measured record yields zeros. */
     RunResult endRun();
 
-    /** True once a measured record has been processed. */
+    /** True once every core has left its warm-up. */
     bool measuring() const { return measuring_; }
 
     DedupScheme &scheme() { return *scheme_; }
@@ -238,16 +263,39 @@ class Simulator
     }
 
   private:
+    /** One in-order core's clock and its measured window. */
+    struct Core
+    {
+        double time = 0;  ///< simulated ns
+        std::uint64_t instructions = 0;
+        double measureStartTime = 0;
+        std::uint64_t measureStartInstr = 0;
+        std::uint64_t measuredRecords = 0;
+        bool measuring = false;
+    };
+
+    /** When @p c issues @p rec: after retiring rec.icount
+     * instructions. */
+    double
+    issueTime(const Core &c, const TraceRecord &rec) const
+    {
+        const double ns_per_cycle = 1.0 / cfg_.core.clockGhz;
+        return c.time + rec.icount * cfg_.core.baseCpi * ns_per_cycle;
+    }
+
+    void step(Core &c, const TraceRecord &rec, bool measured);
+
+    /** Open @p c's measured window; the last core to do so resets the
+     * shared statistics after a warm-up. */
+    void leaveWarmup(Core &c);
+
     void resetMeasurement();
 
     // Run-loop state shared by run() and the incremental API.
-    double coreTime_ = 0;  ///< simulated ns
-    std::uint64_t instructions_ = 0;
-    double measureStartTime_ = 0;
-    std::uint64_t measureStartInstr_ = 0;
-    std::uint64_t measuredRecords_ = 0;
+    std::vector<Core> cores_ = std::vector<Core>(1);
+    std::size_t warmCores_ = 0;  ///< cores that left their warm-up
     std::uint64_t measuredWrites_ = 0;
-    bool measuring_ = false;
+    bool measuring_ = false;     ///< every core left its warm-up
     bool sawUnmeasured_ = false;
     std::chrono::steady_clock::time_point hostStart_;
 

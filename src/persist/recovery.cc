@@ -19,6 +19,16 @@ namespace
  * candidate is accepted when the decrypted plaintext re-encodes to
  * the stored line ECC.
  *
+ * When no candidate matches exactly, the line may carry correctable
+ * media faults (stored bits flipped by read or write disturbs) on top
+ * of the counter lag: the first candidate whose plaintext the line
+ * code reconciles with the stored check bits by correcting at most
+ * two words is accepted instead. A wrong counter decrypts to
+ * effectively random data; under Hamming(72,64) it leaves six of
+ * eight words with a zero syndrome with probability below 1e-14, so
+ * an exact match always wins and a wrong counter is never taken in
+ * practice.
+ *
  * @return the accepted counter, or 0 when none decrypts within the
  *         probe budget (counters are >= 1 once a line was written).
  */
@@ -27,10 +37,19 @@ probeCounter(const CtrModeEngine &crypto, const EccEngine &ecc, Addr addr,
              const StoredLine &line, std::uint64_t j, std::uint64_t slack,
              std::uint64_t budget, std::uint64_t &probes_used)
 {
+    std::uint64_t correctable = 0;
     auto tryCtr = [&](std::uint64_t c) {
         ++probes_used;
         CacheLine plain = crypto.applyPad(addr, c, line.data);
-        return ecc.encodeLine(plain) == line.ecc;
+        if (ecc.encodeLine(plain) == line.ecc)
+            return true;
+        if (correctable == 0) {
+            LineDecodeResult r = ecc.decodeLine(plain, line.ecc);
+            if (r.status != EccStatus::Uncorrectable &&
+                r.correctedWords <= 2)
+                correctable = c;
+        }
+        return false;
     };
     std::uint64_t lo = j > slack ? j - slack : 1;
     for (std::uint64_t c = j < 1 ? 1 : j;
@@ -42,7 +61,7 @@ probeCounter(const CtrModeEngine &crypto, const EccEngine &ecc, Addr addr,
         if (tryCtr(c))
             return c;
     }
-    return 0;
+    return correctable;
 }
 
 } // namespace

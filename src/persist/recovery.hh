@@ -13,7 +13,9 @@
  *   2. Counter recovery — for every surviving line, probe candidate
  *      counters around the journaled value (decrypt with the
  *      candidate, accept when the plaintext re-encodes to the stored
- *      line ECC — the Osiris trick of using ECC as a counter oracle).
+ *      line ECC — the Osiris trick of using ECC as a counter oracle —
+ *      or, failing any exact match, when the line code corrects the
+ *      plaintext in at most two words: correctable media faults).
  *      The forward-safe counter is max(probed, journaled) + slack,
  *      where slack bounds the un-journaled bumps an epoch can hide;
  *      lines the journal never named start from the same slack floor.

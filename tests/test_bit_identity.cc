@@ -251,8 +251,8 @@ runFaultPath(SchemeKind kind)
 
 /** Digests of runFaultPath for schemes 0-5. */
 constexpr std::uint64_t kFaultPathDigest[6] = {
-    0x14da7f0839c54708ull, 0xc3000b341ae63282ull, 0xabac4bb80ccd0056ull,
-    0x3a3570017c6333f6ull, 0x205fb3de1e0e65cfull, 0x2c475aee4e3a958full,
+    0x96b043ffa268237aull, 0x7f123371b4cf828cull, 0xaa371d43534e177cull,
+    0xa389e45cf7019d0cull, 0x348a97afa95df10dull, 0xa7866d8d1843e571ull,
 };
 
 class BitIdentityFaultPath : public ::testing::TestWithParam<int>

@@ -224,7 +224,6 @@ TEST(SimConfig, DefaultsMatchTableI)
     EXPECT_DOUBLE_EQ(cfg.pcm.readEnergy, 1490.0);
     EXPECT_DOUBLE_EQ(cfg.pcm.writeEnergy, 6750.0);
     EXPECT_EQ(cfg.pcm.capacityBytes, 16ull << 30);
-    EXPECT_EQ(cfg.cache.l3Size, 16ull * 1024 * 1024);
     EXPECT_EQ(cfg.metadata.efitCacheBytes, 512u * 1024);
     EXPECT_EQ(cfg.metadata.amtCacheBytes, 512u * 1024);
     EXPECT_EQ(cfg.crypto.sha1Latency, 321u);

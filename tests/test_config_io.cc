@@ -29,8 +29,8 @@ TEST(ConfigIo, ApplyKnownKeys)
     EXPECT_FALSE(cfg.metadata.useLrcu);
     EXPECT_TRUE(applyConfigKey(cfg, "core.clock_ghz", "3.5"));
     EXPECT_DOUBLE_EQ(cfg.core.clockGhz, 3.5);
-    EXPECT_TRUE(applyConfigKey(cfg, "cache.l3_kb", "8192"));
-    EXPECT_EQ(cfg.cache.l3Size, 8192u << 10);
+    EXPECT_TRUE(applyConfigKey(cfg, "metadata.amt_kb", "8192"));
+    EXPECT_EQ(cfg.metadata.amtCacheBytes, 8192u << 10);
     EXPECT_TRUE(applyConfigKey(cfg, "seed", "42"));
     EXPECT_EQ(cfg.seed, 42u);
 }
@@ -88,6 +88,32 @@ TEST_F(ConfigFileTest, LoadOverridesDefaults)
     EXPECT_EQ(cfg.crypto.sha1Latency, 500u);
     // Untouched keys keep their Table I defaults.
     EXPECT_EQ(cfg.pcm.readLatency, 75u);
+}
+
+TEST_F(ConfigFileTest, RemovedCacheKeysWarnOncePerKey)
+{
+    // No model reads a CPU cache size: the [cache] keys are unknown, so
+    // an old config file still loads, with one warning per key.
+    const char *keys[] = {"cache.l1_kb",    "cache.l2_kb",
+                          "cache.l3_kb",    "cache.l1_assoc",
+                          "cache.l2_assoc", "cache.l3_assoc"};
+    {
+        std::ofstream out(path_);
+        for (const char *k : keys)
+            out << k << " = 8\n";
+        out << "pcm.read_latency = 80\n";
+    }
+    SimConfig probe;
+    for (const char *k : keys)
+        EXPECT_FALSE(applyConfigKey(probe, k, "8")) << k;
+    setQuiet(true);
+    std::uint64_t warns = warnCount();
+    SimConfig cfg;
+    loadConfigFile(cfg, path_.string());
+    setQuiet(false);
+    EXPECT_EQ(warnCount(), warns + 6);
+    EXPECT_EQ(cfg.pcm.readLatency, 80u);
+    EXPECT_EQ(renderConfig(cfg).find("cache."), std::string::npos);
 }
 
 TEST_F(ConfigFileTest, UnknownKeyWarnsButContinues)

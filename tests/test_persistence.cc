@@ -11,6 +11,11 @@
  * fires): every `persist.*` counter and the whole stats report, apart
  * from the config key itself, must match. Arming a crash on a manager
  * that kept no capture state is fatal.
+ *
+ * Recovery's counter probe is pinned on a hand-built CrashImage: a
+ * journaled counter that lags the line's true counter is re-derived,
+ * including through correctable media faults, and a line the code
+ * cannot correct stays unresolved.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +23,10 @@
 #include <sstream>
 #include <string>
 
+#include "common/random.hh"
 #include "core/run_report.hh"
 #include "core/simulator.hh"
+#include "persist/recovery.hh"
 #include "trace/workloads.hh"
 
 namespace esd
@@ -129,6 +136,84 @@ TEST(Persistence, PreparingAfterFirstWriteIsFatal)
     EXPECT_EXIT(sim.persistence()->prepareCrashCapture(),
                 ::testing::ExitedWithCode(1),
                 "must be prepared before the first write");
+}
+
+/** A one-line CrashImage: kAddr written five times (true counter 5)
+ * whose journal names counter 1, so the probe must climb the slack
+ * window. @p flip_bits ciphertext bits are flipped after the write. */
+struct LaggingLine
+{
+    static constexpr Addr kAddr = 128;
+
+    CtrModeEngine crypto{AesKey{0x5c}};
+    const EccEngine &ecc = eccEngine(EccEngineKind::Hamming);
+    CrashImage img;
+
+    explicit LaggingLine(std::initializer_list<unsigned> flip_bits)
+    {
+        Pcg32 rng(4);
+        CacheLine plain;
+        rng.fillLine(plain);
+        StoredLine line;
+        for (int i = 0; i < 5; ++i)
+            line.data = crypto.encrypt(kAddr, plain);
+        line.ecc = ecc.encodeLine(plain);
+        for (unsigned bit : flip_bits)
+            line.data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        img.checkpoint.ctr[kAddr] = 1;
+        img.content.emplace_back(kAddr, line);
+    }
+
+    RecoveredState
+    recover() const
+    {
+        PersistenceConfig cfg;
+        cfg.counterSlack = 8;
+        return recoverFromImage(img, cfg, crypto, ecc);
+    }
+};
+
+TEST(Recovery, ProbeDerivesLaggingCounter)
+{
+    RecoveredState st = LaggingLine({}).recover();
+    EXPECT_TRUE(st.summary.ok);
+    EXPECT_EQ(st.summary.countersUnresolved, 0u);
+    EXPECT_EQ(st.summary.countersRepaired, 1u);
+    EXPECT_EQ(st.ctrDecrypt[LaggingLine::kAddr], 5u);
+    EXPECT_EQ(st.summary.countersProbed, 5u);
+}
+
+TEST(Recovery, ProbeResolvesCounterUnderCorrectableMediaFault)
+{
+    // One flipped ciphertext bit is one flipped plaintext bit under the
+    // right counter: no candidate re-encodes exactly, but SEC-DED
+    // corrects the word, so the counter still resolves. The fault
+    // stays in the line for the read path to correct.
+    LaggingLine faulted({100});
+    RecoveredState st = faulted.recover();
+    EXPECT_TRUE(st.summary.ok);
+    EXPECT_EQ(st.summary.countersUnresolved, 0u);
+    EXPECT_EQ(st.ctrDecrypt[LaggingLine::kAddr], 5u);
+    EXPECT_EQ(st.summary.liveLines, 1u);
+}
+
+TEST(Recovery, ProbeResolvesCounterWithTwoFaultedWords)
+{
+    // Single-bit faults in two different 64-bit words: SEC-DED
+    // corrects each word on its own.
+    RecoveredState st = LaggingLine({100, 300}).recover();
+    EXPECT_TRUE(st.summary.ok);
+    EXPECT_EQ(st.ctrDecrypt[LaggingLine::kAddr], 5u);
+}
+
+TEST(Recovery, ProbeLeavesUncorrectableLineUnresolved)
+{
+    // Two flips in one 64-bit word: SEC-DED detects but cannot
+    // correct, and no wrong counter may be accepted in its place.
+    RecoveredState st = LaggingLine({100, 101}).recover();
+    EXPECT_FALSE(st.summary.ok);
+    EXPECT_EQ(st.summary.countersUnresolved, 1u);
+    EXPECT_EQ(st.ctrDecrypt.count(LaggingLine::kAddr), 0u);
 }
 
 } // namespace

@@ -1,7 +1,12 @@
 #include "common/config_io.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "common/logging.hh"
 
@@ -45,16 +50,17 @@ asU64(const std::string &key, const std::string &v)
     }
 }
 
+/** A finite double: "nan" and "inf" parse but are rejected. */
 double
 asDouble(const std::string &key, const std::string &v)
 {
+    double out;
     try {
         std::size_t consumed = 0;
-        double out = std::stod(v, &consumed);
+        out = std::stod(v, &consumed);
         if (consumed != v.size())
             esd_fatal("config key '%s': trailing garbage in '%s'",
                       key.c_str(), v.c_str());
-        return out;
     } catch (const std::out_of_range &) {
         esd_fatal("config key '%s': '%s' is out of double range",
                   key.c_str(), v.c_str());
@@ -62,32 +68,10 @@ asDouble(const std::string &key, const std::string &v)
         esd_fatal("config key '%s': '%s' is not a number", key.c_str(),
                   v.c_str());
     }
-}
-
-/** A probability: a double constrained to [0, 1]. */
-double
-asProb(const std::string &key, const std::string &v)
-{
-    double p = asDouble(key, v);
-    if (p < 0.0 || p > 1.0)
-        esd_fatal("config key '%s': %s is out of range (probability "
-                  "must be in [0, 1])",
+    if (!std::isfinite(out))
+        esd_fatal("config key '%s': '%s' is not a finite number",
                   key.c_str(), v.c_str());
-    return p;
-}
-
-/** An unsigned integer constrained to [lo, hi]. */
-std::uint64_t
-asU64In(const std::string &key, const std::string &v, std::uint64_t lo,
-        std::uint64_t hi)
-{
-    std::uint64_t u = asU64(key, v);
-    if (u < lo || u > hi)
-        esd_fatal("config key '%s': %s is out of range [%llu, %llu]",
-                  key.c_str(), v.c_str(),
-                  static_cast<unsigned long long>(lo),
-                  static_cast<unsigned long long>(hi));
-    return u;
+    return out;
 }
 
 bool
@@ -101,32 +85,276 @@ asBool(const std::string &key, const std::string &v)
               v.c_str());
 }
 
-EccEngineKind
-parseEccEngine(const std::string &key, const std::string &v)
+/** @p x in `%g` style with the fewest significant digits, six or
+ * more, that read back exactly: a value six digits hold keeps the
+ * spelling `std::ostream` gives it. */
+std::string
+formatDouble(double x)
 {
-    if (v == "hamming")
-        return EccEngineKind::Hamming;
-    if (v == "bch")
-        return EccEngineKind::Bch;
-    if (v == "rs")
-        return EccEngineKind::Rs;
-    esd_fatal("config key '%s': '%s' is not an ecc engine "
-              "(expected hamming, bch, or rs)",
-              key.c_str(), v.c_str());
+    char buf[32];
+    for (int digits = 6;; ++digits) {
+        auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x,
+                                       std::chars_format::general, digits);
+        double back = 0;
+        std::from_chars(buf, end, back);
+        if (back == x || digits == 17)
+            return std::string(buf, end);
+    }
 }
 
-CrashPhase
-parseCrashPhase(const std::string &key, const std::string &v)
+/** The config-file spellings of an enum, in declaration order. */
+struct EnumNames
 {
-    if (v == "pre_barrier")
-        return CrashPhase::PreBarrier;
-    if (v == "mid_journal")
-        return CrashPhase::MidJournal;
-    if (v == "post_data")
-        return CrashPhase::PostData;
-    esd_fatal("config key '%s': '%s' is not a crash phase (expected "
-              "pre_barrier, mid_journal, or post_data)",
-              key.c_str(), v.c_str());
+    const char *what;  ///< "an ecc engine", for diagnostics
+    std::vector<const char *> names;
+
+    std::size_t
+    parse(const std::string &key, const std::string &v) const
+    {
+        for (std::size_t i = 0; i < names.size(); ++i)
+            if (v == names[i])
+                return i;
+        esd_fatal("config key '%s': '%s' is not %s (expected %s)",
+                  key.c_str(), v.c_str(), what, join(nullptr).c_str());
+    }
+
+    template <typename E>
+    const char *name(E e) const { return names.at(std::size_t(e)); }
+
+    /** The names joined by @p sep ("a|b|c"), or as prose when @p sep
+     * is null ("a, b, or c"; "a or b"). */
+    std::string
+    join(const char *sep) const
+    {
+        std::string out;
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (i > 0)
+                out += sep                     ? sep
+                       : names.size() == 2     ? " or "
+                       : i + 1 == names.size() ? ", or "
+                                               : ", ";
+            out += names[i];
+        }
+        return out;
+    }
+};
+
+const EnumNames kEccEngines{"an ecc engine", {"hamming", "bch", "rs"}};
+const EnumNames kPersistDomains{"a persistence domain", {"adr", "eadr"}};
+const EnumNames kCrashPhases{"a crash phase",
+                             {"pre_barrier", "mid_journal", "post_data"}};
+const EnumNames kTraceFormats{"a trace format",
+                              {"auto", "text", "gzip", "binary"}};
+
+/** A key's storage: a reference into the SimConfig it is applied to. */
+template <typename T>
+using FieldRef = T &(*)(SimConfig &);
+
+/** The domain of a double key; every double key must also be finite. */
+enum class Real
+{
+    NonNegative,  ///< [0, max]: energies
+    Positive,     ///< (0, max]: clock, CPI
+    Probability,  ///< [0, 1]: error rates
+};
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * One config key: its name, its SimConfig field, and how a value is
+ * parsed, bounded and rendered. The field type picks the parser:
+ * an integer in [lo, hi] (in the key's unit; stored `<< shift`, and hi
+ * capped so that the field holds it), a finite double in `real`, a
+ * boolean, or one of an enum's `names`.
+ */
+struct ConfigKey
+{
+    template <typename T>
+    constexpr ConfigKey(const char *n, FieldRef<T> f, std::uint64_t l = 0,
+                        std::uint64_t h = kU64Max, unsigned s = 0)
+        : name(n), field(f), lo(l),
+          hi(std::min<std::uint64_t>(h, std::numeric_limits<T>::max() >> s)),
+          shift(s) {}
+
+    constexpr ConfigKey(const char *n, FieldRef<double> f,
+                        Real r = Real::NonNegative)
+        : name(n), field(f), real(r) {}
+
+    template <typename E>
+    constexpr ConfigKey(const char *n, FieldRef<E> f, const EnumNames &e)
+        : name(n), field(f), names(&e) {}
+
+    const char *name;
+    std::variant<FieldRef<std::uint64_t>, FieldRef<unsigned>,
+                 FieldRef<double>, FieldRef<bool>, FieldRef<EccEngineKind>,
+                 FieldRef<PersistDomain>, FieldRef<CrashPhase>,
+                 FieldRef<TraceFormat>>
+        field;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = kU64Max;
+    unsigned shift = 0;
+    Real real = Real::NonNegative;
+    const EnumNames *names = nullptr;
+
+    void
+    set(SimConfig &cfg, const std::string &v) const
+    {
+        std::visit(
+            [&](auto field) {
+                using T = std::remove_reference_t<decltype(field(cfg))>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    field(cfg) = asBool(name, v);
+                } else if constexpr (std::is_same_v<T, double>) {
+                    double x = asDouble(name, v);
+                    if (x < 0.0 || (real == Real::Probability && x > 1.0) ||
+                        (real == Real::Positive && x == 0.0))
+                        esd_fatal("config key '%s': %s is out of range "
+                                  "(must be %s)",
+                                  name, v.c_str(),
+                                  real == Real::Probability ? "in [0, 1]"
+                                  : real == Real::Positive  ? "> 0"
+                                                            : ">= 0");
+                    field(cfg) = x;
+                } else if constexpr (std::is_enum_v<T>) {
+                    field(cfg) = static_cast<T>(names->parse(name, v));
+                } else {
+                    std::uint64_t u = asU64(name, v);
+                    if (u < lo || u > hi)
+                        esd_fatal("config key '%s': %s is out of range "
+                                  "[%s, %s]",
+                                  name, v.c_str(), std::to_string(lo).c_str(),
+                                  std::to_string(hi).c_str());
+                    field(cfg) = static_cast<T>(u << shift);
+                }
+            },
+            field);
+    }
+
+    /** @p cfg is only read; a FieldRef takes a mutable config. */
+    std::string
+    render(SimConfig &cfg) const
+    {
+        return std::visit(
+            [&](auto field) -> std::string {
+                using T = std::remove_reference_t<decltype(field(cfg))>;
+                const T x = field(cfg);
+                if constexpr (std::is_same_v<T, bool>)
+                    return x ? "true" : "false";
+                else if constexpr (std::is_same_v<T, double>)
+                    return formatDouble(x);
+                else if constexpr (std::is_enum_v<T>)
+                    return names->name(x);
+                else
+                    return std::to_string(std::uint64_t{x} >> shift);
+            },
+            field);
+    }
+};
+
+/** A FieldRef to `cfg.<path>`. */
+#define FIELD(path) +[](SimConfig &c) -> auto & { return c.path; }
+
+/** Every config key, in renderConfig() order. */
+constexpr ConfigKey kConfigKeys[] = {
+    {"pcm.capacity_gb", FIELD(pcm.capacityBytes), 1, 1u << 20, 30},
+    {"pcm.read_latency", FIELD(pcm.readLatency)},
+    {"pcm.write_latency", FIELD(pcm.writeLatency)},
+    {"pcm.read_energy_pj", FIELD(pcm.readEnergy)},
+    {"pcm.write_energy_pj", FIELD(pcm.writeEnergy)},
+    {"pcm.channels", FIELD(pcm.channels), 1, 64},
+    {"pcm.ranks", FIELD(pcm.ranksPerChannel), 1, 64},
+    {"pcm.banks", FIELD(pcm.banksPerRank), 1, 1024},
+    {"pcm.write_queue_depth", FIELD(pcm.writeQueueDepth), 1, 1u << 20},
+    {"pcm.row_buffer_lines", FIELD(pcm.rowBufferLines), 0, 1u << 20},
+    {"pcm.row_hit_read_latency", FIELD(pcm.rowHitReadLatency)},
+    {"pcm.read_priority", FIELD(pcm.readPriority)},
+    {"pcm.start_gap", FIELD(pcm.startGapEnabled)},
+    {"pcm.gap_move_period", FIELD(pcm.gapMovePeriod), 1, 1ull << 40},
+    {"pcm.start_gap_region_lines", FIELD(pcm.startGapRegionLines), 1,
+     1ull << 30},
+    {"channels.count", FIELD(channels.count), 1, 64},
+    // 0 = inherit pcm.write_queue_depth.
+    {"channels.wpq_depth", FIELD(channels.wpqDepth), 0, 1u << 16},
+    {"channels.wpq_coalescing", FIELD(channels.wpqCoalescing)},
+    {"crypto.sha1_latency", FIELD(crypto.sha1Latency)},
+    {"crypto.md5_latency", FIELD(crypto.md5Latency)},
+    {"crypto.crc_latency", FIELD(crypto.crcLatency)},
+    {"crypto.encrypt_latency", FIELD(crypto.encryptLatency)},
+    {"crypto.compare_latency", FIELD(crypto.compareLatency)},
+    {"metadata.efit_kb", FIELD(metadata.efitCacheBytes), 0, kU64Max, 10},
+    {"metadata.amt_kb", FIELD(metadata.amtCacheBytes), 0, kU64Max, 10},
+    {"metadata.refer_h_max", FIELD(metadata.referHMax)},
+    {"metadata.decay_period", FIELD(metadata.decayPeriod)},
+    {"metadata.decay_delta", FIELD(metadata.decayDelta)},
+    {"metadata.use_lrcu", FIELD(metadata.useLrcu)},
+    {"ras.enabled", FIELD(ras.enabled)},
+    {"ras.read_ber", FIELD(ras.readBer), Real::Probability},
+    {"ras.write_ber", FIELD(ras.writeBer), Real::Probability},
+    {"ras.stuck_at_onset_writes", FIELD(ras.stuckAtOnsetWrites)},
+    {"ras.stuck_at_per_write", FIELD(ras.stuckAtPerWrite), Real::Probability},
+    {"ras.demand_scrub", FIELD(ras.demandScrub)},
+    {"ras.patrol_interval_writes", FIELD(ras.patrolIntervalWrites)},
+    {"ras.patrol_lines_per_sweep", FIELD(ras.patrolLinesPerSweep), 1,
+     1u << 20},
+    {"ras.write_verify_retries", FIELD(ras.writeVerifyRetries), 0, 64},
+    {"ras.write_verify_backoff_ns", FIELD(ras.writeVerifyBackoffNs)},
+    {"ras.spare_region_lines", FIELD(ras.spareRegionLines), 1, 1ull << 30},
+    {"ras.dedup_suspend_ues", FIELD(ras.dedupSuspendUes)},
+    {"telemetry.trace_ring_capacity", FIELD(telemetry.traceRingCapacity), 1,
+     1u << 24},
+    {"telemetry.span_sample_every", FIELD(telemetry.spanSampleEvery), 1,
+     1u << 30},
+    {"telemetry.span_buffer_cap", FIELD(telemetry.spanBufferCap), 1, 1u << 26},
+    {"telemetry.metrics_every_writes", FIELD(telemetry.metricsEveryWrites), 0,
+     1ull << 40},
+    {"telemetry.histogram_buckets", FIELD(telemetry.histogramBuckets)},
+    {"ecc.engine", FIELD(ecc.engine), kEccEngines},
+    {"persistence.enabled", FIELD(persist.enabled)},
+    {"persistence.domain", FIELD(persist.domain), kPersistDomains},
+    {"persistence.epoch_writes", FIELD(persist.epochWrites), 1, 1u << 20},
+    {"persistence.checkpoint_epochs", FIELD(persist.checkpointEpochs), 1,
+     1u << 20},
+    {"persistence.barrier_ns", FIELD(persist.barrierNs), 0, 1u << 20},
+    {"persistence.journal_append_ns", FIELD(persist.journalAppendNs), 0,
+     1u << 20},
+    {"persistence.metadata_buffer_records",
+     FIELD(persist.metadataBufferRecords), 1, 1u << 24},
+    {"persistence.counter_slack", FIELD(persist.counterSlack), 0, 1u << 24},
+    {"persistence.counter_probe_max", FIELD(persist.counterProbeMax), 0,
+     1u << 16},
+    {"persistence.crash_at_write", FIELD(persist.crashAtWrite), 0, 1ull << 40},
+    {"persistence.crash_phase", FIELD(persist.crashPhase), kCrashPhases},
+    {"trace.format", FIELD(trace.format), kTraceFormats},
+    {"trace.line_payload", FIELD(trace.linePayload)},
+    {"trace.read_ahead", FIELD(trace.readAhead), 1, 1u << 20},
+    {"pipeline.epoch_records", FIELD(pipeline.epochRecords), 1, 1u << 20},
+    {"pipeline.queue_epochs", FIELD(pipeline.queueEpochs), 1, 1024},
+    {"pipeline.sample_epochs", FIELD(pipeline.sampleEpochs), 0, 1u << 20},
+    {"core.clock_ghz", FIELD(core.clockGhz), Real::Positive},
+    {"core.base_cpi", FIELD(core.baseCpi), Real::Positive},
+    {"seed", FIELD(seed)},
+};
+
+#undef FIELD
+
+/** The row of @p name, or nullptr. */
+const ConfigKey *
+findKey(const std::string &name)
+{
+    for (const ConfigKey &k : kConfigKeys)
+        if (name == k.name)
+            return &k;
+    return nullptr;
+}
+
+/** The row of @p name, which must exist. */
+const ConfigKey &
+knownKey(const std::string &name)
+{
+    const ConfigKey *k = findKey(name);
+    if (!k)
+        esd_panic("unknown config key '%s'", name.c_str());
+    return *k;
 }
 
 } // namespace
@@ -134,246 +362,68 @@ parseCrashPhase(const std::string &key, const std::string &v)
 const char *
 eccEngineName(EccEngineKind k)
 {
-    switch (k) {
-      case EccEngineKind::Hamming: return "hamming";
-      case EccEngineKind::Bch: return "bch";
-      case EccEngineKind::Rs: return "rs";
-    }
-    esd_panic("unreachable ecc engine %d", static_cast<int>(k));
+    return kEccEngines.name(k);
 }
 
 const char *
 persistDomainName(PersistDomain d)
 {
-    switch (d) {
-      case PersistDomain::Adr: return "adr";
-      case PersistDomain::Eadr: return "eadr";
-    }
-    esd_panic("unreachable persistence domain %d", static_cast<int>(d));
+    return kPersistDomains.name(d);
 }
 
 const char *
 crashPhaseName(CrashPhase p)
 {
-    switch (p) {
-      case CrashPhase::PreBarrier: return "pre_barrier";
-      case CrashPhase::MidJournal: return "mid_journal";
-      case CrashPhase::PostData: return "post_data";
-    }
-    esd_panic("unreachable crash phase %d", static_cast<int>(p));
+    return kCrashPhases.name(p);
 }
 
 PersistDomain
 parsePersistDomain(const std::string &key, const std::string &v)
 {
-    if (v == "adr")
-        return PersistDomain::Adr;
-    if (v == "eadr")
-        return PersistDomain::Eadr;
-    esd_fatal("config key '%s': '%s' is not a persistence domain "
-              "(expected adr or eadr)",
-              key.c_str(), v.c_str());
+    return static_cast<PersistDomain>(kPersistDomains.parse(key, v));
 }
 
 const char *
 traceFormatName(TraceFormat f)
 {
-    switch (f) {
-      case TraceFormat::Auto: return "auto";
-      case TraceFormat::Text: return "text";
-      case TraceFormat::Gzip: return "gzip";
-      case TraceFormat::Binary: return "binary";
-    }
-    esd_panic("unreachable trace format %d", static_cast<int>(f));
+    return kTraceFormats.name(f);
 }
 
 TraceFormat
 parseTraceFormat(const std::string &key, const std::string &v)
 {
-    if (v == "auto")
-        return TraceFormat::Auto;
-    if (v == "text")
-        return TraceFormat::Text;
-    if (v == "gzip")
-        return TraceFormat::Gzip;
-    if (v == "binary")
-        return TraceFormat::Binary;
-    esd_fatal("config key '%s': '%s' is not a trace format (expected "
-              "auto, text, gzip, or binary)",
-              key.c_str(), v.c_str());
+    return static_cast<TraceFormat>(kTraceFormats.parse(key, v));
 }
 
 bool
 applyConfigKey(SimConfig &cfg, const std::string &key,
                const std::string &value)
 {
-    const std::string &k = key;
-    const std::string &v = value;
-
-    // PCM.
-    if (k == "pcm.capacity_gb") {
-        cfg.pcm.capacityBytes = asU64In(k, v, 1, 1u << 20) << 30;
-    } else if (k == "pcm.read_latency") {
-        cfg.pcm.readLatency = asU64(k, v);
-    } else if (k == "pcm.write_latency") {
-        cfg.pcm.writeLatency = asU64(k, v);
-    } else if (k == "pcm.read_energy_pj") {
-        cfg.pcm.readEnergy = asDouble(k, v);
-    } else if (k == "pcm.write_energy_pj") {
-        cfg.pcm.writeEnergy = asDouble(k, v);
-    } else if (k == "pcm.channels") {
-        cfg.pcm.channels = static_cast<unsigned>(asU64In(k, v, 1, 64));
-    } else if (k == "pcm.ranks") {
-        cfg.pcm.ranksPerChannel =
-            static_cast<unsigned>(asU64In(k, v, 1, 64));
-    } else if (k == "pcm.banks") {
-        cfg.pcm.banksPerRank =
-            static_cast<unsigned>(asU64In(k, v, 1, 1024));
-    } else if (k == "pcm.write_queue_depth") {
-        cfg.pcm.writeQueueDepth =
-            static_cast<unsigned>(asU64In(k, v, 1, 1u << 20));
-    } else if (k == "pcm.row_buffer_lines") {
-        cfg.pcm.rowBufferLines = asU64In(k, v, 0, 1u << 20);
-    } else if (k == "pcm.row_hit_read_latency") {
-        cfg.pcm.rowHitReadLatency = asU64(k, v);
-    } else if (k == "pcm.read_priority") {
-        cfg.pcm.readPriority = asBool(k, v);
-    } else if (k == "pcm.start_gap") {
-        cfg.pcm.startGapEnabled = asBool(k, v);
-    } else if (k == "pcm.gap_move_period") {
-        cfg.pcm.gapMovePeriod = asU64In(k, v, 1, 1ull << 40);
-    } else if (k == "pcm.start_gap_region_lines") {
-        cfg.pcm.startGapRegionLines = asU64In(k, v, 1, 1ull << 30);
-    }
-    // Memory channels.
-    else if (k == "channels.count") {
-        cfg.channels.count = static_cast<unsigned>(asU64In(
-            k, v, kChannelCountRange.lo, kChannelCountRange.hi));
-    } else if (k == "channels.wpq_depth") {
-        cfg.channels.wpqDepth = static_cast<unsigned>(
-            asU64In(k, v, kWpqDepthRange.lo, kWpqDepthRange.hi));
-    } else if (k == "channels.wpq_coalescing") {
-        cfg.channels.wpqCoalescing = asBool(k, v);
-    }
-    // Crypto cost model.
-    else if (k == "crypto.sha1_latency") {
-        cfg.crypto.sha1Latency = asU64(k, v);
-    } else if (k == "crypto.md5_latency") {
-        cfg.crypto.md5Latency = asU64(k, v);
-    } else if (k == "crypto.crc_latency") {
-        cfg.crypto.crcLatency = asU64(k, v);
-    } else if (k == "crypto.encrypt_latency") {
-        cfg.crypto.encryptLatency = asU64(k, v);
-    } else if (k == "crypto.compare_latency") {
-        cfg.crypto.compareLatency = asU64(k, v);
-    }
-    // Metadata.
-    else if (k == "metadata.efit_kb") {
-        cfg.metadata.efitCacheBytes = asU64(k, v) << 10;
-    } else if (k == "metadata.amt_kb") {
-        cfg.metadata.amtCacheBytes = asU64(k, v) << 10;
-    } else if (k == "metadata.refer_h_max") {
-        cfg.metadata.referHMax = static_cast<std::uint32_t>(asU64(k, v));
-    } else if (k == "metadata.decay_period") {
-        cfg.metadata.decayPeriod = asU64(k, v);
-    } else if (k == "metadata.decay_delta") {
-        cfg.metadata.decayDelta = static_cast<std::uint32_t>(asU64(k, v));
-    } else if (k == "metadata.use_lrcu") {
-        cfg.metadata.useLrcu = asBool(k, v);
-    }
-    // RAS.
-    else if (k == "ras.enabled") {
-        cfg.ras.enabled = asBool(k, v);
-    } else if (k == "ras.read_ber") {
-        cfg.ras.readBer = asProb(k, v);
-    } else if (k == "ras.write_ber") {
-        cfg.ras.writeBer = asProb(k, v);
-    } else if (k == "ras.stuck_at_onset_writes") {
-        cfg.ras.stuckAtOnsetWrites = asU64(k, v);
-    } else if (k == "ras.stuck_at_per_write") {
-        cfg.ras.stuckAtPerWrite = asProb(k, v);
-    } else if (k == "ras.demand_scrub") {
-        cfg.ras.demandScrub = asBool(k, v);
-    } else if (k == "ras.patrol_interval_writes") {
-        cfg.ras.patrolIntervalWrites = asU64(k, v);
-    } else if (k == "ras.patrol_lines_per_sweep") {
-        cfg.ras.patrolLinesPerSweep = asU64In(k, v, 1, 1u << 20);
-    } else if (k == "ras.write_verify_retries") {
-        cfg.ras.writeVerifyRetries = asU64In(k, v, 0, 64);
-    } else if (k == "ras.write_verify_backoff_ns") {
-        cfg.ras.writeVerifyBackoffNs = asU64(k, v);
-    } else if (k == "ras.spare_region_lines") {
-        cfg.ras.spareRegionLines = asU64In(k, v, 1, 1ull << 30);
-    } else if (k == "ras.dedup_suspend_ues") {
-        cfg.ras.dedupSuspendUes = asU64(k, v);
-    }
-    // Telemetry.
-    else if (k == "telemetry.trace_ring_capacity") {
-        cfg.telemetry.traceRingCapacity = asU64In(k, v, 1, 1u << 24);
-    } else if (k == "telemetry.span_sample_every") {
-        cfg.telemetry.spanSampleEvery = asU64In(k, v, 1, 1u << 30);
-    } else if (k == "telemetry.span_buffer_cap") {
-        cfg.telemetry.spanBufferCap = asU64In(k, v, 1, 1u << 26);
-    } else if (k == "telemetry.metrics_every_writes") {
-        cfg.telemetry.metricsEveryWrites = asU64In(k, v, 0, 1ull << 40);
-    } else if (k == "telemetry.histogram_buckets") {
-        cfg.telemetry.histogramBuckets = asBool(k, v);
-    }
-    // ECC engine.
-    else if (k == "ecc.engine") {
-        cfg.ecc.engine = parseEccEngine(k, v);
-    }
-    // Persistence.
-    else if (k == "persistence.enabled") {
-        cfg.persist.enabled = asBool(k, v);
-    } else if (k == "persistence.domain") {
-        cfg.persist.domain = parsePersistDomain(k, v);
-    } else if (k == "persistence.epoch_writes") {
-        cfg.persist.epochWrites = asU64In(k, v, 1, 1u << 20);
-    } else if (k == "persistence.checkpoint_epochs") {
-        cfg.persist.checkpointEpochs = asU64In(k, v, 1, 1u << 20);
-    } else if (k == "persistence.barrier_ns") {
-        cfg.persist.barrierNs = asU64In(k, v, 0, 1u << 20);
-    } else if (k == "persistence.journal_append_ns") {
-        cfg.persist.journalAppendNs = asU64In(k, v, 0, 1u << 20);
-    } else if (k == "persistence.metadata_buffer_records") {
-        cfg.persist.metadataBufferRecords = asU64In(k, v, 1, 1u << 24);
-    } else if (k == "persistence.counter_slack") {
-        cfg.persist.counterSlack = asU64In(k, v, 0, 1u << 24);
-    } else if (k == "persistence.counter_probe_max") {
-        cfg.persist.counterProbeMax = asU64In(k, v, 0, 1u << 16);
-    } else if (k == "persistence.crash_at_write") {
-        cfg.persist.crashAtWrite = asU64In(k, v, 0, 1ull << 40);
-    } else if (k == "persistence.crash_phase") {
-        cfg.persist.crashPhase = parseCrashPhase(k, v);
-    }
-    // Trace frontend / capture.
-    else if (k == "trace.format") {
-        cfg.trace.format = parseTraceFormat(k, v);
-    } else if (k == "trace.line_payload") {
-        cfg.trace.linePayload = asBool(k, v);
-    } else if (k == "trace.read_ahead") {
-        cfg.trace.readAhead = asU64In(k, v, 1, 1u << 20);
-    }
-    // Sharded write pipeline.
-    else if (k == "pipeline.epoch_records") {
-        cfg.pipeline.epochRecords = asU64In(k, v, 1, 1u << 20);
-    } else if (k == "pipeline.queue_epochs") {
-        cfg.pipeline.queueEpochs = asU64In(k, v, 1, 1024);
-    } else if (k == "pipeline.sample_epochs") {
-        cfg.pipeline.sampleEpochs = asU64In(k, v, 0, 1u << 20);
-    }
-    // Core.
-    else if (k == "core.clock_ghz") {
-        cfg.core.clockGhz = asDouble(k, v);
-    } else if (k == "core.base_cpi") {
-        cfg.core.baseCpi = asDouble(k, v);
-    } else if (k == "seed") {
-        cfg.seed = asU64(k, v);
-    } else {
+    const ConfigKey *k = findKey(key);
+    if (!k)
         return false;
-    }
+    k->set(cfg, value);
     return true;
+}
+
+std::string
+configKeyPlaceholder(const std::string &key)
+{
+    const ConfigKey &k = knownKey(key);
+    if (k.names)
+        return k.names->join("|");
+    if (std::holds_alternative<FieldRef<bool>>(k.field))
+        return "B";
+    if (std::holds_alternative<FieldRef<double>>(k.field))
+        return k.real == Real::Probability ? "P" : "X";
+    return "N";
+}
+
+std::pair<std::uint64_t, std::uint64_t>
+configKeyBounds(const std::string &key)
+{
+    const ConfigKey &k = knownKey(key);
+    return {k.lo, k.hi};
 }
 
 void
@@ -409,45 +459,31 @@ configFlagAliases()
     const char *const ras = "ras.enabled";
     const char *const persist = "persistence.enabled";
     static const std::vector<ConfigFlagAlias> table = {
-        {"-seed", "seed", "N", nullptr, nullptr},
-        {"-ecc", "ecc.engine", "hamming|bch|rs", nullptr, nullptr},
-        {"-channels", "channels.count", "N", nullptr, nullptr},
-        {"-wpq-depth", "channels.wpq_depth", "N", nullptr, nullptr},
-        {"-wpq-coalescing", "channels.wpq_coalescing", "B", nullptr,
-         nullptr},
-        {"-ras-read-ber", "ras.read_ber", "P", ras, nullptr},
-        {"-ras-write-ber", "ras.write_ber", "P", ras, nullptr},
-        {"-ras-patrol-interval", "ras.patrol_interval_writes", "N", ras,
-         nullptr},
-        {"-ras-write-verify", "ras.write_verify_retries", "N", ras,
-         nullptr},
-        {"-persist", "persistence.enabled", "B", nullptr, nullptr},
-        {"-persist-domain", "persistence.domain", "adr|eadr", persist,
-         nullptr},
-        {"-persist-epoch-writes", "persistence.epoch_writes", "N", persist,
-         nullptr},
+        {"-seed", "seed"},
+        {"-ecc", "ecc.engine"},
+        {"-channels", "channels.count"},
+        {"-wpq-depth", "channels.wpq_depth"},
+        {"-wpq-coalescing", "channels.wpq_coalescing"},
+        {"-ras-read-ber", "ras.read_ber", ras},
+        {"-ras-write-ber", "ras.write_ber", ras},
+        {"-ras-patrol-interval", "ras.patrol_interval_writes", ras},
+        {"-ras-write-verify", "ras.write_verify_retries", ras},
+        {"-persist", "persistence.enabled"},
+        {"-persist-domain", "persistence.domain", persist},
+        {"-persist-epoch-writes", "persistence.epoch_writes", persist},
         {"-persist-checkpoint-epochs", "persistence.checkpoint_epochs",
-         "N", persist, nullptr},
-        {"-persist-counter-slack", "persistence.counter_slack", "N",
-         persist, nullptr},
-        {"-persist-crash-at", "persistence.crash_at_write", "N", persist,
-         nullptr},
-        {"-persist-crash-phase", "persistence.crash_phase",
-         "pre_barrier|mid_journal|post_data", persist, nullptr},
-        {"-trace-format", "trace.format", "auto|text|gzip|binary", nullptr,
-         nullptr},
-        {"-trace-payload", "trace.line_payload", "B", nullptr, nullptr},
-        {"-trace-read-ahead", "trace.read_ahead", "N", nullptr, nullptr},
-        {"-trace-ring", "telemetry.trace_ring_capacity", "N", nullptr,
-         nullptr},
-        {"-trace-cap", "telemetry.trace_ring_capacity", "N", nullptr,
-         nullptr},
-        {"-span-every", "telemetry.span_sample_every", "N", nullptr,
-         nullptr},
-        {"-metrics-every", "telemetry.metrics_every_writes", "N", nullptr,
-         nullptr},
-        {"-hist-buckets", "telemetry.histogram_buckets", "B", nullptr,
-         "true"},
+         persist},
+        {"-persist-counter-slack", "persistence.counter_slack", persist},
+        {"-persist-crash-at", "persistence.crash_at_write", persist},
+        {"-persist-crash-phase", "persistence.crash_phase", persist},
+        {"-trace-format", "trace.format"},
+        {"-trace-payload", "trace.line_payload"},
+        {"-trace-read-ahead", "trace.read_ahead"},
+        {"-trace-ring", "telemetry.trace_ring_capacity"},
+        {"-trace-cap", "telemetry.trace_ring_capacity"},
+        {"-span-every", "telemetry.span_sample_every"},
+        {"-metrics-every", "telemetry.metrics_every_writes"},
+        {"-hist-buckets", "telemetry.histogram_buckets", nullptr, "true"},
     };
     return table;
 }
@@ -490,107 +526,11 @@ ConfigFlags::apply(SimConfig &cfg) const
 std::string
 renderConfig(const SimConfig &cfg)
 {
-    std::ostringstream os;
-    os << "# ESD simulator configuration\n"
-       << "pcm.capacity_gb = " << (cfg.pcm.capacityBytes >> 30) << "\n"
-       << "pcm.read_latency = " << cfg.pcm.readLatency << "\n"
-       << "pcm.write_latency = " << cfg.pcm.writeLatency << "\n"
-       << "pcm.read_energy_pj = " << cfg.pcm.readEnergy << "\n"
-       << "pcm.write_energy_pj = " << cfg.pcm.writeEnergy << "\n"
-       << "pcm.channels = " << cfg.pcm.channels << "\n"
-       << "pcm.ranks = " << cfg.pcm.ranksPerChannel << "\n"
-       << "pcm.banks = " << cfg.pcm.banksPerRank << "\n"
-       << "pcm.write_queue_depth = " << cfg.pcm.writeQueueDepth << "\n"
-       << "pcm.row_buffer_lines = " << cfg.pcm.rowBufferLines << "\n"
-       << "pcm.row_hit_read_latency = " << cfg.pcm.rowHitReadLatency
-       << "\n"
-       << "pcm.read_priority = "
-       << (cfg.pcm.readPriority ? "true" : "false") << "\n"
-       << "pcm.start_gap = "
-       << (cfg.pcm.startGapEnabled ? "true" : "false") << "\n"
-       << "pcm.gap_move_period = " << cfg.pcm.gapMovePeriod << "\n"
-       << "pcm.start_gap_region_lines = " << cfg.pcm.startGapRegionLines
-       << "\n"
-       << "channels.count = " << cfg.channels.count << "\n"
-       << "channels.wpq_depth = " << cfg.channels.wpqDepth << "\n"
-       << "channels.wpq_coalescing = "
-       << (cfg.channels.wpqCoalescing ? "true" : "false") << "\n"
-       << "crypto.sha1_latency = " << cfg.crypto.sha1Latency << "\n"
-       << "crypto.md5_latency = " << cfg.crypto.md5Latency << "\n"
-       << "crypto.crc_latency = " << cfg.crypto.crcLatency << "\n"
-       << "crypto.encrypt_latency = " << cfg.crypto.encryptLatency << "\n"
-       << "crypto.compare_latency = " << cfg.crypto.compareLatency << "\n"
-       << "metadata.efit_kb = " << (cfg.metadata.efitCacheBytes >> 10)
-       << "\n"
-       << "metadata.amt_kb = " << (cfg.metadata.amtCacheBytes >> 10)
-       << "\n"
-       << "metadata.refer_h_max = " << cfg.metadata.referHMax << "\n"
-       << "metadata.decay_period = " << cfg.metadata.decayPeriod << "\n"
-       << "metadata.decay_delta = " << cfg.metadata.decayDelta << "\n"
-       << "metadata.use_lrcu = "
-       << (cfg.metadata.useLrcu ? "true" : "false") << "\n"
-       << "ras.enabled = " << (cfg.ras.enabled ? "true" : "false") << "\n"
-       << "ras.read_ber = " << cfg.ras.readBer << "\n"
-       << "ras.write_ber = " << cfg.ras.writeBer << "\n"
-       << "ras.stuck_at_onset_writes = " << cfg.ras.stuckAtOnsetWrites
-       << "\n"
-       << "ras.stuck_at_per_write = " << cfg.ras.stuckAtPerWrite << "\n"
-       << "ras.demand_scrub = "
-       << (cfg.ras.demandScrub ? "true" : "false") << "\n"
-       << "ras.patrol_interval_writes = " << cfg.ras.patrolIntervalWrites
-       << "\n"
-       << "ras.patrol_lines_per_sweep = " << cfg.ras.patrolLinesPerSweep
-       << "\n"
-       << "ras.write_verify_retries = " << cfg.ras.writeVerifyRetries
-       << "\n"
-       << "ras.write_verify_backoff_ns = " << cfg.ras.writeVerifyBackoffNs
-       << "\n"
-       << "ras.spare_region_lines = " << cfg.ras.spareRegionLines << "\n"
-       << "ras.dedup_suspend_ues = " << cfg.ras.dedupSuspendUes << "\n"
-       << "telemetry.trace_ring_capacity = "
-       << cfg.telemetry.traceRingCapacity << "\n"
-       << "telemetry.span_sample_every = "
-       << cfg.telemetry.spanSampleEvery << "\n"
-       << "telemetry.span_buffer_cap = " << cfg.telemetry.spanBufferCap
-       << "\n"
-       << "telemetry.metrics_every_writes = "
-       << cfg.telemetry.metricsEveryWrites << "\n"
-       << "telemetry.histogram_buckets = "
-       << (cfg.telemetry.histogramBuckets ? "true" : "false") << "\n"
-       << "ecc.engine = " << eccEngineName(cfg.ecc.engine) << "\n"
-       << "persistence.enabled = "
-       << (cfg.persist.enabled ? "true" : "false") << "\n"
-       << "persistence.domain = " << persistDomainName(cfg.persist.domain)
-       << "\n"
-       << "persistence.epoch_writes = " << cfg.persist.epochWrites << "\n"
-       << "persistence.checkpoint_epochs = "
-       << cfg.persist.checkpointEpochs << "\n"
-       << "persistence.barrier_ns = " << cfg.persist.barrierNs << "\n"
-       << "persistence.journal_append_ns = "
-       << cfg.persist.journalAppendNs << "\n"
-       << "persistence.metadata_buffer_records = "
-       << cfg.persist.metadataBufferRecords << "\n"
-       << "persistence.counter_slack = " << cfg.persist.counterSlack
-       << "\n"
-       << "persistence.counter_probe_max = "
-       << cfg.persist.counterProbeMax << "\n"
-       << "persistence.crash_at_write = " << cfg.persist.crashAtWrite
-       << "\n"
-       << "persistence.crash_phase = "
-       << crashPhaseName(cfg.persist.crashPhase) << "\n"
-       << "trace.format = " << traceFormatName(cfg.trace.format) << "\n"
-       << "trace.line_payload = "
-       << (cfg.trace.linePayload ? "true" : "false") << "\n"
-       << "trace.read_ahead = " << cfg.trace.readAhead << "\n"
-       << "pipeline.epoch_records = " << cfg.pipeline.epochRecords
-       << "\n"
-       << "pipeline.queue_epochs = " << cfg.pipeline.queueEpochs << "\n"
-       << "pipeline.sample_epochs = " << cfg.pipeline.sampleEpochs
-       << "\n"
-       << "core.clock_ghz = " << cfg.core.clockGhz << "\n"
-       << "core.base_cpi = " << cfg.core.baseCpi << "\n"
-       << "seed = " << cfg.seed << "\n";
-    return os.str();
+    SimConfig copy = cfg;
+    std::string out = "# ESD simulator configuration\n";
+    for (const ConfigKey &k : kConfigKeys)
+        out += std::string(k.name) + " = " + k.render(copy) + "\n";
+    return out;
 }
 
 } // namespace esd

@@ -127,14 +127,14 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
                 return fail("bad integer or range '" + value +
                             "' for sweep dimension '" + key + "'");
             // The config keys' own bounds (wpq_depth 0 = inherit).
-            KeyRange range = key == "channels" ? kChannelCountRange
-                                               : kWpqDepthRange;
+            auto [lo, hi] = configKeyBounds(key == "channels"
+                                                ? "channels.count"
+                                                : "channels.wpq_depth");
             for (std::uint64_t v : ints) {
-                if (!range.contains(v))
+                if (v < lo || v > hi)
                     return fail(key + " value " + std::to_string(v) +
-                                " out of range (" +
-                                std::to_string(range.lo) + ".." +
-                                std::to_string(range.hi) + ")");
+                                " out of range (" + std::to_string(lo) +
+                                ".." + std::to_string(hi) + ")");
                 if (key == "channels")
                     grid.channels.push_back(
                         static_cast<unsigned>(v));

@@ -10,8 +10,8 @@
  * values to the open dimension, so comma does double duty as both the
  * dimension and the value separator. Integer dimensions accept a..b
  * inclusive ranges. Dimensions: app, scheme, channels, wpq_depth; the
- * integer ones take their config key's bounds (channels.count 1..64,
- * channels.wpq_depth 0..65536, 0 = inherit pcm.write_queue_depth).
+ * integer ones take the bounds of their config keys (configKeyBounds;
+ * wpq_depth 0 = inherit the PCM write-queue depth).
  *
  * Expansion order is fixed (app, then scheme, then channels, then
  * wpq_depth, each in spec order) so job indices — and therefore the

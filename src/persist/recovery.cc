@@ -89,6 +89,7 @@ recoverFromImage(const CrashImage &img, const PersistenceConfig &cfg,
 
     // 2. Counter recovery over every surviving line.
     FlatSet<Addr> live;
+    FlatSet<Addr> undecryptable;
     for (const auto &[addr, line] : img.content) {
         auto it = st.ctr.find(addr);
         std::uint64_t j = it == st.ctr.end() ? 0 : it->second;
@@ -106,6 +107,7 @@ recoverFromImage(const CrashImage &img, const PersistenceConfig &cfg,
                 safe = found;
         } else {
             ++s.countersUnresolved;
+            undecryptable.insert(addr);
         }
         out.ctrNext[addr] = safe + slack;
     }
@@ -118,13 +120,20 @@ recoverFromImage(const CrashImage &img, const PersistenceConfig &cfg,
 
     s.liveLines = live.size();
 
-    // 3. AMT reconciliation: drop mappings to dead or retired lines,
-    // then re-derive refcounts from what survived (the AMT is the
-    // authority — torn groups can strand an add without its update).
+    // 3. AMT reconciliation: drop mappings to dead lines, then
+    // re-derive refcounts from what survived (the AMT is the authority
+    // — torn groups can strand an add without its update). Retirement
+    // only moves a line's medium, so a retired line that decrypts is
+    // as live as any other. A retired line with no content at all was
+    // erased by an uncorrectable error before the crash: its mappings
+    // were lost then (the RAS blast radius), not by the crash.
     for (const auto &[logical, phys] : st.amt) {
-        if (live.count(phys) != 0 && st.retired.count(phys) == 0) {
+        if (live.count(phys) != 0) {
             out.amt[logical] = phys;
             ++out.refs[phys];
+        } else if (st.retired.count(phys) != 0 &&
+                   undecryptable.count(phys) == 0) {
+            ++s.mappingsPoisoned;
         } else {
             ++s.mappingsInvalidated;
         }
@@ -205,6 +214,8 @@ writeRecoveryJson(std::ostream &os, const CrashImage &img,
     w.kv("counters_unresolved", s.countersUnresolved);
     w.kv("refcounts_repaired", s.refcountsRepaired);
     w.kv("mappings_invalidated", s.mappingsInvalidated);
+    if (s.mappingsPoisoned != 0)
+        w.kv("mappings_poisoned", s.mappingsPoisoned);
     w.kv("lines_orphaned", s.linesOrphaned);
     w.kv("dedup_hits_invalidated", s.dedupHitsInvalidated);
     w.kv("live_lines", s.liveLines);

@@ -20,8 +20,11 @@
  *      where slack bounds the un-journaled bumps an epoch can hide;
  *      lines the journal never named start from the same slack floor.
  *      Monotonicity repair therefore never hands out a used pad.
- *   3. Reconciliation — drop AMT mappings to dead/retired lines, re-
- *      derive refcounts from the surviving mappings (the AMT is
+ *   3. Reconciliation — drop AMT mappings to dead lines (a retired
+ *      line that decrypts is live, since retirement only moves the
+ *      medium; mappings to a line an uncorrectable error erased
+ *      before the crash count as poisoned, not as a crash loss),
+ *      re-derive refcounts from the surviving mappings (the AMT is
  *      authoritative; torn groups can leave counts skewed), and drop
  *      fingerprint entries whose physical line no longer carries a
  *      live reference so a stale entry can never fake a dedup hit.
@@ -53,13 +56,17 @@ struct RecoverySummary
     std::uint64_t countersUnresolved = 0;///< lines no candidate decrypted
     std::uint64_t refcountsRepaired = 0; ///< lines re-derived from the AMT
     std::uint64_t mappingsInvalidated = 0;///< AMT entries to dead lines
+    /** AMT entries to retired lines an uncorrectable error erased
+     * before the crash: dropped, but lost to RAS, not to the crash. */
+    std::uint64_t mappingsPoisoned = 0;
     std::uint64_t linesOrphaned = 0;     ///< live content, zero references
     std::uint64_t dedupHitsInvalidated = 0;///< fingerprint entries dropped
     std::uint64_t liveLines = 0;         ///< decryptable surviving lines
     std::uint64_t liveMappings = 0;      ///< AMT entries after repair
 
     /** No live state was lost: every surviving counter resolved and
-     * every mapping still points at a decryptable line. */
+     * every mapping not poisoned before the crash still points at a
+     * decryptable line. */
     bool ok = true;
 };
 

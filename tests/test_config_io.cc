@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 
 #include "common/config_io.hh"
 #include "common/logging.hh"
@@ -131,6 +132,109 @@ TEST_F(ConfigFileTest, UnknownKeyWarnsButContinues)
     EXPECT_EQ(cfg.pcm.readLatency, 80u);
 }
 
+TEST_F(ConfigFileTest, EveryKeyRoundTrips)
+{
+    // One non-default sample per key, spelled as renderConfig() spells
+    // it; the size check makes a new key fail here until it gets one.
+    // The doubles need more than six significant digits.
+    const std::map<std::string, std::string> sample = {
+        {"pcm.capacity_gb", "32"},
+        {"pcm.read_latency", "80"},
+        {"pcm.write_latency", "222"},
+        {"pcm.read_energy_pj", "1490.125"},
+        {"pcm.write_energy_pj", "6750.0625"},
+        {"pcm.channels", "4"},
+        {"pcm.ranks", "2"},
+        {"pcm.banks", "16"},
+        {"pcm.write_queue_depth", "32"},
+        {"pcm.row_buffer_lines", "128"},
+        {"pcm.row_hit_read_latency", "20"},
+        {"pcm.read_priority", "true"},
+        {"pcm.start_gap", "true"},
+        {"pcm.gap_move_period", "50"},
+        {"pcm.start_gap_region_lines", "4096"},
+        {"channels.count", "8"},
+        {"channels.wpq_depth", "32"},
+        {"channels.wpq_coalescing", "true"},
+        {"crypto.sha1_latency", "500"},
+        {"crypto.md5_latency", "400"},
+        {"crypto.crc_latency", "30"},
+        {"crypto.encrypt_latency", "20"},
+        {"crypto.compare_latency", "3"},
+        {"metadata.efit_kb", "256"},
+        {"metadata.amt_kb", "8192"},
+        {"metadata.refer_h_max", "77"},
+        {"metadata.decay_period", "1024"},
+        {"metadata.decay_delta", "2"},
+        {"metadata.use_lrcu", "false"},
+        {"ras.enabled", "true"},
+        {"ras.read_ber", "1.23456789e-07"},
+        {"ras.write_ber", "0.5"},
+        {"ras.stuck_at_onset_writes", "100"},
+        {"ras.stuck_at_per_write", "0.001"},
+        {"ras.demand_scrub", "false"},
+        {"ras.patrol_interval_writes", "256"},
+        {"ras.patrol_lines_per_sweep", "16"},
+        {"ras.write_verify_retries", "2"},
+        {"ras.write_verify_backoff_ns", "10"},
+        {"ras.spare_region_lines", "1024"},
+        {"ras.dedup_suspend_ues", "5"},
+        {"telemetry.trace_ring_capacity", "777"},
+        {"telemetry.span_sample_every", "3"},
+        {"telemetry.span_buffer_cap", "123456"},
+        {"telemetry.metrics_every_writes", "5000"},
+        {"telemetry.histogram_buckets", "true"},
+        {"ecc.engine", "rs"},
+        {"persistence.enabled", "true"},
+        {"persistence.domain", "eadr"},
+        {"persistence.epoch_writes", "128"},
+        {"persistence.checkpoint_epochs", "8"},
+        {"persistence.barrier_ns", "45"},
+        {"persistence.journal_append_ns", "7"},
+        {"persistence.metadata_buffer_records", "512"},
+        {"persistence.counter_slack", "3"},
+        {"persistence.counter_probe_max", "64"},
+        {"persistence.crash_at_write", "4242"},
+        {"persistence.crash_phase", "pre_barrier"},
+        {"trace.format", "gzip"},
+        {"trace.line_payload", "false"},
+        {"trace.read_ahead", "512"},
+        {"pipeline.epoch_records", "1024"},
+        {"pipeline.queue_epochs", "2"},
+        {"pipeline.sample_epochs", "4"},
+        {"core.clock_ghz", "2.0000001"},
+        {"core.base_cpi", "1.5"},
+        {"seed", "42"},
+    };
+    // The defaults' rendering lists every key once, in table order.
+    std::istringstream defaults(renderConfig(SimConfig{}));
+    std::string line;
+    std::getline(defaults, line);  // the header comment
+    SimConfig cfg;
+    std::size_t keys = 0;
+    while (std::getline(defaults, line)) {
+        std::string key = line.substr(0, line.find(" = "));
+        ASSERT_TRUE(sample.count(key)) << key;
+        EXPECT_NE(line, key + " = " + sample.at(key)) << key;
+        ASSERT_TRUE(applyConfigKey(cfg, key, sample.at(key))) << key;
+        ++keys;
+    }
+    ASSERT_EQ(keys, sample.size());
+
+    const std::string rendered = renderConfig(cfg);
+    for (const auto &[key, v] : sample)
+        EXPECT_NE(rendered.find("\n" + key + " = " + v + "\n"),
+                  std::string::npos)
+            << key << " = " << v;
+    {
+        std::ofstream out(path_);
+        out << rendered;
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(renderConfig(back), rendered);
+}
+
 TEST_F(ConfigFileTest, RenderRoundTrips)
 {
     SimConfig cfg;
@@ -146,6 +250,142 @@ TEST_F(ConfigFileTest, RenderRoundTrips)
     EXPECT_EQ(back.pcm.writeLatency, 222u);
     EXPECT_EQ(back.metadata.referHMax, 77u);
     EXPECT_DOUBLE_EQ(back.core.clockGhz, 2.5);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, TelemetryRenderRoundTrips)
+{
+    SimConfig cfg;
+    cfg.telemetry.traceRingCapacity = 777;
+    cfg.telemetry.spanSampleEvery = 3;
+    cfg.telemetry.spanBufferCap = 123456;
+    cfg.telemetry.metricsEveryWrites = 5000;
+    cfg.telemetry.histogramBuckets = true;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(back.telemetry.traceRingCapacity, 777u);
+    EXPECT_EQ(back.telemetry.spanSampleEvery, 3u);
+    EXPECT_EQ(back.telemetry.spanBufferCap, 123456u);
+    EXPECT_EQ(back.telemetry.metricsEveryWrites, 5000u);
+    EXPECT_TRUE(back.telemetry.histogramBuckets);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, ChannelRoundTrips)
+{
+    SimConfig cfg;
+    cfg.channels.count = 8;
+    cfg.channels.wpqDepth = 32;
+    cfg.channels.wpqCoalescing = true;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(back.channels.count, 8u);
+    EXPECT_EQ(back.channels.wpqDepth, 32u);
+    EXPECT_TRUE(back.channels.wpqCoalescing);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, RasRoundTrips)
+{
+    SimConfig cfg;
+    cfg.ras.enabled = true;
+    cfg.ras.readBer = 1e-7;
+    cfg.ras.patrolIntervalWrites = 256;
+    cfg.ras.writeVerifyRetries = 2;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_TRUE(back.ras.enabled);
+    EXPECT_DOUBLE_EQ(back.ras.readBer, 1e-7);
+    EXPECT_EQ(back.ras.patrolIntervalWrites, 256u);
+    EXPECT_EQ(back.ras.writeVerifyRetries, 2u);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, EccRoundTrips)
+{
+    SimConfig cfg;
+    cfg.ecc.engine = EccEngineKind::Rs;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(back.ecc.engine, EccEngineKind::Rs);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, PersistenceRoundTrips)
+{
+    SimConfig cfg;
+    cfg.persist.enabled = true;
+    cfg.persist.domain = PersistDomain::Eadr;
+    cfg.persist.epochWrites = 128;
+    cfg.persist.checkpointEpochs = 8;
+    cfg.persist.counterSlack = 3;
+    cfg.persist.crashAtWrite = 4242;
+    cfg.persist.crashPhase = CrashPhase::PreBarrier;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_TRUE(back.persist.enabled);
+    EXPECT_EQ(back.persist.domain, PersistDomain::Eadr);
+    EXPECT_EQ(back.persist.epochWrites, 128u);
+    EXPECT_EQ(back.persist.checkpointEpochs, 8u);
+    EXPECT_EQ(back.persist.counterSlack, 3u);
+    EXPECT_EQ(back.persist.crashAtWrite, 4242u);
+    EXPECT_EQ(back.persist.crashPhase, CrashPhase::PreBarrier);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, PipelineRoundTrips)
+{
+    SimConfig cfg;
+    cfg.pipeline.epochRecords = 1024;
+    cfg.pipeline.queueEpochs = 2;
+    cfg.pipeline.sampleEpochs = 4;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(back.pipeline.epochRecords, 1024u);
+    EXPECT_EQ(back.pipeline.queueEpochs, 2u);
+    EXPECT_EQ(back.pipeline.sampleEpochs, 4u);
+    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
+}
+
+TEST_F(ConfigFileTest, TraceRoundTrips)
+{
+    SimConfig cfg;
+    cfg.trace.format = TraceFormat::Gzip;
+    cfg.trace.linePayload = false;
+    cfg.trace.readAhead = 512;
+    {
+        std::ofstream out(path_);
+        out << renderConfig(cfg);
+    }
+    SimConfig back;
+    loadConfigFile(back, path_.string());
+    EXPECT_EQ(back.trace.format, TraceFormat::Gzip);
+    EXPECT_FALSE(back.trace.linePayload);
+    EXPECT_EQ(back.trace.readAhead, 512u);
     EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
 
@@ -188,6 +428,51 @@ TEST(ConfigIoDeath, OverflowIsFatal)
                 ::testing::ExitedWithCode(1), "does not fit");
 }
 
+TEST(ConfigIoDeath, WrapTruncationAndNonFiniteAreFatal)
+{
+    // Each value would wrap in its field's narrower type or in the
+    // unit shift, or is not finite, or is outside the key's domain:
+    // the key's bounds reject it by name.
+    SimConfig cfg;
+    EXPECT_EXIT(applyConfigKey(cfg, "metadata.refer_h_max", "4294967297"),
+                ::testing::ExitedWithCode(1),
+                "'metadata.refer_h_max': 4294967297 is out of range "
+                "\\[0, 4294967295\\]");
+    EXPECT_EXIT(applyConfigKey(cfg, "metadata.decay_delta", "4294967296"),
+                ::testing::ExitedWithCode(1),
+                "'metadata.decay_delta': 4294967296 is out of range");
+    EXPECT_EXIT(
+        applyConfigKey(cfg, "metadata.amt_kb", "18014398509481985"),
+        ::testing::ExitedWithCode(1),
+        "'metadata.amt_kb': 18014398509481985 is out of range");
+    EXPECT_EXIT(
+        applyConfigKey(cfg, "metadata.efit_kb", "18014398509481984"),
+        ::testing::ExitedWithCode(1),
+        "'metadata.efit_kb': 18014398509481984 is out of range");
+    EXPECT_EXIT(applyConfigKey(cfg, "ras.read_ber", "nan"),
+                ::testing::ExitedWithCode(1),
+                "'ras.read_ber': 'nan' is not a finite number");
+    EXPECT_EXIT(applyConfigKey(cfg, "core.base_cpi", "inf"),
+                ::testing::ExitedWithCode(1),
+                "'core.base_cpi': 'inf' is not a finite number");
+    EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "0"),
+                ::testing::ExitedWithCode(1),
+                "'core.clock_ghz': 0 is out of range \\(must be > 0\\)");
+    EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "-1"),
+                ::testing::ExitedWithCode(1),
+                "'core.clock_ghz': -1 is out of range");
+    EXPECT_EXIT(applyConfigKey(cfg, "pcm.write_energy_pj", "-0.5"),
+                ::testing::ExitedWithCode(1),
+                "'pcm.write_energy_pj': -0.5 is out of range "
+                "\\(must be >= 0\\)");
+    // The largest values that fit are still taken.
+    EXPECT_TRUE(applyConfigKey(cfg, "metadata.refer_h_max", "4294967295"));
+    EXPECT_EQ(cfg.metadata.referHMax, 4294967295u);
+    EXPECT_TRUE(
+        applyConfigKey(cfg, "metadata.amt_kb", "18014398509481983"));
+    EXPECT_EQ(cfg.metadata.amtCacheBytes, 18014398509481983ull << 10);
+}
+
 TEST(ConfigIo, RasKeysApply)
 {
     SimConfig cfg;
@@ -225,28 +510,6 @@ TEST(ConfigIo, TelemetryKeysApply)
     EXPECT_TRUE(
         applyConfigKey(cfg, "telemetry.histogram_buckets", "true"));
     EXPECT_TRUE(cfg.telemetry.histogramBuckets);
-}
-
-TEST_F(ConfigFileTest, TelemetryRenderRoundTrips)
-{
-    SimConfig cfg;
-    cfg.telemetry.traceRingCapacity = 777;
-    cfg.telemetry.spanSampleEvery = 3;
-    cfg.telemetry.spanBufferCap = 123456;
-    cfg.telemetry.metricsEveryWrites = 5000;
-    cfg.telemetry.histogramBuckets = true;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_EQ(back.telemetry.traceRingCapacity, 777u);
-    EXPECT_EQ(back.telemetry.spanSampleEvery, 3u);
-    EXPECT_EQ(back.telemetry.spanBufferCap, 123456u);
-    EXPECT_EQ(back.telemetry.metricsEveryWrites, 5000u);
-    EXPECT_TRUE(back.telemetry.histogramBuckets);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
 
 TEST(ConfigIoDeath, TelemetryTraceRingOutOfRangeIsFatal)
@@ -328,44 +591,6 @@ TEST(ConfigIoDeath, PcmGeometryOutOfRangeIsFatal)
                 ::testing::ExitedWithCode(1), "out of range");
 }
 
-TEST_F(ConfigFileTest, ChannelRoundTrips)
-{
-    SimConfig cfg;
-    cfg.channels.count = 8;
-    cfg.channels.wpqDepth = 32;
-    cfg.channels.wpqCoalescing = true;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_EQ(back.channels.count, 8u);
-    EXPECT_EQ(back.channels.wpqDepth, 32u);
-    EXPECT_TRUE(back.channels.wpqCoalescing);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
-}
-
-TEST_F(ConfigFileTest, RasRoundTrips)
-{
-    SimConfig cfg;
-    cfg.ras.enabled = true;
-    cfg.ras.readBer = 1e-7;
-    cfg.ras.patrolIntervalWrites = 256;
-    cfg.ras.writeVerifyRetries = 2;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_TRUE(back.ras.enabled);
-    EXPECT_DOUBLE_EQ(back.ras.readBer, 1e-7);
-    EXPECT_EQ(back.ras.patrolIntervalWrites, 256u);
-    EXPECT_EQ(back.ras.writeVerifyRetries, 2u);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
-}
-
 TEST(ConfigIo, EccKeysApply)
 {
     SimConfig cfg;
@@ -376,20 +601,6 @@ TEST(ConfigIo, EccKeysApply)
     EXPECT_EQ(cfg.ecc.engine, EccEngineKind::Rs);
     EXPECT_TRUE(applyConfigKey(cfg, "ecc.engine", "hamming"));
     EXPECT_EQ(cfg.ecc.engine, EccEngineKind::Hamming);
-}
-
-TEST_F(ConfigFileTest, EccRoundTrips)
-{
-    SimConfig cfg;
-    cfg.ecc.engine = EccEngineKind::Rs;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_EQ(back.ecc.engine, EccEngineKind::Rs);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
 
 TEST(ConfigIoDeath, UnknownEccEngineIsFatal)
@@ -442,32 +653,6 @@ TEST(ConfigIo, PersistenceKeysApply)
     EXPECT_FALSE(applyConfigKey(cfg, "persistence.bogus", "1"));
 }
 
-TEST_F(ConfigFileTest, PersistenceRoundTrips)
-{
-    SimConfig cfg;
-    cfg.persist.enabled = true;
-    cfg.persist.domain = PersistDomain::Eadr;
-    cfg.persist.epochWrites = 128;
-    cfg.persist.checkpointEpochs = 8;
-    cfg.persist.counterSlack = 3;
-    cfg.persist.crashAtWrite = 4242;
-    cfg.persist.crashPhase = CrashPhase::PreBarrier;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_TRUE(back.persist.enabled);
-    EXPECT_EQ(back.persist.domain, PersistDomain::Eadr);
-    EXPECT_EQ(back.persist.epochWrites, 128u);
-    EXPECT_EQ(back.persist.checkpointEpochs, 8u);
-    EXPECT_EQ(back.persist.counterSlack, 3u);
-    EXPECT_EQ(back.persist.crashAtWrite, 4242u);
-    EXPECT_EQ(back.persist.crashPhase, CrashPhase::PreBarrier);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
-}
-
 TEST(ConfigIoDeath, PersistenceDomainUnknownIsFatal)
 {
     SimConfig cfg;
@@ -516,24 +701,6 @@ TEST(ConfigIo, PipelineKeysApply)
     EXPECT_FALSE(applyConfigKey(cfg, "pipeline.bogus", "1"));
 }
 
-TEST_F(ConfigFileTest, PipelineRoundTrips)
-{
-    SimConfig cfg;
-    cfg.pipeline.epochRecords = 1024;
-    cfg.pipeline.queueEpochs = 2;
-    cfg.pipeline.sampleEpochs = 4;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_EQ(back.pipeline.epochRecords, 1024u);
-    EXPECT_EQ(back.pipeline.queueEpochs, 2u);
-    EXPECT_EQ(back.pipeline.sampleEpochs, 4u);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
-}
-
 TEST(ConfigIoDeath, PipelineRangesAreFatal)
 {
     SimConfig cfg;
@@ -563,24 +730,6 @@ TEST(ConfigIo, ApplyTraceKeys)
     EXPECT_TRUE(applyConfigKey(cfg, "trace.read_ahead", "128"));
     EXPECT_EQ(cfg.trace.readAhead, 128u);
     EXPECT_FALSE(applyConfigKey(cfg, "trace.bogus", "1"));
-}
-
-TEST_F(ConfigFileTest, TraceRoundTrips)
-{
-    SimConfig cfg;
-    cfg.trace.format = TraceFormat::Gzip;
-    cfg.trace.linePayload = false;
-    cfg.trace.readAhead = 512;
-    {
-        std::ofstream out(path_);
-        out << renderConfig(cfg);
-    }
-    SimConfig back;
-    loadConfigFile(back, path_.string());
-    EXPECT_EQ(back.trace.format, TraceFormat::Gzip);
-    EXPECT_FALSE(back.trace.linePayload);
-    EXPECT_EQ(back.trace.readAhead, 512u);
-    EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
 
 TEST(ConfigIoDeath, TraceKeysValidate)

@@ -15,7 +15,11 @@
  * Recovery's counter probe is pinned on a hand-built CrashImage: a
  * journaled counter that lags the line's true counter is re-derived,
  * including through correctable media faults, and a line the code
- * cannot correct stays unresolved.
+ * cannot correct stays unresolved. The same image pins AMT
+ * reconciliation around RAS retirement: mappings to a retired line
+ * that decrypts survive, and mappings to a retired line an
+ * uncorrectable error erased before the crash are dropped without
+ * failing recovery.
  */
 
 #include <gtest/gtest.h>
@@ -214,6 +218,50 @@ TEST(Recovery, ProbeLeavesUncorrectableLineUnresolved)
     EXPECT_FALSE(st.summary.ok);
     EXPECT_EQ(st.summary.countersUnresolved, 1u);
     EXPECT_EQ(st.ctrDecrypt.count(LaggingLine::kAddr), 0u);
+}
+
+TEST(Recovery, KeepsMappingsToRetiredLinesThatDecrypt)
+{
+    // Retirement only moves the line's medium; the line was rewritten
+    // since and its content decrypts, so both mappings stay.
+    LaggingLine line({});
+    line.img.checkpoint.retired.insert(LaggingLine::kAddr);
+    line.img.checkpoint.amt[0x10000] = LaggingLine::kAddr;
+    line.img.checkpoint.amt[0x20000] = LaggingLine::kAddr;
+    line.img.checkpoint.refs[LaggingLine::kAddr] = 2;
+    RecoveredState st = line.recover();
+    EXPECT_TRUE(st.summary.ok);
+    EXPECT_EQ(st.summary.mappingsInvalidated, 0u);
+    EXPECT_EQ(st.summary.mappingsPoisoned, 0u);
+    EXPECT_EQ(st.summary.liveMappings, 2u);
+    EXPECT_EQ(st.amt[0x10000], LaggingLine::kAddr);
+    EXPECT_EQ(st.refs[LaggingLine::kAddr], 2u);
+}
+
+TEST(Recovery, DropsMappingsToPoisonedLinesWithoutFailing)
+{
+    // A retired line with no content was erased by an uncorrectable
+    // error before the crash: its mapping is dropped as poisoned. A
+    // mapping to a line the crash lost still fails recovery.
+    constexpr Addr kPoisoned = 0x4000;
+    constexpr Addr kLost = 0x8000;
+    LaggingLine line({});
+    line.img.checkpoint.amt[0x10000] = LaggingLine::kAddr;
+    line.img.checkpoint.retired.insert(kPoisoned);
+    line.img.checkpoint.amt[0x20000] = kPoisoned;
+    line.img.checkpoint.refs[kPoisoned] = 1;
+    RecoveredState st = line.recover();
+    EXPECT_TRUE(st.summary.ok);
+    EXPECT_EQ(st.summary.mappingsPoisoned, 1u);
+    EXPECT_EQ(st.summary.mappingsInvalidated, 0u);
+    EXPECT_EQ(st.summary.liveMappings, 1u);
+    EXPECT_EQ(st.amt.count(0x20000), 0u);
+
+    line.img.checkpoint.amt[0x30000] = kLost;
+    st = line.recover();
+    EXPECT_FALSE(st.summary.ok);
+    EXPECT_EQ(st.summary.mappingsPoisoned, 1u);
+    EXPECT_EQ(st.summary.mappingsInvalidated, 1u);
 }
 
 } // namespace

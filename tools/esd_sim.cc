@@ -39,15 +39,9 @@
  *
  * Config flags: `-<section>.<key>=v` sets any `-ConfigFile=` key
  * (`-metadata.efit_kb=64`, `-persistence.counter_slack=1`), validated
- * by the same setter, and beats the file. The legacy spellings are
- * aliases of one key each (common/config_io.cc, configFlagAliases):
- *   -seed  -ecc  -channels  -wpq-depth  -wpq-coalescing
- *   -ras-read-ber  -ras-write-ber  -ras-patrol-interval
- *   -ras-write-verify  -persist  -persist-domain  -persist-epoch-writes
- *   -persist-checkpoint-epochs  -persist-counter-slack
- *   -persist-crash-at  -persist-crash-phase  -trace-format
- *   -trace-payload  -trace-read-ahead  -trace-ring (-trace-cap)
- *   -span-every  -metrics-every  -hist-buckets
+ * by the same setter, and beats the file. The legacy spellings
+ * (`-channels=`, `-persist-*=`, ...) are aliases of one key each;
+ * `esd_sim -h` lists them with the key each one sets.
  * A `-ras-*` or `-persist-*` alias also turns its section on; an
  * explicit `-persist=0` still turns it off. `-recovery-json=path`
  * writes the machine-readable crash + recovery + pad-safety report of
@@ -135,7 +129,8 @@ usage()
            "               [-<section>.<key>=V]  (any -ConfigFile= key)\n"
            "config-key aliases:\n";
     for (const ConfigFlagAlias &a : configFlagAliases())
-        std::cerr << "  " << a.flag << (a.bare ? "[=" : "=") << a.arg
+        std::cerr << "  " << a.flag << (a.bare ? "[=" : "=")
+                  << configKeyPlaceholder(a.key)
                   << (a.bare ? "]" : "") << "  = " << a.key
                   << (a.implies ? std::string(" (implies ") + a.implies + ")"
                                 : "")
@@ -355,6 +350,10 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
                   << " counters_repaired=" << rs.countersRepaired
                   << " unresolved=" << rs.countersUnresolved
                   << " mappings_invalidated=" << rs.mappingsInvalidated
+                  << (rs.mappingsPoisoned != 0
+                          ? " mappings_poisoned=" +
+                                std::to_string(rs.mappingsPoisoned)
+                          : "")
                   << " pad_violations=" << check.audit.violations
                   << (rs.ok ? " ok" : " NOT-OK") << "\n";
         if (!opt.recoveryJson.empty()) {

@@ -19,9 +19,7 @@ SimConfig
 benchConfig()
 {
     SimConfig cfg;
-    cfg.pcm.channels = 1;
-    cfg.pcm.ranksPerChannel = 1;
-    cfg.pcm.banksPerRank = 4;
+    cfg.pcm.banksPerChannel = 4;
     cfg.pcm.writeQueueDepth = 64;
     return cfg;
 }

@@ -16,8 +16,6 @@ main()
     std::cout << "Crypto cost model\n"
               << "  SHA-1:          "
               << bench::benchConfig().crypto.sha1Latency << " ns / line\n"
-              << "  MD5:            "
-              << bench::benchConfig().crypto.md5Latency << " ns / line\n"
               << "  CRC (DeWrite):  "
               << bench::benchConfig().crypto.crcLatency << " ns / line\n"
               << "  CME apply:      "

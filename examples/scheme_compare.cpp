@@ -24,8 +24,7 @@ main(int argc, char **argv)
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100000;
 
     SimConfig cfg;
-    cfg.pcm.channels = 1;
-    cfg.pcm.banksPerRank = 4;
+    cfg.pcm.banksPerChannel = 4;
 
     std::cout << "app: " << app << "  records: " << records << "\n\n";
 

@@ -19,12 +19,9 @@ SimConfig::summary() const
        << pcm.writeLatency << " ns\n"
        << "  Energy R/W:     " << pcm.readEnergy / 1000.0 << " nJ / "
        << pcm.writeEnergy / 1000.0 << " nJ\n"
-       << "  Banks:          " << pcm.totalBanks() << " (" << pcm.channels
-       << " ch x " << pcm.ranksPerChannel << " rk x " << pcm.banksPerRank
-       << " bk)\n"
+       << "  Banks:          " << pcm.banksPerChannel << " per channel\n"
        << "  Mem channels:   " << channels.count << ", WPQ depth "
-       << (channels.wpqDepth ? channels.wpqDepth : pcm.writeQueueDepth)
-       << "/ch, coalescing "
+       << pcm.writeQueueDepth << "/ch, coalescing "
        << (channels.wpqCoalescing ? "on" : "off") << "\n"
        << "Metadata Cache\n"
        << "  EFIT:           " << metadata.efitCacheBytes / 1024 << " KB ("

@@ -5,7 +5,7 @@
  * Defaults reproduce Table I of the ESD paper plus the latency/energy
  * constants quoted in the text (Section II-B, III-C, IV-E):
  *   - PCM read/write latency 75 ns / 150 ns, energy 1.49 nJ / 6.75 nJ,
- *   - SHA-1 321 ns, MD5 312 ns per cache line,
+ *   - SHA-1 321 ns per cache line,
  *   - EFIT and AMT metadata caches of 512 KB each,
  *   - 64 B cache lines, 16 GB PCM capacity.
  */
@@ -49,13 +49,12 @@ struct PcmConfig
     /** Per-line write energy in picojoules (6.75 nJ). */
     Energy writeEnergy = 6750.0;
 
-    /** Bank parallelism: channels x ranks x banks service queues. */
-    unsigned channels = 2;
-    unsigned ranksPerChannel = 1;
-    unsigned banksPerRank = 8;
+    /** Bank parallelism: independent bank service queues in each
+     * memory channel. */
+    unsigned banksPerChannel = 16;
 
-    /** Depth of the per-controller write queue before backpressure
-     * stalls the core model. */
+    /** Depth of each channel's write-pending queue (WPQ) before
+     * backpressure stalls the core model. */
     unsigned writeQueueDepth = 64;
 
     /** When true, reads bypass *queued* writes at a bank (they wait
@@ -75,28 +74,22 @@ struct PcmConfig
 
     /** Lines per Start-Gap rotation region. */
     std::uint64_t startGapRegionLines = 16384;
-
-    unsigned totalBanks() const { return channels * ranksPerChannel *
-                                         banksPerRank; }
 };
 
 /**
  * Memory-channel layer on top of the banked PCM device ([channels]
  * section).
  *
- * Each channel owns a full copy of the PcmConfig bank geometry and its
- * own write-pending queue (WPQ); lines interleave across channels with
- * channelOf(addr) = lineIndex(addr) % count. The defaults (one channel,
- * coalescing off, inherited queue depth) make the device bit-identical
- * to the single-channel model that predates this layer.
+ * Each channel owns pcm.banks_per_channel banks and its own
+ * write-pending queue (WPQ) of pcm.write_queue_depth entries; lines
+ * interleave across channels with channelOf(addr) = lineIndex(addr) %
+ * count. The defaults (one channel, coalescing off) make the device
+ * bit-identical to the single-channel model that predates this layer.
  */
 struct ChannelConfig
 {
     /** Number of address-interleaved memory channels. */
     unsigned count = 1;
-
-    /** Per-channel WPQ depth; 0 inherits pcm.write_queue_depth. */
-    unsigned wpqDepth = 0;
 
     /** In-queue write coalescing: a write to a line that already has a
      * pending WPQ entry updates that entry in place instead of issuing
@@ -112,10 +105,6 @@ struct CryptoCostConfig
     /** SHA-1 fingerprint of one cache line (Section III-C: 321 ns). */
     Tick sha1Latency = 321;
     Energy sha1Energy = 2900.0;  // pJ per line
-
-    /** MD5 fingerprint of one line (312 ns). */
-    Tick md5Latency = 312;
-    Energy md5Energy = 2700.0;
 
     /** Lightweight CRC used by DeWrite. */
     Tick crcLatency = 40;

@@ -261,9 +261,7 @@ constexpr ConfigKey kConfigKeys[] = {
     {"pcm.write_latency", FIELD(pcm.writeLatency)},
     {"pcm.read_energy_pj", FIELD(pcm.readEnergy)},
     {"pcm.write_energy_pj", FIELD(pcm.writeEnergy)},
-    {"pcm.channels", FIELD(pcm.channels), 1, 64},
-    {"pcm.ranks", FIELD(pcm.ranksPerChannel), 1, 64},
-    {"pcm.banks", FIELD(pcm.banksPerRank), 1, 1024},
+    {"pcm.banks_per_channel", FIELD(pcm.banksPerChannel), 1, 1024},
     {"pcm.write_queue_depth", FIELD(pcm.writeQueueDepth), 1, 1u << 20},
     {"pcm.row_buffer_lines", FIELD(pcm.rowBufferLines), 0, 1u << 20},
     {"pcm.row_hit_read_latency", FIELD(pcm.rowHitReadLatency)},
@@ -273,11 +271,8 @@ constexpr ConfigKey kConfigKeys[] = {
     {"pcm.start_gap_region_lines", FIELD(pcm.startGapRegionLines), 1,
      1ull << 30},
     {"channels.count", FIELD(channels.count), 1, 64},
-    // 0 = inherit pcm.write_queue_depth.
-    {"channels.wpq_depth", FIELD(channels.wpqDepth), 0, 1u << 16},
     {"channels.wpq_coalescing", FIELD(channels.wpqCoalescing)},
     {"crypto.sha1_latency", FIELD(crypto.sha1Latency)},
-    {"crypto.md5_latency", FIELD(crypto.md5Latency)},
     {"crypto.crc_latency", FIELD(crypto.crcLatency)},
     {"crypto.encrypt_latency", FIELD(crypto.encryptLatency)},
     {"crypto.compare_latency", FIELD(crypto.compareLatency)},
@@ -462,7 +457,7 @@ configFlagAliases()
         {"-seed", "seed"},
         {"-ecc", "ecc.engine"},
         {"-channels", "channels.count"},
-        {"-wpq-depth", "channels.wpq_depth"},
+        {"-wpq-depth", "pcm.write_queue_depth"},
         {"-wpq-coalescing", "channels.wpq_coalescing"},
         {"-ras-read-ber", "ras.read_ber", ras},
         {"-ras-write-ber", "ras.write_ber", ras},
@@ -480,7 +475,6 @@ configFlagAliases()
         {"-trace-payload", "trace.line_payload"},
         {"-trace-read-ahead", "trace.read_ahead"},
         {"-trace-ring", "telemetry.trace_ring_capacity"},
-        {"-trace-cap", "telemetry.trace_ring_capacity"},
         {"-span-every", "telemetry.span_sample_every"},
         {"-metrics-every", "telemetry.metrics_every_writes"},
         {"-hist-buckets", "telemetry.histogram_buckets", nullptr, "true"},

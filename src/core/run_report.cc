@@ -20,9 +20,7 @@ writeConfigJson(JsonWriter &w, const SimConfig &cfg)
     w.kv("row_hit_read_latency_ns", cfg.pcm.rowHitReadLatency);
     w.kv("read_energy_pj", cfg.pcm.readEnergy);
     w.kv("write_energy_pj", cfg.pcm.writeEnergy);
-    w.kv("channels", cfg.pcm.channels);
-    w.kv("ranks_per_channel", cfg.pcm.ranksPerChannel);
-    w.kv("banks_per_rank", cfg.pcm.banksPerRank);
+    w.kv("banks_per_channel", cfg.pcm.banksPerChannel);
     w.kv("write_queue_depth", cfg.pcm.writeQueueDepth);
     w.kv("read_priority", cfg.pcm.readPriority);
     w.kv("start_gap_enabled", cfg.pcm.startGapEnabled);
@@ -32,14 +30,12 @@ writeConfigJson(JsonWriter &w, const SimConfig &cfg)
     w.key("channels");
     w.beginObject();
     w.kv("count", static_cast<std::uint64_t>(cfg.channels.count));
-    w.kv("wpq_depth", static_cast<std::uint64_t>(cfg.channels.wpqDepth));
     w.kv("wpq_coalescing", cfg.channels.wpqCoalescing);
     w.endObject();
 
     w.key("crypto");
     w.beginObject();
     w.kv("sha1_latency_ns", cfg.crypto.sha1Latency);
-    w.kv("md5_latency_ns", cfg.crypto.md5Latency);
     w.kv("crc_latency_ns", cfg.crypto.crcLatency);
     w.kv("encrypt_latency_ns", cfg.crypto.encryptLatency);
     w.kv("ecc_latency_ns", cfg.crypto.eccLatency);

@@ -125,7 +125,7 @@ struct SchemeStats
     Counter poisonedReads;          ///< demand reads of retired lines
     Counter dedupSuspendedWrites;   ///< writes bypassing suspended dedup
 
-    Energy hashEnergy = 0;       ///< SHA-1 / MD5 / CRC computation
+    Energy hashEnergy = 0;       ///< SHA-1 / CRC computation
     Energy cryptoEnergy = 0;     ///< counter-mode encryption
     Energy metadataEnergy = 0;   ///< on-chip metadata cache accesses
 

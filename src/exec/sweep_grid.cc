@@ -126,10 +126,10 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
             if (!parseIntOrRange(value, ints))
                 return fail("bad integer or range '" + value +
                             "' for sweep dimension '" + key + "'");
-            // The config keys' own bounds (wpq_depth 0 = inherit).
+            // The config keys' own bounds.
             auto [lo, hi] = configKeyBounds(key == "channels"
                                                 ? "channels.count"
-                                                : "channels.wpq_depth");
+                                                : "pcm.write_queue_depth");
             for (std::uint64_t v : ints) {
                 if (v < lo || v > hi)
                     return fail(key + " value " + std::to_string(v) +
@@ -163,7 +163,7 @@ expandGrid(const SweepGrid &grid, const SimConfig &base,
         channels.push_back(base.channels.count);
     std::vector<unsigned> wpq = grid.wpqDepths;
     if (wpq.empty())
-        wpq.push_back(base.channels.wpqDepth);
+        wpq.push_back(base.pcm.writeQueueDepth);
 
     std::vector<JobSpec> jobs;
     jobs.reserve(apps.size() * schemes.size() * channels.size() *
@@ -177,7 +177,7 @@ expandGrid(const SweepGrid &grid, const SimConfig &base,
                     job.scheme = k;
                     job.cfg = base;
                     job.cfg.channels.count = ch;
-                    job.cfg.channels.wpqDepth = d;
+                    job.cfg.pcm.writeQueueDepth = d;
                     job.cfg.seed =
                         deriveJobSeed(base_seed, jobs.size());
                     job.records = records;

@@ -9,9 +9,9 @@
  * A token containing '=' opens a dimension; bare tokens append more
  * values to the open dimension, so comma does double duty as both the
  * dimension and the value separator. Integer dimensions accept a..b
- * inclusive ranges. Dimensions: app, scheme, channels, wpq_depth; the
- * integer ones take the bounds of their config keys (configKeyBounds;
- * wpq_depth 0 = inherit the PCM write-queue depth).
+ * inclusive ranges. Dimensions: app, scheme, channels (channels.count)
+ * and wpq_depth (pcm.write_queue_depth); the integer ones take the
+ * bounds of their config keys (configKeyBounds).
  *
  * Expansion order is fixed (app, then scheme, then channels, then
  * wpq_depth, each in spec order) so job indices — and therefore the

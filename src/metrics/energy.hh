@@ -20,7 +20,7 @@ struct EnergyBreakdown
 {
     Energy deviceRead = 0;
     Energy deviceWrite = 0;
-    Energy hash = 0;      ///< SHA-1 / MD5 / CRC fingerprinting
+    Energy hash = 0;      ///< SHA-1 / CRC fingerprinting
     Energy crypto = 0;    ///< counter-mode encryption
     Energy metadata = 0;  ///< on-chip metadata caches + comparators
 

@@ -6,7 +6,7 @@
  * profiler answers "how fast is the simulator" — host wall-clock
  * attributed to the phases every write walks through:
  *
- *   fingerprint  SHA-1 / MD5 / CRC / ECC fingerprint computation
+ *   fingerprint  SHA-1 / CRC / ECC fingerprint computation
  *   lookup       metadata structures (AMT, fingerprint/EFIT tables,
  *                refcounts) — the flat-map hot path
  *   compare      candidate fetch + decrypt + ECC verify + byte compare

@@ -9,13 +9,11 @@ namespace esd
 PcmDevice::PcmDevice(const PcmConfig &cfg, const ChannelConfig &channels)
     : cfg_(cfg), chCfg_(channels)
 {
-    if (cfg_.totalBanks() == 0)
+    if (cfg_.banksPerChannel == 0)
         esd_fatal("PCM device needs at least one bank");
     if (chCfg_.count == 0)
         esd_fatal("PCM device needs at least one channel");
-    banksPerChannel_ = cfg_.totalBanks();
-    wpqDepth_ = chCfg_.wpqDepth ? chCfg_.wpqDepth : cfg_.writeQueueDepth;
-    if (wpqDepth_ == 0)
+    if (cfg_.writeQueueDepth == 0)
         esd_fatal("write queue depth must be at least 1");
 
     unsigned total = totalBanks();
@@ -89,8 +87,8 @@ PcmDevice::bankOf(Addr addr) const
     std::uint64_t line = lineIndex(addr);
     unsigned ch = static_cast<unsigned>(line % chCfg_.count);
     unsigned local = static_cast<unsigned>(
-        (line / chCfg_.count) % banksPerChannel_);
-    return ch * banksPerChannel_ + local;
+        (line / chCfg_.count) % cfg_.banksPerChannel);
+    return ch * cfg_.banksPerChannel + local;
 }
 
 void
@@ -169,7 +167,7 @@ PcmDevice::access(OpType type, Addr addr, Tick arrival)
             }
         }
 
-        if (q.completions.size() >= wpqDepth_) {
+        if (q.completions.size() >= cfg_.writeQueueDepth) {
             // The WPQ is full: the issuer stalls until the earliest
             // outstanding write on this channel retires.
             Tick free_at = q.completions.top().first;

@@ -190,18 +190,18 @@ class PcmDevice
 
     unsigned channelCount() const { return chCfg_.count; }
 
-    /** Effective per-channel WPQ depth. */
-    unsigned wpqDepth() const { return wpqDepth_; }
+    /** Per-channel WPQ depth (pcm.write_queue_depth). */
+    unsigned wpqDepth() const { return cfg_.writeQueueDepth; }
 
     bool coalescingEnabled() const { return chCfg_.wpqCoalescing; }
 
-    /** Banks owned by each channel (= PcmConfig::totalBanks()). */
-    unsigned banksPerChannel() const { return banksPerChannel_; }
+    /** Banks owned by each channel (pcm.banks_per_channel). */
+    unsigned banksPerChannel() const { return cfg_.banksPerChannel; }
 
     /** Total banks across all channels. */
     unsigned totalBanks() const
     {
-        return banksPerChannel_ * chCfg_.count;
+        return cfg_.banksPerChannel * chCfg_.count;
     }
 
     /** Per-line endurance accounting (always on). */
@@ -251,8 +251,6 @@ class PcmDevice
 
     PcmConfig cfg_;
     ChannelConfig chCfg_;
-    unsigned banksPerChannel_ = 0;
-    unsigned wpqDepth_ = 0;
 
     /** Max completion time among writes ever queued (wpqDrainTick). */
     Tick maxQueuedComplete_ = 0;

@@ -251,8 +251,8 @@ runFaultPath(SchemeKind kind)
 
 /** Digests of runFaultPath for schemes 0-5. */
 constexpr std::uint64_t kFaultPathDigest[6] = {
-    0x96b043ffa268237aull, 0x7f123371b4cf828cull, 0xaa371d43534e177cull,
-    0xa389e45cf7019d0cull, 0x348a97afa95df10dull, 0xa7866d8d1843e571ull,
+    0x5cdb54ef242f36e5ull, 0x5aeb4077a244a6b9ull, 0x14431f8eb6af3f2dull,
+    0x3d114c39294af66full, 0x4dbf1b7a900ad59eull, 0x59998b29104f7a4cull,
 };
 
 class BitIdentityFaultPath : public ::testing::TestWithParam<int>

@@ -227,7 +227,6 @@ TEST(SimConfig, DefaultsMatchTableI)
     EXPECT_EQ(cfg.metadata.efitCacheBytes, 512u * 1024);
     EXPECT_EQ(cfg.metadata.amtCacheBytes, 512u * 1024);
     EXPECT_EQ(cfg.crypto.sha1Latency, 321u);
-    EXPECT_EQ(cfg.crypto.md5Latency, 312u);
 }
 
 TEST(SimConfig, SummaryMentionsKeyParameters)
@@ -238,6 +237,7 @@ TEST(SimConfig, SummaryMentionsKeyParameters)
     EXPECT_NE(s.find("75 ns"), std::string::npos);
     EXPECT_NE(s.find("LRCU"), std::string::npos);
     EXPECT_NE(s.find("512 KB"), std::string::npos);
+    EXPECT_NE(s.find("16 per channel"), std::string::npos);
 }
 
 TEST(Logging, WarnCountsAndQuiet)

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -91,13 +92,18 @@ TEST_F(ConfigFileTest, LoadOverridesDefaults)
     EXPECT_EQ(cfg.pcm.readLatency, 75u);
 }
 
-TEST_F(ConfigFileTest, RemovedCacheKeysWarnOncePerKey)
+TEST_F(ConfigFileTest, RemovedKeysWarnOncePerKey)
 {
-    // No model reads a CPU cache size: the [cache] keys are unknown, so
-    // an old config file still loads, with one warning per key.
-    const char *keys[] = {"cache.l1_kb",    "cache.l2_kb",
-                          "cache.l3_kb",    "cache.l1_assoc",
-                          "cache.l2_assoc", "cache.l3_assoc"};
+    // Removed keys are unknown, so an old config file still loads, with
+    // one warning per key: no model reads a CPU cache size or an MD5
+    // latency, the bank multipliers became pcm.banks_per_channel and
+    // the second WPQ depth is pcm.write_queue_depth.
+    const char *keys[] = {"cache.l1_kb",        "cache.l2_kb",
+                          "cache.l3_kb",        "cache.l1_assoc",
+                          "cache.l2_assoc",     "cache.l3_assoc",
+                          "pcm.channels",       "pcm.ranks",
+                          "pcm.banks",          "channels.wpq_depth",
+                          "crypto.md5_latency"};
     {
         std::ofstream out(path_);
         for (const char *k : keys)
@@ -112,9 +118,13 @@ TEST_F(ConfigFileTest, RemovedCacheKeysWarnOncePerKey)
     SimConfig cfg;
     loadConfigFile(cfg, path_.string());
     setQuiet(false);
-    EXPECT_EQ(warnCount(), warns + 6);
+    EXPECT_EQ(warnCount(), warns + std::size(keys));
     EXPECT_EQ(cfg.pcm.readLatency, 80u);
-    EXPECT_EQ(renderConfig(cfg).find("cache."), std::string::npos);
+    const std::string rendered = renderConfig(cfg);
+    for (const char *k : keys)
+        EXPECT_EQ(rendered.find(std::string("\n") + k + " = "),
+                  std::string::npos)
+            << k;
 }
 
 TEST_F(ConfigFileTest, UnknownKeyWarnsButContinues)
@@ -143,9 +153,7 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
         {"pcm.write_latency", "222"},
         {"pcm.read_energy_pj", "1490.125"},
         {"pcm.write_energy_pj", "6750.0625"},
-        {"pcm.channels", "4"},
-        {"pcm.ranks", "2"},
-        {"pcm.banks", "16"},
+        {"pcm.banks_per_channel", "32"},
         {"pcm.write_queue_depth", "32"},
         {"pcm.row_buffer_lines", "128"},
         {"pcm.row_hit_read_latency", "20"},
@@ -154,10 +162,8 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
         {"pcm.gap_move_period", "50"},
         {"pcm.start_gap_region_lines", "4096"},
         {"channels.count", "8"},
-        {"channels.wpq_depth", "32"},
         {"channels.wpq_coalescing", "true"},
         {"crypto.sha1_latency", "500"},
-        {"crypto.md5_latency", "400"},
         {"crypto.crc_latency", "30"},
         {"crypto.encrypt_latency", "20"},
         {"crypto.compare_latency", "3"},
@@ -279,7 +285,6 @@ TEST_F(ConfigFileTest, ChannelRoundTrips)
 {
     SimConfig cfg;
     cfg.channels.count = 8;
-    cfg.channels.wpqDepth = 32;
     cfg.channels.wpqCoalescing = true;
     {
         std::ofstream out(path_);
@@ -288,7 +293,6 @@ TEST_F(ConfigFileTest, ChannelRoundTrips)
     SimConfig back;
     loadConfigFile(back, path_.string());
     EXPECT_EQ(back.channels.count, 8u);
-    EXPECT_EQ(back.channels.wpqDepth, 32u);
     EXPECT_TRUE(back.channels.wpqCoalescing);
     EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
@@ -545,8 +549,6 @@ TEST(ConfigIo, ChannelKeysApply)
     SimConfig cfg;
     EXPECT_TRUE(applyConfigKey(cfg, "channels.count", "4"));
     EXPECT_EQ(cfg.channels.count, 4u);
-    EXPECT_TRUE(applyConfigKey(cfg, "channels.wpq_depth", "16"));
-    EXPECT_EQ(cfg.channels.wpqDepth, 16u);
     EXPECT_TRUE(applyConfigKey(cfg, "channels.wpq_coalescing", "true"));
     EXPECT_TRUE(cfg.channels.wpqCoalescing);
     EXPECT_TRUE(applyConfigKey(cfg, "channels.wpq_coalescing", "off"));
@@ -560,8 +562,6 @@ TEST(ConfigIoDeath, ChannelCountOutOfRangeIsFatal)
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(applyConfigKey(cfg, "channels.count", "65"),
                 ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "channels.wpq_depth", "65537"),
-                ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(applyConfigKey(cfg, "channels.count", "-2"),
                 ::testing::ExitedWithCode(1), "negative");
     EXPECT_EXIT(applyConfigKey(cfg, "channels.count", "4x"),
@@ -573,15 +573,13 @@ TEST(ConfigIoDeath, ChannelCountOutOfRangeIsFatal)
 TEST(ConfigIoDeath, PcmGeometryOutOfRangeIsFatal)
 {
     SimConfig cfg;
-    EXPECT_EXIT(applyConfigKey(cfg, "pcm.channels", "0"),
+    EXPECT_EXIT(applyConfigKey(cfg, "pcm.banks_per_channel", "0"),
                 ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "pcm.ranks", "65"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "pcm.banks", "0"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "pcm.banks", "1025"),
+    EXPECT_EXIT(applyConfigKey(cfg, "pcm.banks_per_channel", "1025"),
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(applyConfigKey(cfg, "pcm.write_queue_depth", "0"),
+                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(applyConfigKey(cfg, "pcm.write_queue_depth", "1048577"),
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(applyConfigKey(cfg, "pcm.capacity_gb", "0"),
                 ::testing::ExitedWithCode(1), "out of range");
@@ -781,7 +779,6 @@ TEST(ConfigFlags, EveryAliasEqualsItsKey)
         {"-trace-payload", "0"},
         {"-trace-read-ahead", "64"},
         {"-trace-ring", "32"},
-        {"-trace-cap", "33"},
         {"-span-every", "9"},
         {"-metrics-every", "1000"},
         {"-hist-buckets", "1"},
@@ -848,6 +845,20 @@ TEST(ConfigFlagsDeath, UnknownDottedKeyIsFatal)
     SimConfig cfg;
     EXPECT_EXIT(flags.apply(cfg), ::testing::ExitedWithCode(1),
                 "unknown config key 'foo.bar'");
+}
+
+TEST(ConfigFlagsDeath, RemovedKeysAreFatal)
+{
+    for (const char *k : {"pcm.channels", "pcm.ranks", "pcm.banks",
+                          "channels.wpq_depth", "crypto.md5_latency"}) {
+        ConfigFlags flags;
+        ASSERT_TRUE(flags.take(std::string("-") + k + "=2")) << k;
+        SimConfig cfg;
+        EXPECT_EXIT(flags.apply(cfg), ::testing::ExitedWithCode(1),
+                    std::string("unknown config key '") + k + "'");
+    }
+    ConfigFlags flags;
+    EXPECT_FALSE(flags.take("-trace-cap=33"));
 }
 
 TEST(ConfigFlagsDeath, AliasTakesTheKeyRange)

@@ -156,8 +156,7 @@ TEST_P(CrashRecoveryTest, RecoveredStateMatchesGoldenWindow)
 
     for (std::uint64_t crash_w : crash_writes) {
         SimConfig c;
-        c.pcm.channels = 1;
-        c.pcm.banksPerRank = 8;
+        c.pcm.banksPerChannel = 8;
         c.metadata.efitCacheBytes = 64 * 16;
         c.metadata.amtCacheBytes = 64 * kLineSize;
         c.metadata.referHMax = 7;

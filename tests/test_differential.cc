@@ -115,8 +115,7 @@ TEST_P(DifferentialTest, EveryReadReturnsLastWrite)
     auto [kind, channels] = GetParam();
 
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 8;
+    c.pcm.banksPerChannel = 8;
     c.channels.count = channels;
     c.channels.wpqCoalescing = channels > 1;  // exercise both paths
     // Tiny metadata caches maximise eviction/staleness pressure (the
@@ -226,8 +225,7 @@ SimConfig
 differentialPipelineConfig(unsigned channels)
 {
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 8;
+    c.pcm.banksPerChannel = 8;
     c.channels.count = channels;
     c.channels.wpqCoalescing = channels > 1;
     // Scaled with the shard count so per-shard eviction pressure stays

@@ -207,9 +207,7 @@ TEST(Efit, SingleSetThrashKeepsInvariant)
 TEST(PcmDevice, PerBankCompletionMonotone)
 {
     PcmConfig cfg;
-    cfg.channels = 1;
-    cfg.ranksPerChannel = 1;
-    cfg.banksPerRank = 2;
+    cfg.banksPerChannel = 2;
     cfg.writeQueueDepth = 1024;
     cfg.rowBufferLines = 0;
     PcmDevice dev(cfg);

@@ -27,8 +27,7 @@ SimConfig
 cfg()
 {
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 8;
+    c.pcm.banksPerChannel = 8;
     c.pcm.rowBufferLines = 0;
     return c;
 }

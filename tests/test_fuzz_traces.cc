@@ -82,8 +82,7 @@ TEST_P(FuzzTraceTest, InvariantsHoldUnderRandomTraffic)
     auto [kind, channels, dup_pct] = GetParam();
 
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 4;
+    c.pcm.banksPerChannel = 4;
     c.pcm.writeQueueDepth = 4;  // shallow: stalls and drains both fire
     c.channels.count = channels;
     c.channels.wpqCoalescing = channels > 1;
@@ -204,8 +203,7 @@ TEST_P(PipelineFuzzTest, ShardsStayCoherentAtAnyWorkerCount)
     auto [kind, dup_pct, crash] = GetParam();
 
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 4;
+    c.pcm.banksPerChannel = 4;
     c.pcm.writeQueueDepth = 4;
     c.channels.count = 4;
     c.channels.wpqCoalescing = true;

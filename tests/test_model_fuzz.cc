@@ -25,8 +25,7 @@ SimConfig
 cfg()
 {
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 8;
+    c.pcm.banksPerChannel = 8;
     // Tiny metadata caches maximise eviction/staleness pressure.
     c.metadata.efitCacheBytes = 64 * 16;
     c.metadata.amtCacheBytes = 8 * kLineSize;

@@ -19,8 +19,7 @@ SimConfig
 cfg()
 {
     SimConfig c;
-    c.pcm.channels = 1;
-    c.pcm.banksPerRank = 4;
+    c.pcm.banksPerChannel = 4;
     return c;
 }
 

@@ -28,8 +28,7 @@ SimConfig
 fastConfig()
 {
     SimConfig cfg;
-    cfg.pcm.channels = 1;
-    cfg.pcm.banksPerRank = 4;
+    cfg.pcm.banksPerChannel = 4;
     return cfg;
 }
 
@@ -112,7 +111,8 @@ TEST(Observability, EventTraceRecordsCarryEfitOutcomeAndQueueWait)
         ASSERT_NE(v.find("efit"), nullptr);
         ASSERT_NE(v.find("queue_ns"), nullptr);
         ASSERT_NE(v.find("bank"), nullptr);
-        EXPECT_LT(v.find("bank")->number, cfg.pcm.totalBanks());
+        EXPECT_LT(v.find("bank")->number,
+                  cfg.pcm.banksPerChannel * cfg.channels.count);
         saw_hit |= v.find("efit")->str == "hit";
         saw_dedup |= v.find("outcome")->str == "dedup";
         saw_queue_wait |= v.find("queue_ns")->number > 0;

@@ -19,9 +19,7 @@ PcmConfig
 smallConfig()
 {
     PcmConfig cfg;
-    cfg.channels = 1;
-    cfg.ranksPerChannel = 1;
-    cfg.banksPerRank = 4;
+    cfg.banksPerChannel = 4;
     cfg.writeQueueDepth = 2;
     cfg.rowBufferLines = 0;  // timing tests use raw array latencies
     return cfg;
@@ -198,19 +196,21 @@ TEST(PcmDevice, WriteOpensRowForSubsequentRead)
 
 // ------------------------------------------------- multi-channel WPQ
 
-ChannelConfig
-channelled(unsigned count, bool coalesce = false, unsigned depth = 0)
+/** smallConfig() on @p count channels with a WPQ of @p depth each. */
+PcmDevice
+channelled(unsigned count, bool coalesce = false, unsigned depth = 2)
 {
+    PcmConfig cfg = smallConfig();
+    cfg.writeQueueDepth = depth;
     ChannelConfig ch;
     ch.count = count;
     ch.wpqCoalescing = coalesce;
-    ch.wpqDepth = depth;
-    return ch;
+    return PcmDevice(cfg, ch);
 }
 
 TEST(PcmDeviceChannels, InterleaveMapsLinesModuloChannels)
 {
-    PcmDevice dev(smallConfig(), channelled(4));
+    PcmDevice dev = channelled(4);
     EXPECT_EQ(dev.channelCount(), 4u);
     EXPECT_EQ(dev.banksPerChannel(), 4u);
     EXPECT_EQ(dev.totalBanks(), 16u);
@@ -231,7 +231,7 @@ TEST(PcmDeviceChannels, AdjacentLinesServiceInParallel)
 {
     // On one channel lines 0 and 4 share bank 0 and serialize; with
     // four channels they land on different channels' bank 0.
-    PcmDevice dev(smallConfig(), channelled(4));
+    PcmDevice dev = channelled(4);
     NvmAccessResult r1 = dev.access(OpType::Write, 0, 0);
     NvmAccessResult r2 = dev.access(OpType::Write, kLineSize, 0);
     EXPECT_EQ(r1.complete, 150u);
@@ -242,7 +242,7 @@ TEST(PcmDeviceChannels, AdjacentLinesServiceInParallel)
 
 TEST(PcmDeviceChannels, CoalescingMergesIntoPendingWrite)
 {
-    PcmDevice dev(smallConfig(), channelled(1, true, 8));
+    PcmDevice dev = channelled(1, true, 8);
     NvmAccessResult first = dev.access(OpType::Write, 0, 0);
     EXPECT_FALSE(first.coalesced);
     EXPECT_EQ(first.complete, 150u);
@@ -264,7 +264,7 @@ TEST(PcmDeviceChannels, CoalescingMergesIntoPendingWrite)
 
 TEST(PcmDeviceChannels, CoalescingMissesAfterDrain)
 {
-    PcmDevice dev(smallConfig(), channelled(1, true, 8));
+    PcmDevice dev = channelled(1, true, 8);
     dev.access(OpType::Write, 0, 0);  // completes at 150
     NvmAccessResult later = dev.access(OpType::Write, 0, 200);
     EXPECT_FALSE(later.coalesced);
@@ -273,7 +273,7 @@ TEST(PcmDeviceChannels, CoalescingMissesAfterDrain)
 
 TEST(PcmDeviceChannels, CoalescingOffIssuesEveryWrite)
 {
-    PcmDevice dev(smallConfig(), channelled(1, false, 8));
+    PcmDevice dev = channelled(1, false, 8);
     dev.access(OpType::Write, 0, 0);
     NvmAccessResult second = dev.access(OpType::Write, 0, 10);
     EXPECT_FALSE(second.coalesced);
@@ -285,7 +285,7 @@ TEST(PcmDeviceChannels, BackpressureIsPerChannel)
 {
     // Depth 2 per channel; saturating channel 0 must not stall
     // channel 1.
-    PcmDevice dev(smallConfig(), channelled(2, false, 2));
+    PcmDevice dev = channelled(2, false, 2);
     dev.access(OpType::Write, 0, 0);                 // ch 0
     dev.access(OpType::Write, 8 * kLineSize, 0);     // ch 0, same bank
     NvmAccessResult other = dev.access(OpType::Write, kLineSize, 10);
@@ -298,20 +298,19 @@ TEST(PcmDeviceChannels, BackpressureIsPerChannel)
 
 TEST(PcmDeviceChannels, WpqDepthOverridesPcmDefault)
 {
-    PcmConfig cfg = smallConfig();  // pcm depth 2
-    PcmDevice dev(cfg, channelled(1, false, 1));
+    // pcm.write_queue_depth is each channel's WPQ depth.
+    PcmDevice dev = channelled(1, false, 1);
     EXPECT_EQ(dev.wpqDepth(), 1u);
     dev.access(OpType::Write, 0, 0);
     NvmAccessResult r = dev.access(OpType::Write, kLineSize, 0);
     EXPECT_GT(r.issuerStall, 0u);  // depth 1: one outstanding write
 
-    PcmDevice inherit(cfg, channelled(1));
-    EXPECT_EQ(inherit.wpqDepth(), cfg.writeQueueDepth);
+    EXPECT_EQ(PcmDevice(PcmConfig{}).wpqDepth(), 64u);  // the default
 }
 
 TEST(PcmDeviceChannels, OfferedWritesAreConserved)
 {
-    PcmDevice dev(smallConfig(), channelled(4, true, 4));
+    PcmDevice dev = channelled(4, true, 4);
     Pcg32 rng(7);
     Tick now = 0;
     for (int i = 0; i < 2000; ++i) {

@@ -29,8 +29,7 @@ SimConfig
 testConfig()
 {
     SimConfig cfg;
-    cfg.pcm.channels = 1;
-    cfg.pcm.banksPerRank = 8;
+    cfg.pcm.banksPerChannel = 8;
     cfg.pcm.writeQueueDepth = 64;
     cfg.pcm.rowBufferLines = 0;  // exact array latencies in assertions
     return cfg;

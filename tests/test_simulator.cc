@@ -18,8 +18,7 @@ SimConfig
 fastConfig()
 {
     SimConfig cfg;
-    cfg.pcm.channels = 1;
-    cfg.pcm.banksPerRank = 8;
+    cfg.pcm.banksPerChannel = 8;
     return cfg;
 }
 

@@ -40,7 +40,7 @@ goldenJobs()
         job.scheme = k;
         job.cfg = SimConfig{};
         job.cfg.channels.count = 2;
-        job.cfg.channels.wpqDepth = 16;
+        job.cfg.pcm.writeQueueDepth = 16;
         job.cfg.seed = exec::deriveJobSeed(42, jobs.size());
         job.records = 3000;
         job.warmup = 500;
@@ -280,13 +280,14 @@ TEST(SweepGridSpec, RejectsBadInputWithMessage)
     EXPECT_FALSE(exec::parseSweepSpec("channels=65", grid, &err));
     EXPECT_NE(std::string::npos, err.find("1..64")) << err;
 
-    // ... and channels.wpq_depth [0, 65536], where 0 inherits
-    // pcm.write_queue_depth.
+    // ... and wpq_depth is pcm.write_queue_depth, [1, 2^20].
     SweepGrid wpq;
-    EXPECT_TRUE(exec::parseSweepSpec("wpq_depth=0,65536", wpq, &err))
+    EXPECT_FALSE(exec::parseSweepSpec("wpq_depth=0", wpq, &err));
+    EXPECT_NE(std::string::npos, err.find("1..1048576")) << err;
+    EXPECT_TRUE(exec::parseSweepSpec("wpq_depth=1048576", wpq, &err))
         << err;
-    EXPECT_EQ((std::vector<unsigned>{0, 65536}), wpq.wpqDepths);
-    EXPECT_FALSE(exec::parseSweepSpec("wpq_depth=65537", wpq, &err));
+    EXPECT_EQ((std::vector<unsigned>{1048576}), wpq.wpqDepths);
+    EXPECT_FALSE(exec::parseSweepSpec("wpq_depth=1048577", wpq, &err));
 }
 
 TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)

@@ -9,6 +9,9 @@
  *             [-ConfigFile=path] [-out=sweep.json]
  *             [-<section>.<key>=V | config-flag alias]...
  *
+ * Sweep dimensions: app, scheme, channels (channels.count) and
+ * wpq_depth (pcm.write_queue_depth, the per-channel WPQ depth).
+ *
  * Config flags (common/config_io.hh, ConfigFlags) lay over -ConfigFile=
  * and set the base config of every job; swept dimensions then override
  * it. -seed= is not the config key here but the base seed that job

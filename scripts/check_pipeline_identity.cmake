@@ -1,28 +1,40 @@
 # Byte-identity gate for the sharded write pipeline, run as a ctest:
-# for every scheme, `esd_sim -workers=8` must write the identical
-# -stats-json= document as `esd_sim -workers=1` on an 8-channel
-# config. Invoked as
+# for every scheme, `esd_sim -workers=N` must write the identical
+# -stats-json= document as `esd_sim -workers=1`. Invoked as
 #
 #   cmake -DESD_SIM=<path> -DWORK_DIR=<dir> \
+#         [-DTRACE=<trace file>] [-DCHANNELS=8] [-DWORKERS=8] \
 #         -P check_pipeline_identity.cmake
 #
-# Any byte of divergence (or any non-zero run) is a FATAL_ERROR.
+# Without TRACE the input is 8000 synthetic gcc records; with it, the
+# whole trace. Any byte of divergence (or any non-zero run) is a
+# FATAL_ERROR.
 
 if(NOT DEFINED ESD_SIM OR NOT DEFINED WORK_DIR)
     message(FATAL_ERROR "need -DESD_SIM= and -DWORK_DIR=")
 endif()
+if(NOT DEFINED CHANNELS)
+    set(CHANNELS 8)
+endif()
+if(NOT DEFINED WORKERS)
+    set(WORKERS 8)
+endif()
 
-set(records 8000)
-set(warmup 1000)
+if(DEFINED TRACE)
+    get_filename_component(tag "${TRACE}" NAME_WE)
+    set(input -trace-in=${TRACE} -warmup=500)
+else()
+    set(tag gcc)
+    set(input -app=gcc -records=8000 -warmup=1000)
+endif()
 
 foreach(scheme RANGE 0 5)
-    set(ref "${WORK_DIR}/identity_s${scheme}_w1.json")
-    set(got "${WORK_DIR}/identity_s${scheme}_w8.json")
+    set(ref "${WORK_DIR}/identity_${tag}_s${scheme}_w1.json")
+    set(got "${WORK_DIR}/identity_${tag}_s${scheme}_w${WORKERS}.json")
 
     execute_process(
-        COMMAND "${ESD_SIM}" -scheme=${scheme} -app=gcc
-                -records=${records} -warmup=${warmup} -channels=8
-                -workers=1 -stats-json=${ref}
+        COMMAND "${ESD_SIM}" -scheme=${scheme} ${input}
+                -channels=${CHANNELS} -workers=1 -stats-json=${ref}
         RESULT_VARIABLE rc1 OUTPUT_QUIET)
     if(NOT rc1 EQUAL 0)
         message(FATAL_ERROR
@@ -30,13 +42,13 @@ foreach(scheme RANGE 0 5)
     endif()
 
     execute_process(
-        COMMAND "${ESD_SIM}" -scheme=${scheme} -app=gcc
-                -records=${records} -warmup=${warmup} -channels=8
-                -workers=8 -stats-json=${got}
-        RESULT_VARIABLE rc8 OUTPUT_QUIET)
-    if(NOT rc8 EQUAL 0)
+        COMMAND "${ESD_SIM}" -scheme=${scheme} ${input}
+                -channels=${CHANNELS} -workers=${WORKERS}
+                -stats-json=${got}
+        RESULT_VARIABLE rcn OUTPUT_QUIET)
+    if(NOT rcn EQUAL 0)
         message(FATAL_ERROR
-                "scheme ${scheme}: -workers=8 run failed (rc=${rc8})")
+                "scheme ${scheme}: -workers=${WORKERS} run failed (rc=${rcn})")
     endif()
 
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -44,10 +56,11 @@ foreach(scheme RANGE 0 5)
                     RESULT_VARIABLE same)
     if(NOT same EQUAL 0)
         message(FATAL_ERROR
-                "scheme ${scheme}: -workers=8 stats JSON diverges "
+                "scheme ${scheme}: -workers=${WORKERS} stats JSON diverges "
                 "from -workers=1 (${ref} vs ${got})")
     endif()
-    message(STATUS "scheme ${scheme}: workers 1 vs 8 byte-identical")
+    message(STATUS
+            "scheme ${scheme}: workers 1 vs ${WORKERS} byte-identical")
 endforeach()
 
 message(STATUS "pipeline identity gate: all schemes byte-identical")

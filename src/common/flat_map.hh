@@ -4,10 +4,12 @@
  *
  * `std::unordered_map` spends every lookup chasing a bucket pointer to
  * a separately allocated node — two dependent cache misses for a
- * 12-byte payload. The simulator's per-write path walks 3-6 such maps
- * (AMT, fingerprint index, refcounts, content store, wear counters,
- * encryption counters), so the node-based layout dominates host time
- * once the compute kernels are vectorised.
+ * 12-byte payload. The simulator's per-write path probes several
+ * hashed tables: the content store's index (NvmStore), the full
+ * fingerprint index (FpTable), the PCM write queue's pending map, and
+ * the sparse lines of the AMT, counter and wear tables (LineTable,
+ * which moves dense regions into arrays). The ESD+ content cache,
+ * Start-Gap and the RAS remap/poison sets are FlatMaps too.
  *
  * `FlatMap` replaces them with open addressing + robin-hood probing:
  *

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/types.hh"
 #include "crypto/aes.hh"
 
@@ -46,7 +46,7 @@ class CtrModeEngine
     encrypt(Addr addr, const CacheLine &plain,
             std::uint64_t *ctr_out = nullptr)
     {
-        std::uint64_t ctr = ++counters_[lineAlign(addr)];
+        std::uint64_t ctr = ++counters_.at(lineIndex(addr));
         if (ctr_out)
             *ctr_out = ctr;
         return applyPad(addr, ctr, plain);
@@ -59,24 +59,21 @@ class CtrModeEngine
     CacheLine
     decrypt(Addr addr, const CacheLine &cipher) const
     {
-        auto it = counters_.find(lineAlign(addr));
-        std::uint64_t ctr = (it == counters_.end()) ? 0 : it->second;
-        return applyPad(addr, ctr, cipher);
+        return applyPad(addr, counter(addr), cipher);
     }
 
     /** Current write counter of @p addr (0 when never written). */
     std::uint64_t
     counter(Addr addr) const
     {
-        auto it = counters_.find(lineAlign(addr));
-        return it == counters_.end() ? 0 : it->second;
+        return counters_.get(lineIndex(addr));
     }
 
-    /** The full per-line counter table. Crash tooling snapshots this
-     * as the ground-truth oracle a recovered counter set is audited
-     * against (a recovered counter below the true value means a pad
-     * would be reused). */
-    const FlatMap<Addr, std::uint64_t> &table() const { return counters_; }
+    /** The full per-line counter table, keyed by line index. Crash
+     * tooling snapshots this as the ground-truth oracle a recovered
+     * counter set is audited against (a recovered counter below the
+     * true value means a pad would be reused). */
+    const LineTable<std::uint64_t> &table() const { return counters_; }
 
     /**
      * Stateless pad application used by both directions. Each counter
@@ -110,7 +107,7 @@ class CtrModeEngine
 
   private:
     Aes128 aes_;
-    FlatMap<Addr, std::uint64_t> counters_;
+    LineTable<std::uint64_t> counters_;  ///< by line index
 };
 
 } // namespace esd

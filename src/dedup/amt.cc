@@ -102,10 +102,9 @@ Amt::lookup(Addr logical)
     stats_.lookups.inc();
 
     auto resolve = [&]() {
-        auto it = map_.find(line);
-        if (it != map_.end()) {
+        if (const PackedPhys *p = map_.find(line)) {
             res.found = true;
-            res.phys = it->second.toAddr();
+            res.phys = p->toAddr();
         }
     };
 
@@ -138,8 +137,8 @@ Amt::claim(Addr logical)
 {
     Slot slot;
     slot.line = lineIndex(logical);
-    auto [it, fresh] = map_.emplace(slot.line, PackedPhys{});
-    slot.entry = &it->second;
+    auto [entry, fresh] = map_.emplace(slot.line);
+    slot.entry = entry;
     slot.mapped = !fresh;
     return slot;
 }
@@ -171,10 +170,10 @@ Amt::update(const Slot &slot, Addr phys)
 std::optional<Addr>
 Amt::peek(Addr logical) const
 {
-    auto it = map_.find(lineIndex(logical));
-    if (it == map_.end())
+    const PackedPhys *p = map_.find(lineIndex(logical));
+    if (!p)
         return std::nullopt;
-    return it->second.toAddr();
+    return p->toAddr();
 }
 
 } // namespace esd

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -252,8 +252,9 @@ class Amt
     std::uint64_t useClock_ = 0;
     std::vector<Way> ways_;
 
-    /** The authoritative NVMM-resident table (functional model). */
-    FlatMap<std::uint64_t, PackedPhys> map_;
+    /** The authoritative NVMM-resident table (functional model),
+     * directly indexed where the mapped lines are dense. */
+    LineTable<PackedPhys> map_;
 
     AmtStats stats_;
 };

@@ -46,33 +46,41 @@ Efit::Efit(const MetadataConfig &cfg, unsigned shards)
     // set count (unsharded behaviour unchanged).
     setsPerShard_ = total_sets / shards_;
     sets_ = setsPerShard_ * shards_;
-    entries_.resize(sets_ * assoc_);
+    parts_.resize(shards_);
 }
 
 std::uint64_t
-Efit::setOf(LineEcc ecc, unsigned shard) const
+Efit::setOf(LineEcc ecc) const
 {
-    esd_assert(shard < shards_, "EFIT shard out of range");
     // Mix the 64-bit fingerprint before indexing: check bytes of
     // structured data are far from uniform.
     std::uint64_t h = ecc;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;
-    return shard * setsPerShard_ + h % setsPerShard_;
+    return h % setsPerShard_;
+}
+
+Efit::Entry *
+Efit::setBase(LineEcc ecc, unsigned shard)
+{
+    esd_assert(shard < shards_, "EFIT shard out of range");
+    std::vector<Entry> &part = parts_[shard];
+    return part.empty() ? nullptr : &part[setOf(ecc) * assoc_];
 }
 
 Efit::Entry *
 Efit::lookup(LineEcc ecc, unsigned shard)
 {
     stats_.lookups.inc();
-    std::uint64_t base = setOf(ecc, shard) * assoc_;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
-        if (e.valid && e.ecc == ecc) {
-            stats_.hits.inc();
-            e.lastUse = ++useClock_;
-            return &e;
+    if (Entry *set = setBase(ecc, shard)) {
+        for (unsigned w = 0; w < assoc_; ++w) {
+            Entry &e = set[w];
+            if (e.valid && e.ecc == ecc) {
+                stats_.hits.inc();
+                e.lastUse = ++useClock_;
+                return &e;
+            }
         }
     }
     stats_.misses.inc();
@@ -83,7 +91,11 @@ void
 Efit::insert(LineEcc ecc, Addr phys, unsigned shard)
 {
     stats_.inserts.inc();
-    std::uint64_t base = setOf(ecc, shard) * assoc_;
+    Entry *set = setBase(ecc, shard);
+    if (!set) {
+        parts_[shard].resize(setsPerShard_ * assoc_);
+        set = setBase(ecc, shard);
+    }
 
     // Reuse an invalid way when available; otherwise LRCU: evict the
     // way with the smallest referH (prioritising referH == 1), break
@@ -91,7 +103,7 @@ Efit::insert(LineEcc ecc, Addr phys, unsigned shard)
     // to plain LRU for the Fig. 18 ablation.
     Entry *victim = nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
+        Entry &e = set[w];
         if (!e.valid) {
             victim = &e;
             break;
@@ -146,10 +158,12 @@ Efit::bumpRef(Entry *entry)
 void
 Efit::erase(LineEcc ecc, Addr phys, unsigned shard)
 {
-    std::uint64_t base = setOf(ecc, shard) * assoc_;
+    Entry *set = setBase(ecc, shard);
+    if (!set)
+        return;
     PackedPhys packed = PackedPhys::fromAddr(phys);
     for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
+        Entry &e = set[w];
         if (e.valid && e.ecc == ecc && e.phys == packed) {
             e.valid = false;
             return;
@@ -161,13 +175,15 @@ void
 Efit::decayAll()
 {
     stats_.decayRounds.inc();
-    for (Entry &e : entries_) {
-        if (!e.valid)
-            continue;
-        if (e.referH > cfg_.decayDelta)
-            e.referH -= cfg_.decayDelta;
-        else
-            e.referH = 1;
+    for (std::vector<Entry> &part : parts_) {
+        for (Entry &e : part) {
+            if (!e.valid)
+                continue;
+            if (e.referH > cfg_.decayDelta)
+                e.referH -= cfg_.decayDelta;
+            else
+                e.referH = 1;
+        }
     }
 }
 
@@ -175,8 +191,9 @@ std::uint64_t
 Efit::validEntries() const
 {
     std::uint64_t n = 0;
-    for (const Entry &e : entries_)
-        n += e.valid ? 1 : 0;
+    for (const std::vector<Entry> &part : parts_)
+        for (const Entry &e : part)
+            n += e.valid ? 1 : 0;
     return n;
 }
 
@@ -184,9 +201,10 @@ std::vector<Efit::Entry>
 Efit::snapshotValid() const
 {
     std::vector<Entry> out;
-    for (const Entry &e : entries_)
-        if (e.valid)
-            out.push_back(e);
+    for (const std::vector<Entry> &part : parts_)
+        for (const Entry &e : part)
+            if (e.valid)
+                out.push_back(e);
     return out;
 }
 

@@ -134,7 +134,13 @@ class Efit
                        const std::string &prefix) const;
 
   private:
-    std::uint64_t setOf(LineEcc ecc, unsigned shard) const;
+    /** Set index of @p ecc within its shard's partition. */
+    std::uint64_t setOf(LineEcc ecc) const;
+
+    /** First way of @p ecc 's set in @p shard 's partition, or nullptr
+     * while that partition has never been written. */
+    Entry *setBase(LineEcc ecc, unsigned shard);
+
     void decayAll();
 
     MetadataConfig cfg_;
@@ -144,7 +150,11 @@ class Efit
     unsigned assoc_;
     std::uint64_t useClock_ = 0;
     std::uint64_t insertsSinceDecay_ = 0;
-    std::vector<Entry> entries_;
+
+    /** One vector of setsPerShard_ x assoc_ ways per shard, allocated
+     * by the partition's first insert: a pipeline shard simulator only
+     * ever reaches its own channel's partition. */
+    std::vector<std::vector<Entry>> parts_;
     EfitStats stats_;
 };
 

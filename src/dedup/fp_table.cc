@@ -44,37 +44,40 @@ FpTable::FpTable(std::uint64_t cache_bytes, std::uint64_t entry_bytes,
         esd_fatal("fingerprint cache too small for %u shards", shards_);
     setsPerShard_ = total_sets / shards_;
     sets_ = setsPerShard_ * shards_;
-    ways_.resize(sets_ * assoc_);
+    parts_.resize(shards_);
     maps_.resize(shards_);
 }
 
 std::uint64_t
-FpTable::setOf(std::uint64_t fp, unsigned shard) const
+FpTable::setOf(std::uint64_t fp) const
 {
-    esd_assert(shard < shards_, "fp table shard out of range");
     std::uint64_t h = fp;
     h ^= h >> 33;
     h *= 0xc4ceb9fe1a85ec53ull;
     h ^= h >> 33;
-    return shard * setsPerShard_ + h % setsPerShard_;
+    return h % setsPerShard_;
 }
 
 Addr
 FpTable::entryNvmAddr(std::uint64_t fp, unsigned shard) const
 {
+    esd_assert(shard < shards_, "fp table shard out of range");
     // Bucket the index by fingerprint hash; entries pack into lines.
-    std::uint64_t bucket = setOf(fp, shard) * assoc_;
+    std::uint64_t bucket = (shard * setsPerShard_ + setOf(fp)) * assoc_;
     return lineAlign(nvmBase_ + bucket * entryBytes_);
 }
 
 FpTable::Way *
 FpTable::findWay(std::uint64_t fp, unsigned shard)
 {
-    std::uint64_t base = setOf(fp, shard) * assoc_;
+    esd_assert(shard < shards_, "fp table shard out of range");
+    std::vector<Way> &part = parts_[shard];
+    if (part.empty())
+        return nullptr;
+    Way *set = &part[setOf(fp) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.fp == fp)
-            return &way;
+        if (set[w].valid && set[w].fp == fp)
+            return &set[w];
     }
     return nullptr;
 }
@@ -82,10 +85,13 @@ FpTable::findWay(std::uint64_t fp, unsigned shard)
 void
 FpTable::fill(std::uint64_t fp, PackedPhys phys, unsigned shard)
 {
-    std::uint64_t base = setOf(fp, shard) * assoc_;
-    Way *lru = &ways_[base];
+    std::vector<Way> &part = parts_[shard];
+    if (part.empty())
+        part.resize(setsPerShard_ * assoc_);
+    Way *set = &part[setOf(fp) * assoc_];
+    Way *lru = set;
     for (unsigned w = 0; w < assoc_; ++w) {
-        Way &cand = ways_[base + w];
+        Way &cand = set[w];
         if (!cand.valid) {
             lru = &cand;
             break;
@@ -149,14 +155,8 @@ FpTable::erase(std::uint64_t fp, unsigned shard)
 {
     stats_.erases.inc();
     maps_[shard].erase(fp);
-    std::uint64_t base = setOf(fp, shard) * assoc_;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.fp == fp) {
-            way.valid = false;
-            return;
-        }
-    }
+    if (Way *way = findWay(fp, shard))
+        way->valid = false;
 }
 
 } // namespace esd

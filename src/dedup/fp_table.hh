@@ -124,7 +124,8 @@ class FpTable
         std::uint64_t lastUse = 0;
     };
 
-    std::uint64_t setOf(std::uint64_t fp, unsigned shard) const;
+    /** Set index of @p fp within its shard's partition. */
+    std::uint64_t setOf(std::uint64_t fp) const;
     Way *findWay(std::uint64_t fp, unsigned shard);
     void fill(std::uint64_t fp, PackedPhys phys, unsigned shard);
 
@@ -135,7 +136,11 @@ class FpTable
     unsigned shards_;
     unsigned assoc_;
     std::uint64_t useClock_ = 0;
-    std::vector<Way> ways_;
+
+    /** The cache's ways, one vector of setsPerShard_ x assoc_ per
+     * shard, allocated by the partition's first fill: a pipeline
+     * shard simulator only ever reaches its own channel's partition. */
+    std::vector<std::vector<Way>> parts_;
 
     /** Authoritative NVMM-resident index, one partition per shard
      * (functional model). */

@@ -20,10 +20,13 @@ namespace esd::exec
 // ----------------------------------------------------------------------
 // Plumbing types.
 
-/** One demultiplexed trace record. */
+/** One demultiplexed trace record, without its payload: a write's
+ * 64 bytes go to its batch's payload vector, in item order. */
 struct ShardedPipeline::Item
 {
-    TraceRecord rec;
+    Addr addr = 0;
+    std::uint32_t icount = 0;
+    OpType op = OpType::Write;
 
     /** Inside the measurement window (global warmup already applied). */
     bool measured = false;
@@ -40,6 +43,7 @@ struct ShardedPipeline::Batch
 {
     bool final = false;
     std::vector<Item> items;
+    std::vector<CacheLine> payloads;  ///< the writes' data, in order
 };
 
 /** Bounded SPSC-in-spirit batch queue (the demux produces, the owning
@@ -126,9 +130,14 @@ ShardedPipeline::ShardedPipeline(const SimConfig &cfg, SchemeKind kind,
 
     // Shard configs are the user config verbatim — same geometry, same
     // seed (the AES keys and fingerprint spaces must match a serial
-    // run), full-size caches (set-associative metadata caches index
-    // sets by channel, so a shard only ever touches its own channel's
-    // sets and behaves exactly like its slice of the global cache).
+    // run), full-size caches. The EFIT and the fingerprint cache index
+    // sets by channel, so a shard only ever touches (and allocates)
+    // its own channel's partition and behaves exactly like its slice
+    // of the global cache. The AMT cache does not: it indexes sets by
+    // entry-block group (kLineSize / amt_entry_bytes consecutive
+    // logical lines), and a group spans channels, so each shard holds
+    // a private full-size AMT cache and its AMT hits, misses and
+    // write-backs differ from a serial run's.
     // Only crash injection is stripped: the crash index is *global*
     // write order, which the demux counts — it arms the owning shard
     // at the chosen write instead. Any shard may own it, so every
@@ -155,21 +164,23 @@ ShardedPipeline::~ShardedPipeline() = default;
 // Execution.
 
 void
-ShardedPipeline::flushEpoch(std::vector<std::vector<Item>> &pending,
-                            bool final)
+ShardedPipeline::flushEpoch(std::vector<Batch> &pending, bool final)
 {
     // Every shard gets a batch every epoch, empty or not: batch
     // arrival is how workers count epochs toward the barrier.
     for (unsigned s = 0; s < shardCount_; ++s) {
-        const std::size_t last = pending[s].size();
-        Batch b;
+        const std::size_t items = pending[s].items.size();
+        const std::size_t payloads = pending[s].payloads.size();
+        Batch b = std::move(pending[s]);
         b.final = final;
-        b.items = std::move(pending[s]);
-        pending[s].clear();
-        // Size the next epoch's vector from this one's, with slack for
-        // routing jitter, rather than regrow it from empty by doubling.
-        if (!final)
-            pending[s].reserve(last + last / 8);
+        pending[s] = Batch{};
+        // Size the next epoch's vectors from this one's, with slack for
+        // routing jitter, rather than regrow them from empty by
+        // doubling.
+        if (!final) {
+            pending[s].items.reserve(items + items / 8);
+            pending[s].payloads.reserve(payloads + payloads / 8);
+        }
         queues_[s]->push(std::move(b));
     }
 }
@@ -184,14 +195,23 @@ ShardedPipeline::workerLoop(unsigned w)
 
     std::uint64_t epoch = 0;
     bool done = false;
+    TraceRecord rec;
     while (!done) {
         for (unsigned s = w; s < shardCount_; s += workers_) {
             Batch b = queues_[s]->pop();
             Simulator &sim = *shards_[s];
+            std::size_t next_payload = 0;
             for (const Item &it : b.items) {
+                rec.addr = it.addr;
+                rec.icount = it.icount;
+                rec.op = it.op;
+                // A read's payload is never looked at: rec keeps the
+                // last write's bytes.
+                if (it.op == OpType::Write)
+                    rec.data = b.payloads[next_payload++];
                 if (it.armCrash && sim.persistence() != nullptr)
                     sim.persistence()->armCrashOnNextWrite();
-                sim.stepRecord(it.rec, it.measured);
+                sim.stepRecord(rec, it.measured);
             }
             if (b.final)
                 done = true;
@@ -285,7 +305,8 @@ ShardedPipeline::run(TraceSource &trace, std::uint64_t records,
     const std::uint64_t crash_at =
         cfg_.persist.enabled ? cfg_.persist.crashAtWrite : 0;
     const std::uint64_t epoch_records = cfg_.pipeline.epochRecords;
-    std::vector<std::vector<Item>> pending(shardCount_);
+    static_assert(sizeof(Item) == 16, "demux items are 16-byte records");
+    std::vector<Batch> pending(shardCount_);
     constexpr std::size_t kDemuxChunk = 1024;
     std::vector<TraceRecord> chunk(kDemuxChunk);
     std::uint64_t processed = 0;
@@ -300,15 +321,18 @@ ShardedPipeline::run(TraceSource &trace, std::uint64_t records,
             break;
         for (std::size_t i = 0; i < got; ++i) {
             const TraceRecord &rec = chunk[i];
+            Batch &b = pending[lineIndex(rec.addr) % shardCount_];
             Item it;
-            it.rec = rec;
+            it.addr = rec.addr;
+            it.icount = rec.icount;
+            it.op = rec.op;
             it.measured = processed >= warmup;
             if (rec.op == OpType::Write) {
                 ++writes_seen;
                 it.armCrash = crash_at != 0 && writes_seen == crash_at;
+                b.payloads.push_back(rec.data);
             }
-            pending[lineIndex(rec.addr) % shardCount_].push_back(
-                std::move(it));
+            b.items.push_back(it);
             ++processed;
             if (++in_epoch == epoch_records) {
                 flushEpoch(pending, /*final=*/false);

@@ -170,7 +170,7 @@ class ShardedPipeline
 
     void workerLoop(unsigned w);
     void applyBarrierEffects(std::uint64_t epoch);
-    void flushEpoch(std::vector<std::vector<Item>> &pending, bool final);
+    void flushEpoch(std::vector<Batch> &pending, bool final);
     RunResult mergeResults() const;
 
     SimConfig cfg_;

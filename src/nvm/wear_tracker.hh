@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.hh"
+#include "common/line_table.hh"
 #include "common/types.hh"
 
 namespace esd
@@ -54,7 +54,7 @@ class WearTracker
     void
     recordWrite(Addr addr)
     {
-        ++writes_[lineIndex(addr)];
+        ++writes_.at(lineIndex(addr));
         ++total_;
     }
 
@@ -62,8 +62,7 @@ class WearTracker
     std::uint64_t
     lineWrites(Addr addr) const
     {
-        auto it = writes_.find(lineIndex(addr));
-        return it == writes_.end() ? 0 : it->second;
+        return writes_.get(lineIndex(addr));
     }
 
     WearStats
@@ -72,12 +71,15 @@ class WearTracker
         WearStats s;
         s.totalWrites = total_;
         s.linesTouched = writes_.size();
-        for (const auto &[line, count] : writes_) {
-            if (count > s.maxLineWrites) {
+        // Ties go to the lowest line, whatever the table's layout.
+        writes_.forEach([&](std::uint64_t line, std::uint64_t count) {
+            Addr addr = line * kLineSize;
+            if (count > s.maxLineWrites ||
+                (count == s.maxLineWrites && addr < s.hottestLine)) {
                 s.maxLineWrites = count;
-                s.hottestLine = line * kLineSize;
+                s.hottestLine = addr;
             }
-        }
+        });
         return s;
     }
 
@@ -103,7 +105,7 @@ class WearTracker
     }
 
   private:
-    FlatMap<std::uint64_t, std::uint64_t> writes_;
+    LineTable<std::uint64_t> writes_;
     std::uint64_t total_ = 0;
 };
 

@@ -224,8 +224,9 @@ PersistenceManager::captureImage(CrashPhase phase, Tick tick,
     image_.trueCounters.clear();
     if (crypto_) {
         image_.trueCounters.reserve(crypto_->table().size());
-        for (const auto &[a, c] : crypto_->table())
-            image_.trueCounters.emplace_back(a, c);
+        crypto_->table().forEach([&](std::uint64_t line, std::uint64_t c) {
+            image_.trueCounters.emplace_back(line * kLineSize, c);
+        });
     }
 
     crashed_ = true;

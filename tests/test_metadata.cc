@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "common/config.hh"
 #include "dedup/amt.hh"
@@ -541,6 +542,95 @@ TEST(FpTable, NvmBytesUsesEntrySize)
     t.insert(1, 0, sa);
     t.insert(2, 64, sa);
     EXPECT_EQ(t.nvmBytes(), 52u);
+}
+
+// ------------------------------------------------- sharded partitions
+
+/** FNV-1a over the fields of every valid EFIT entry, in order. */
+std::uint64_t
+snapshotDigest(const std::vector<Efit::Entry> &entries)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const Efit::Entry &e : entries) {
+        mix(e.ecc);
+        mix(e.phys.toAddr());
+        mix(e.referH);
+        mix(e.lastUse);
+    }
+    return h;
+}
+
+/** A 4-shard EFIT driven through its partitions in the order 2, 0, 3
+ * (shard 1 never probed): hits, LRCU victims, decay rounds and the
+ * surviving entries are pinned, so allocating a partition at its first
+ * probe changes nothing a caller can see. */
+TEST(Efit, ShardPartitionsInOrder203)
+{
+    MetadataConfig cfg = tinyMeta();
+    cfg.efitCacheBytes = 64 * 16;  // 32 sets: 8 per shard
+    cfg.efitAssoc = 2;
+    cfg.decayPeriod = 16;
+    Efit efit(cfg, 4);
+    Addr phys = 0;
+    for (unsigned shard : {2u, 0u, 3u}) {
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            LineEcc ecc = (i * 7919 + i / 3) % 41 + shard * 1000;
+            if (Efit::Entry *e = efit.lookup(ecc, shard)) {
+                if (!efit.bumpRef(e))
+                    efit.redirect(e, phys += kLineSize);
+            } else {
+                efit.insert(ecc, phys += kLineSize, shard);
+            }
+            if (i % 37 == 0)
+                efit.erase(ecc, phys, shard);
+        }
+    }
+    EXPECT_EQ(efit.stats().hits.value(), 304u);
+    EXPECT_EQ(efit.stats().evictions.value(), 532u);
+    EXPECT_EQ(efit.stats().evictionsRef1.value(), 501u);
+    EXPECT_EQ(efit.stats().decayRounds.value(), 37u);
+    EXPECT_EQ(efit.validEntries(), 46u);
+    std::vector<Efit::Entry> snap = efit.snapshotValid();
+    EXPECT_EQ(snap.size(), 46u);
+    EXPECT_EQ(snapshotDigest(snap), 1080388962681631432ull);
+    EXPECT_EQ(efit.capacityEntries(), 64u);
+    EXPECT_EQ(efit.lookup(1002, 1), nullptr);
+}
+
+/** The same walk over a 4-shard fingerprint table: cache hits, NVMM
+ * finds and the index addresses are pinned. */
+TEST(FpTable, ShardPartitionsInOrder203)
+{
+    FpTable t(32 * 26, 26, 2, 1 << 30, 4);  // 16 sets: 4 per shard
+    Addr phys = 0;
+    std::uint64_t addr_sum = 0;
+    for (unsigned shard : {2u, 0u, 3u}) {
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            std::uint64_t fp = (i * 7919 + i / 3) % 41 + shard * 1000;
+            FpTable::LookupResult r = t.lookup(fp, shard);
+            addr_sum += r.nvmAddr == kInvalidAddr ? 0 : r.nvmAddr;
+            if (!r.found) {
+                Addr sa;
+                t.insert(fp, phys += kLineSize, sa, shard);
+                addr_sum += sa;
+            }
+            if (i % 37 == 0)
+                t.erase(fp, shard);
+        }
+    }
+    EXPECT_EQ(t.stats().cacheHits.value(), 14u);
+    EXPECT_EQ(t.stats().cacheMisses.value(), 886u);
+    EXPECT_EQ(t.stats().nvmFoundAfterMiss.value(), 739u);
+    EXPECT_EQ(t.nvmEntries(), 120u);
+    EXPECT_EQ(addr_sum, 1109175691584ull);
+    EXPECT_EQ(t.cacheCapacityEntries(), 32u);
+    EXPECT_FALSE(t.lookup(1002, 1).found);
 }
 
 // ------------------------------------------------------------ predictor

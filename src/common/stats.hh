@@ -31,6 +31,14 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
+    /** This count as a share of @p whole; 0 when @p whole is 0. */
+    double
+    shareOf(const Counter &whole) const
+    {
+        return whole.value_ == 0 ? 0.0
+                                 : static_cast<double>(value_) / whole.value_;
+    }
+
   private:
     std::uint64_t value_ = 0;
 };

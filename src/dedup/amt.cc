@@ -28,68 +28,35 @@ Amt::registerStats(StatRegistry &reg, const std::string &prefix) const
 
 Amt::Amt(const MetadataConfig &cfg, Addr nvm_base, unsigned shards)
     : cfg_(cfg), nvmBase_(nvm_base),
-      entriesPerBlock_(kLineSize / cfg.amtEntryBytes), shards_(shards),
-      assoc_(cfg.amtAssoc)
+      entriesPerBlock_(kLineSize / cfg.amtEntryBytes),
+      cache_("AMT cache", cfg.amtCacheBytes / kLineSize, cfg.amtAssoc,
+             shards)
 {
     esd_assert(entriesPerBlock_ > 0, "AMT entry larger than a line");
-    if (shards_ == 0)
-        esd_fatal("AMT needs at least one shard");
-    std::uint64_t blocks = cfg.amtCacheBytes / kLineSize;
-    if (blocks < assoc_)
-        esd_fatal("AMT cache too small for %u ways", assoc_);
-    std::uint64_t total_sets = blocks / assoc_;
-    if (total_sets < shards_)
-        esd_fatal("AMT cache too small for %u shards", shards_);
-    setsPerShard_ = total_sets / shards_;
-    sets_ = setsPerShard_ * shards_;
-    ways_.resize(sets_ * assoc_);
-}
-
-Addr
-Amt::entryNvmAddr(Addr logical) const
-{
-    // Each entry block occupies one NVMM line in the table region.
-    return nvmBase_ + groupOf(lineIndex(logical)) * kLineSize;
 }
 
 Amt::Way *
-Amt::findWay(std::uint64_t group)
+Amt::findWay(const Block &b)
 {
-    std::uint64_t base = setOf(group) * assoc_;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.tag == group)
-            return &way;
-    }
-    return nullptr;
+    return cache_.find(b.part, b.group,
+                       [&b](const Way &w) { return w.tag == b.group; });
 }
 
-std::optional<std::uint64_t>
-Amt::fill(std::uint64_t group, bool dirty)
+std::optional<Addr>
+Amt::fill(const Block &b, bool dirty)
 {
-    std::optional<std::uint64_t> writeback;
-    Way *way = findWay(group);
+    std::optional<Addr> writeback;
+    Way *way = findWay(b);
     if (!way) {
-        std::uint64_t base = setOf(group) * assoc_;
-        Way *lru = &ways_[base];
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Way &cand = ways_[base + w];
-            if (!cand.valid) {
-                lru = &cand;
-                break;
-            }
-            if (cand.lastUse < lru->lastUse)
-                lru = &cand;
-        }
-        if (lru->valid && lru->dirty)
-            writeback = lru->tag;
-        way = lru;
+        way = &cache_.victim(b.part, b.group);
+        if (way->valid && way->dirty)
+            writeback = nvmAddrOf({b.part, way->tag});
         way->valid = true;
-        way->tag = group;
+        way->tag = b.group;
         way->dirty = false;
     }
     way->dirty = way->dirty || dirty;
-    way->lastUse = ++useClock_;
+    cache_.touch(*way);
     return writeback;
 }
 
@@ -98,7 +65,7 @@ Amt::lookup(Addr logical)
 {
     LookupResult res;
     std::uint64_t line = lineIndex(logical);
-    std::uint64_t group = groupOf(line);
+    Block b = blockOf(line);
     stats_.lookups.inc();
 
     auto resolve = [&]() {
@@ -108,9 +75,9 @@ Amt::lookup(Addr logical)
         }
     };
 
-    if (Way *way = findWay(group)) {
+    if (Way *way = findWay(b)) {
         stats_.cacheHits.inc();
-        way->lastUse = ++useClock_;
+        cache_.touch(*way);
         res.cacheHit = true;
         resolve();
         return res;
@@ -120,14 +87,13 @@ Amt::lookup(Addr logical)
     // The entry block must be fetched from the NVMM-resident table.
     stats_.nvmReads.inc();
     res.effects.nvmRead = true;
-    res.effects.nvmReadAddr = entryNvmAddr(logical);
+    res.effects.nvmReadAddr = nvmAddrOf(b);
     resolve();
 
-    if (auto wb = fill(group, false)) {
+    if (auto wb = fill(b, false)) {
         stats_.nvmWritebacks.inc();
         res.effects.nvmWriteback = true;
-        res.effects.nvmWritebackAddr =
-            nvmBase_ + *wb * kLineSize;
+        res.effects.nvmWritebackAddr = *wb;
     }
     return res;
 }
@@ -159,10 +125,10 @@ Amt::update(const Slot &slot, Addr phys)
 
     // Write-allocate without fetch: the controller write-combines the
     // entry into its block; only dirty evictions touch NVMM.
-    if (auto wb = fill(groupOf(slot.line), true)) {
+    if (auto wb = fill(blockOf(slot.line), true)) {
         stats_.nvmWritebacks.inc();
         eff.nvmWriteback = true;
-        eff.nvmWritebackAddr = nvmBase_ + *wb * kLineSize;
+        eff.nvmWritebackAddr = *wb;
     }
     return eff;
 }

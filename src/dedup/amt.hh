@@ -14,10 +14,12 @@
  * Addr_base (4 B, 8-bit left shift) + Addr_offsets (1 B), addressing
  * 64 TB of line-granular space.
  *
- * The on-chip cache is organised at NVMM-line granularity: several
- * consecutive logical lines' entries (64 B / amtEntryBytes) share one
- * cached block, so spatially local updates coalesce into a single
- * dirty write-back — matching how a real controller moves metadata.
+ * The on-chip cache is organised at NVMM-line granularity: the entries
+ * of several (64 B / amtEntryBytes) consecutive logical lines of one
+ * channel share one cached block, so spatially local updates coalesce
+ * into a single dirty write-back — matching how a real controller
+ * moves metadata. A block lives in its channel's cache partition and
+ * on its channel's NVMM lines (ChannelCache).
  */
 
 #ifndef ESD_DEDUP_AMT_HH
@@ -31,6 +33,7 @@
 #include "common/line_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "dedup/channel_cache.hh"
 
 namespace esd
 {
@@ -96,14 +99,7 @@ struct AmtStats
     Counter nvmWritebacks;
     Counter updates;
 
-    double
-    hitRate() const
-    {
-        return lookups.value() == 0
-                   ? 0.0
-                   : static_cast<double>(cacheHits.value()) /
-                         lookups.value();
-    }
+    double hitRate() const { return cacheHits.shareOf(lookups); }
 };
 
 /**
@@ -117,12 +113,11 @@ class Amt
      * @param cfg       metadata sizing (cache bytes, entry bytes, assoc)
      * @param nvm_base  byte address where the NVMM-resident table
      *                  begins (entries are packed amtEntryBytes apart)
-     * @param shards    partition the cache sets per memory channel.
-     *                  The AMT is keyed by logical address, so the
-     *                  shard is derived internally from the entry
-     *                  block with the same mod-N interleave the device
-     *                  uses; one shard (default) is the unsharded
-     *                  cache.
+     * @param shards    one cache partition per memory channel. The AMT
+     *                  is keyed by logical address, so a line's
+     *                  partition is its channel under the device's
+     *                  mod-N interleave; one shard (default) is the
+     *                  unpartitioned cache.
      */
     Amt(const MetadataConfig &cfg, Addr nvm_base, unsigned shards = 1);
 
@@ -183,8 +178,13 @@ class Amt
      * the statistics. */
     std::optional<Addr> peek(Addr logical) const;
 
-    /** NVMM line address holding @p logical 's entry. */
-    Addr entryNvmAddr(Addr logical) const;
+    /** NVMM line address holding @p logical 's entry, on the line's
+     * own channel. */
+    Addr
+    entryNvmAddr(Addr logical) const
+    {
+        return nvmAddrOf(blockOf(lineIndex(logical)));
+    }
 
     /** Mappings resident in the (conceptual) NVMM table. */
     std::uint64_t mappingCount() const { return map_.size(); }
@@ -197,21 +197,14 @@ class Amt
     }
 
     const AmtStats &stats() const { return stats_; }
-    void resetStats() { stats_ = AmtStats{}; }
 
     /** Register counters, hit rate, and footprint under
      * "<prefix>.*". */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Logical-line entries the cache can hold. */
-    std::uint64_t
-    cacheEntries() const
-    {
-        return sets_ * assoc_ * entriesPerBlock_;
-    }
-
-    /** Consecutive logical lines sharing one cached 64 B block. */
+    /** Consecutive logical lines of one channel sharing one cached
+     * 64 B block. */
     std::uint64_t entriesPerBlock() const { return entriesPerBlock_; }
 
   private:
@@ -219,38 +212,42 @@ class Amt
     {
         bool valid = false;
         bool dirty = false;
-        std::uint64_t tag = 0;   ///< entry-block index (group of lines)
+        std::uint64_t tag = 0;   ///< entry-block index in its channel
         std::uint64_t lastUse = 0;
     };
 
-    std::uint64_t groupOf(std::uint64_t line) const
+    /** A logical line's entry block: its channel's partition and
+     * the block's index among that channel's lines. */
+    struct Block
     {
-        return line / entriesPerBlock_;
+        unsigned part;
+        std::uint64_t group;
+    };
+
+    Block
+    blockOf(std::uint64_t line) const
+    {
+        unsigned n = cache_.partitions();
+        return {static_cast<unsigned>(line % n),
+                line / n / entriesPerBlock_};
     }
 
-    /** Set index of @p group: its shard's partition, indexed by the
-     * group bits above the shard selector. */
-    std::uint64_t
-    setOf(std::uint64_t group) const
+    /** The NVMM line holding block @p b. */
+    Addr
+    nvmAddrOf(const Block &b) const
     {
-        std::uint64_t shard = group % shards_;
-        return shard * setsPerShard_ + (group / shards_) % setsPerShard_;
+        return cache_.nvmLine(nvmBase_, b.part, b.group * kLineSize);
     }
 
-    Way *findWay(std::uint64_t group);
-    /** Insert @p group, returning the displaced dirty victim group
-     * when a write-back is needed. */
-    std::optional<std::uint64_t> fill(std::uint64_t group, bool dirty);
+    Way *findWay(const Block &b);
+    /** Insert @p b, returning the NVMM line of the displaced dirty
+     * victim when a write-back is needed. */
+    std::optional<Addr> fill(const Block &b, bool dirty);
 
     MetadataConfig cfg_;
     Addr nvmBase_;
     std::uint64_t entriesPerBlock_;
-    std::uint64_t sets_;
-    std::uint64_t setsPerShard_;
-    unsigned shards_;
-    unsigned assoc_;
-    std::uint64_t useClock_ = 0;
-    std::vector<Way> ways_;
+    ChannelCache<Way> cache_;
 
     /** The authoritative NVMM-resident table (functional model),
      * directly indexed where the mapped lines are dense. */

@@ -19,7 +19,8 @@ constexpr Addr kFpRegionBase = 13ull << 30;
 
 DeWriteScheme::DeWriteScheme(const SimConfig &cfg, PcmDevice &device,
                              NvmStore &store)
-    : FullIndexScheme(cfg, device, store, kEntryBytes, kFpRegionBase)
+    : FullIndexScheme(cfg, device, store, kEntryBytes, kFpRegionBase),
+      predictor_(DupPredictor::kDefaultEntries, device.channelCount())
 {
 }
 

@@ -31,57 +31,23 @@ Efit::registerStats(StatRegistry &reg, const std::string &prefix) const
 }
 
 Efit::Efit(const MetadataConfig &cfg, unsigned shards)
-    : cfg_(cfg), shards_(shards), assoc_(cfg.efitAssoc)
+    : cfg_(cfg),
+      cache_("EFIT cache", cfg.efitCacheBytes / cfg.efitEntryBytes,
+             cfg.efitAssoc, shards, 0xff51afd7ed558ccdull),
+      sinceDecay_(shards)
 {
-    std::uint64_t entries = cfg.efitCacheBytes / cfg.efitEntryBytes;
-    if (entries < assoc_)
-        esd_fatal("EFIT cache too small for %u ways", assoc_);
-    if (shards_ == 0)
-        esd_fatal("EFIT needs at least one shard");
-    std::uint64_t total_sets = entries / assoc_;
-    if (total_sets < shards_)
-        esd_fatal("EFIT cache too small for %u shards", shards_);
-    // Round the capacity down to a whole number of sets per shard so
-    // every channel owns an equal partition. One shard keeps the full
-    // set count (unsharded behaviour unchanged).
-    setsPerShard_ = total_sets / shards_;
-    sets_ = setsPerShard_ * shards_;
-    parts_.resize(shards_);
-}
-
-std::uint64_t
-Efit::setOf(LineEcc ecc) const
-{
-    // Mix the 64-bit fingerprint before indexing: check bytes of
-    // structured data are far from uniform.
-    std::uint64_t h = ecc;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-    return h % setsPerShard_;
-}
-
-Efit::Entry *
-Efit::setBase(LineEcc ecc, unsigned shard)
-{
-    esd_assert(shard < shards_, "EFIT shard out of range");
-    std::vector<Entry> &part = parts_[shard];
-    return part.empty() ? nullptr : &part[setOf(ecc) * assoc_];
 }
 
 Efit::Entry *
 Efit::lookup(LineEcc ecc, unsigned shard)
 {
     stats_.lookups.inc();
-    if (Entry *set = setBase(ecc, shard)) {
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Entry &e = set[w];
-            if (e.valid && e.ecc == ecc) {
-                stats_.hits.inc();
-                e.lastUse = ++useClock_;
-                return &e;
-            }
-        }
+    Entry *e = cache_.find(shard, ecc,
+                           [ecc](const Entry &w) { return w.ecc == ecc; });
+    if (e) {
+        stats_.hits.inc();
+        cache_.touch(*e);
+        return e;
     }
     stats_.misses.inc();
     return nullptr;
@@ -91,55 +57,35 @@ void
 Efit::insert(LineEcc ecc, Addr phys, unsigned shard)
 {
     stats_.inserts.inc();
-    Entry *set = setBase(ecc, shard);
-    if (!set) {
-        parts_[shard].resize(setsPerShard_ * assoc_);
-        set = setBase(ecc, shard);
-    }
 
-    // Reuse an invalid way when available; otherwise LRCU: evict the
-    // way with the smallest referH (prioritising referH == 1), break
-    // ties by least-recent use. With useLrcu disabled this degenerates
-    // to plain LRU for the Fig. 18 ablation.
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = set[w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (!victim) {
-            victim = &e;
-            continue;
-        }
-        bool better;
-        if (cfg_.useLrcu) {
-            better = e.referH < victim->referH ||
-                     (e.referH == victim->referH &&
-                      e.lastUse < victim->lastUse);
-        } else {
-            better = e.lastUse < victim->lastUse;
-        }
-        if (better)
-            victim = &e;
-    }
+    // LRCU: evict the way with the smallest referH (prioritising
+    // referH == 1), break ties by least-recent use. With useLrcu
+    // disabled this degenerates to plain LRU for the Fig. 18 ablation.
+    Entry &victim =
+        cfg_.useLrcu
+            ? cache_.victim(shard, ecc,
+                            [](const Entry &a, const Entry &b) {
+                                return a.referH < b.referH ||
+                                       (a.referH == b.referH &&
+                                        a.lastUse < b.lastUse);
+                            })
+            : cache_.victim(shard, ecc);
 
-    if (victim->valid) {
+    if (victim.valid) {
         stats_.evictions.inc();
-        if (victim->referH <= 1)
+        if (victim.referH <= 1)
             stats_.evictionsRef1.inc();
     }
 
-    victim->valid = true;
-    victim->ecc = ecc;
-    victim->phys = PackedPhys::fromAddr(phys);
-    victim->referH = 1;
-    victim->lastUse = ++useClock_;
+    victim.valid = true;
+    victim.ecc = ecc;
+    victim.phys = PackedPhys::fromAddr(phys);
+    victim.referH = 1;
+    cache_.touch(victim);
 
-    if (cfg_.decayPeriod > 0 &&
-        ++insertsSinceDecay_ >= cfg_.decayPeriod) {
-        insertsSinceDecay_ = 0;
-        decayAll();
+    if (cfg_.decayPeriod > 0 && ++sinceDecay_[shard] >= cfg_.decayPeriod) {
+        sinceDecay_[shard] = 0;
+        decay(shard);
     }
 }
 
@@ -158,54 +104,23 @@ Efit::bumpRef(Entry *entry)
 void
 Efit::erase(LineEcc ecc, Addr phys, unsigned shard)
 {
-    Entry *set = setBase(ecc, shard);
-    if (!set)
-        return;
     PackedPhys packed = PackedPhys::fromAddr(phys);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = set[w];
-        if (e.valid && e.ecc == ecc && e.phys == packed) {
-            e.valid = false;
-            return;
-        }
-    }
+    if (Entry *e = cache_.find(shard, ecc, [&](const Entry &w) {
+            return w.ecc == ecc && w.phys == packed;
+        }))
+        e->valid = false;
 }
 
 void
-Efit::decayAll()
+Efit::decay(unsigned shard)
 {
     stats_.decayRounds.inc();
-    for (std::vector<Entry> &part : parts_) {
-        for (Entry &e : part) {
-            if (!e.valid)
-                continue;
-            if (e.referH > cfg_.decayDelta)
-                e.referH -= cfg_.decayDelta;
-            else
-                e.referH = 1;
-        }
-    }
-}
-
-std::uint64_t
-Efit::validEntries() const
-{
-    std::uint64_t n = 0;
-    for (const std::vector<Entry> &part : parts_)
-        for (const Entry &e : part)
-            n += e.valid ? 1 : 0;
-    return n;
-}
-
-std::vector<Efit::Entry>
-Efit::snapshotValid() const
-{
-    std::vector<Entry> out;
-    for (const std::vector<Entry> &part : parts_)
-        for (const Entry &e : part)
-            if (e.valid)
-                out.push_back(e);
-    return out;
+    cache_.forEachValid(shard, [this](Entry &e) {
+        if (e.referH > cfg_.decayDelta)
+            e.referH -= cfg_.decayDelta;
+        else
+            e.referH = 1;
+    });
 }
 
 } // namespace esd

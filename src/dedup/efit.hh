@@ -22,6 +22,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dedup/amt.hh"
+#include "dedup/channel_cache.hh"
 #include "ecc/line_ecc.hh"
 
 namespace esd
@@ -41,13 +42,7 @@ struct EfitStats
     Counter decayRounds;
     Counter referHSaturations;
 
-    double
-    hitRate() const
-    {
-        return lookups.value() == 0
-                   ? 0.0
-                   : static_cast<double>(hits.value()) / lookups.value();
-    }
+    double hitRate() const { return hits.shareOf(lookups); }
 };
 
 /**
@@ -66,13 +61,9 @@ class Efit
         std::uint64_t lastUse = 0;
     };
 
-    /**
-     * @param shards Partition the sets into this many disjoint
-     *               per-channel shards; lookups carry the shard index
-     *               so controllers on different channels never touch
-     *               the same sets. One shard (the default) reproduces
-     *               the unsharded cache exactly.
-     */
+    /** @param shards one partition per memory channel (ChannelCache),
+     *         each decaying on its own inserts; one shard (the default)
+     *         is the unpartitioned cache. */
     explicit Efit(const MetadataConfig &cfg, unsigned shards = 1);
 
     /**
@@ -84,7 +75,8 @@ class Efit
     /**
      * Insert a fingerprint for the line stored at @p phys with an
      * initial referH of 1 into @p shard. Applies LRCU replacement when
-     * the set is full and triggers decay every decayPeriod insertions.
+     * the set is full and decays the partition every decayPeriod
+     * insertions into it.
      */
     void insert(LineEcc ecc, Addr phys, unsigned shard = 0);
 
@@ -107,26 +99,28 @@ class Efit
         esd_assert(entry && entry->valid, "redirect on invalid entry");
         entry->phys = PackedPhys::fromAddr(phys);
         entry->referH = 1;
-        entry->lastUse = ++useClock_;
+        cache_.touch(*entry);
     }
 
     /** Drop the entry matching (@p ecc, @p phys) if cached in
      * @p shard — called when the referenced physical line dies. */
     void erase(LineEcc ecc, Addr phys, unsigned shard = 0);
 
-    std::uint64_t capacityEntries() const { return sets_ * assoc_; }
-    std::uint64_t sets() const { return sets_; }
-    unsigned assoc() const { return assoc_; }
-    unsigned shards() const { return shards_; }
+    std::uint64_t capacityEntries() const { return cache_.capacity(); }
 
     /** Count of valid entries (tests / occupancy reporting). */
-    std::uint64_t validEntries() const;
+    std::uint64_t validEntries() const { return cache_.validWays(); }
 
     /** Copy of every valid entry (invariant checks in tests). */
-    std::vector<Entry> snapshotValid() const;
+    std::vector<Entry>
+    snapshotValid() const
+    {
+        std::vector<Entry> out;
+        cache_.forEachValid([&out](const Entry &e) { out.push_back(e); });
+        return out;
+    }
 
     const EfitStats &stats() const { return stats_; }
-    void resetStats() { stats_ = EfitStats{}; }
 
     /** Register counters, hit rate, and occupancy under
      * "<prefix>.*". */
@@ -134,27 +128,14 @@ class Efit
                        const std::string &prefix) const;
 
   private:
-    /** Set index of @p ecc within its shard's partition. */
-    std::uint64_t setOf(LineEcc ecc) const;
-
-    /** First way of @p ecc 's set in @p shard 's partition, or nullptr
-     * while that partition has never been written. */
-    Entry *setBase(LineEcc ecc, unsigned shard);
-
-    void decayAll();
+    /** Subtract decayDelta from every referH in @p shard . */
+    void decay(unsigned shard);
 
     MetadataConfig cfg_;
-    std::uint64_t sets_;
-    std::uint64_t setsPerShard_;
-    unsigned shards_;
-    unsigned assoc_;
-    std::uint64_t useClock_ = 0;
-    std::uint64_t insertsSinceDecay_ = 0;
+    ChannelCache<Entry> cache_;
 
-    /** One vector of setsPerShard_ x assoc_ ways per shard, allocated
-     * by the partition's first insert: a pipeline shard simulator only
-     * ever reaches its own channel's partition. */
-    std::vector<std::vector<Entry>> parts_;
+    /** Inserts into each partition since its last decay. */
+    std::vector<std::uint64_t> sinceDecay_;
     EfitStats stats_;
 };
 

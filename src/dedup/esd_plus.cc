@@ -5,11 +5,21 @@
 namespace esd
 {
 
+namespace
+{
+
+/** Content-cache capacity: 64 lines = 4 KB of SRAM. */
+constexpr unsigned kContentLines = 64;
+
+} // namespace
+
 EsdPlusScheme::EsdPlusScheme(const SimConfig &cfg, PcmDevice &device,
                              NvmStore &store)
     : EsdScheme(cfg, device, store),
       hotThreshold_(2),
-      capacity_(64)  // 64 lines = 4 KB of SRAM
+      // One set of 64 / N ways per channel.
+      content_("ESD+ content cache", kContentLines,
+               kContentLines / device.channelCount(), device.channelCount())
 {
 }
 
@@ -21,49 +31,41 @@ EsdPlusScheme::registerStats(StatRegistry &reg) const
                  [this] { return static_cast<double>(contentHits_); },
                  "compares answered on chip, no device read");
     reg.addGauge("esd.content_cache.size",
-                 [this] { return static_cast<double>(lru_.size()); },
+                 [this] { return static_cast<double>(contentCacheSize()); },
                  "resident hot lines");
     reg.addGauge("esd.content_cache.capacity",
-                 [this] { return static_cast<double>(capacity_); },
+                 [this] { return static_cast<double>(content_.capacity()); },
                  "content-cache capacity in lines");
 }
 
-const CacheLine *
+EsdPlusScheme::CachedLine *
 EsdPlusScheme::findContent(Addr phys)
 {
-    auto it = index_.find(lineAlign(phys));
-    if (it == index_.end())
-        return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return &it->second->data;
+    phys = lineAlign(phys);
+    return content_.find(channelOf(phys), 0, [phys](const CachedLine &c) {
+        return c.phys == phys;
+    });
 }
 
 void
 EsdPlusScheme::installContent(Addr phys, const CacheLine &data)
 {
     phys = lineAlign(phys);
-    auto it = index_.find(phys);
-    if (it != index_.end()) {
-        it->second->data = data;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
+    CachedLine *line = findContent(phys);
+    if (!line) {
+        line = &content_.victim(channelOf(phys), 0);
+        line->valid = true;
+        line->phys = phys;
     }
-    if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back().phys);
-        lru_.pop_back();
-    }
-    lru_.push_front(CachedLine{phys, data});
-    index_[phys] = lru_.begin();
+    line->data = data;
+    content_.touch(*line);
 }
 
 void
 EsdPlusScheme::eraseContent(Addr phys)
 {
-    auto it = index_.find(lineAlign(phys));
-    if (it != index_.end()) {
-        lru_.erase(it->second);
-        index_.erase(it);
-    }
+    if (CachedLine *line = findContent(phys))
+        line->valid = false;
 }
 
 void
@@ -81,11 +83,12 @@ EsdPlusScheme::compareCandidate(WriteCtx &w, const Efit::Entry &entry,
 
     // Fast path: hot candidate content is on chip — the compare costs
     // comparator latency only, no device read.
-    if (const CacheLine *cached = findContent(cand)) {
+    if (CachedLine *cached = findContent(cand)) {
         ++contentHits_;
+        content_.touch(*cached);
         w.t += cfg_.crypto.compareLatency;
         stats_.metadataEnergy += cfg_.crypto.compareEnergy;
-        return recordVerdict(w, linesEqualFast(*cached, data));
+        return recordVerdict(w, linesEqualFast(cached->data, data));
     }
 
     // Slow path: fetch and compare, as plain ESD, then promote

@@ -9,7 +9,9 @@
  * line above all) are compared against over and over. ESD+ keeps the
  * plaintext of EFIT entries whose referH crosses a threshold in a
  * tiny SRAM cache (default 64 lines = 4 KB), turning their
- * comparisons into pure on-chip work — no device read at all.
+ * comparisons into pure on-chip work — no device read at all. Like
+ * the EFIT it sits in the controller split by channel: each channel
+ * holds an LRU set of 64 / N lines of its own (ChannelCache).
  *
  * Correctness is unchanged: the cached content is installed from a
  * verified compare and invalidated when its physical line dies.
@@ -18,9 +20,7 @@
 #ifndef ESD_DEDUP_ESD_PLUS_HH
 #define ESD_DEDUP_ESD_PLUS_HH
 
-#include <list>
-
-#include "common/flat_map.hh"
+#include "dedup/channel_cache.hh"
 #include "dedup/esd.hh"
 
 namespace esd
@@ -40,8 +40,8 @@ class EsdPlusScheme : public EsdScheme
 
     /** Compares answered without a device read. */
     std::uint64_t contentCacheHits() const { return contentHits_; }
-    std::uint64_t contentCacheCapacity() const { return capacity_; }
-    std::uint64_t contentCacheSize() const { return lru_.size(); }
+    std::uint64_t contentCacheCapacity() const { return content_.capacity(); }
+    std::uint64_t contentCacheSize() const { return content_.validWays(); }
 
   protected:
     void onPhysFreed(Addr phys) override;
@@ -57,12 +57,14 @@ class EsdPlusScheme : public EsdScheme
   private:
     struct CachedLine
     {
-        Addr phys;
+        bool valid = false;
+        Addr phys = 0;
+        std::uint64_t lastUse = 0;
         CacheLine data;
     };
 
-    /** Cached plaintext of @p phys, or nullptr. */
-    const CacheLine *findContent(Addr phys);
+    /** @p phys 's way in its channel's partition, or nullptr. */
+    CachedLine *findContent(Addr phys);
 
     /** Install (or refresh) @p phys 's plaintext, evicting LRU. */
     void installContent(Addr phys, const CacheLine &data);
@@ -71,11 +73,10 @@ class EsdPlusScheme : public EsdScheme
 
     /** referH at which a line earns a content-cache slot. */
     std::uint32_t hotThreshold_;
-    std::uint64_t capacity_;
     std::uint64_t contentHits_ = 0;
 
-    std::list<CachedLine> lru_;  // front = most recent
-    FlatMap<Addr, std::list<CachedLine>::iterator> index_;
+    /** One fully associative set per channel. */
+    ChannelCache<CachedLine> content_;
 };
 
 } // namespace esd

@@ -30,79 +30,29 @@ FpTable::registerStats(StatRegistry &reg, const std::string &prefix) const
 
 FpTable::FpTable(std::uint64_t cache_bytes, std::uint64_t entry_bytes,
                  unsigned assoc, Addr nvm_base, unsigned shards)
-    : entryBytes_(entry_bytes), nvmBase_(nvm_base), shards_(shards),
-      assoc_(assoc)
+    : entryBytes_(entry_bytes), nvmBase_(nvm_base),
+      cache_("fingerprint cache", cache_bytes / entry_bytes, assoc, shards,
+             0xc4ceb9fe1a85ec53ull),
+      maps_(shards)
 {
-    esd_assert(entry_bytes > 0 && assoc > 0, "bad fp table geometry");
-    std::uint64_t entries = cache_bytes / entry_bytes;
-    if (entries < assoc)
-        esd_fatal("fingerprint cache too small for %u ways", assoc);
-    if (shards_ == 0)
-        esd_fatal("fingerprint table needs at least one shard");
-    std::uint64_t total_sets = entries / assoc;
-    if (total_sets < shards_)
-        esd_fatal("fingerprint cache too small for %u shards", shards_);
-    setsPerShard_ = total_sets / shards_;
-    sets_ = setsPerShard_ * shards_;
-    parts_.resize(shards_);
-    maps_.resize(shards_);
-}
-
-std::uint64_t
-FpTable::setOf(std::uint64_t fp) const
-{
-    std::uint64_t h = fp;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ull;
-    h ^= h >> 33;
-    return h % setsPerShard_;
 }
 
 Addr
 FpTable::entryNvmAddr(std::uint64_t fp, unsigned shard) const
 {
-    esd_assert(shard < shards_, "fp table shard out of range");
     // Bucket the index by fingerprint hash; entries pack into lines.
-    std::uint64_t bucket = (shard * setsPerShard_ + setOf(fp)) * assoc_;
-    return lineAlign(nvmBase_ + bucket * entryBytes_);
-}
-
-FpTable::Way *
-FpTable::findWay(std::uint64_t fp, unsigned shard)
-{
-    esd_assert(shard < shards_, "fp table shard out of range");
-    std::vector<Way> &part = parts_[shard];
-    if (part.empty())
-        return nullptr;
-    Way *set = &part[setOf(fp) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (set[w].valid && set[w].fp == fp)
-            return &set[w];
-    }
-    return nullptr;
+    std::uint64_t bucket = cache_.setOf(fp) * cache_.assoc();
+    return cache_.nvmLine(nvmBase_, shard, bucket * entryBytes_);
 }
 
 void
 FpTable::fill(std::uint64_t fp, PackedPhys phys, unsigned shard)
 {
-    std::vector<Way> &part = parts_[shard];
-    if (part.empty())
-        part.resize(setsPerShard_ * assoc_);
-    Way *set = &part[setOf(fp) * assoc_];
-    Way *lru = set;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Way &cand = set[w];
-        if (!cand.valid) {
-            lru = &cand;
-            break;
-        }
-        if (cand.lastUse < lru->lastUse)
-            lru = &cand;
-    }
-    lru->valid = true;
-    lru->fp = fp;
-    lru->phys = phys;
-    lru->lastUse = ++useClock_;
+    Way &way = cache_.victim(shard, fp);
+    way.valid = true;
+    way.fp = fp;
+    way.phys = phys;
+    cache_.touch(way);
 }
 
 FpTable::LookupResult
@@ -113,7 +63,7 @@ FpTable::lookup(std::uint64_t fp, unsigned shard)
 
     if (Way *way = findWay(fp, shard)) {
         stats_.cacheHits.inc();
-        way->lastUse = ++useClock_;
+        cache_.touch(*way);
         res.found = true;
         res.cacheHit = true;
         res.phys = way->phys.toAddr();

@@ -19,6 +19,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dedup/amt.hh"
+#include "dedup/channel_cache.hh"
 
 namespace esd
 {
@@ -34,14 +35,7 @@ struct FpTableStats
     Counter nvmStores;       ///< index inserts written to NVMM
     Counter erases;
 
-    double
-    cacheHitRate() const
-    {
-        return lookups.value() == 0
-                   ? 0.0
-                   : static_cast<double>(cacheHits.value()) /
-                         lookups.value();
-    }
+    double cacheHitRate() const { return cacheHits.shareOf(lookups); }
 };
 
 /**
@@ -58,8 +52,8 @@ class FpTable
      *                    Fig. 19 NVMM space accounting
      * @param assoc       cache associativity
      * @param nvm_base    byte address of the NVMM-resident index region
-     * @param shards      partition the cache sets and the NVMM index
-     *                    into this many per-channel shards; one shard
+     * @param shards      one cache partition (ChannelCache) and one
+     *                    NVMM index slice per memory channel; one shard
      *                    (the default) reproduces the unsharded table
      */
     FpTable(std::uint64_t cache_bytes, std::uint64_t entry_bytes,
@@ -89,7 +83,8 @@ class FpTable
     /** Remove @p fp from @p shard (its physical line died). */
     void erase(std::uint64_t fp, unsigned shard = 0);
 
-    /** NVMM line address of @p fp 's index bucket in @p shard. */
+    /** NVMM line address of @p fp 's index bucket in @p shard, on
+     * the shard's own channel. */
     Addr entryNvmAddr(std::uint64_t fp, unsigned shard = 0) const;
 
     /** Entries resident in the NVMM index (all shards). */
@@ -105,10 +100,9 @@ class FpTable
     /** NVMM bytes consumed by the index (Fig. 19). */
     std::uint64_t nvmBytes() const { return nvmEntries() * entryBytes_; }
 
-    std::uint64_t cacheCapacityEntries() const { return sets_ * assoc_; }
+    std::uint64_t cacheCapacityEntries() const { return cache_.capacity(); }
 
     const FpTableStats &stats() const { return stats_; }
-    void resetStats() { stats_ = FpTableStats{}; }
 
     /** Register counters, hit rate, and footprint under
      * "<prefix>.*". */
@@ -124,23 +118,18 @@ class FpTable
         std::uint64_t lastUse = 0;
     };
 
-    /** Set index of @p fp within its shard's partition. */
-    std::uint64_t setOf(std::uint64_t fp) const;
-    Way *findWay(std::uint64_t fp, unsigned shard);
+    Way *
+    findWay(std::uint64_t fp, unsigned shard)
+    {
+        return cache_.find(shard, fp,
+                           [fp](const Way &w) { return w.fp == fp; });
+    }
+
     void fill(std::uint64_t fp, PackedPhys phys, unsigned shard);
 
     std::uint64_t entryBytes_;
     Addr nvmBase_;
-    std::uint64_t sets_;
-    std::uint64_t setsPerShard_;
-    unsigned shards_;
-    unsigned assoc_;
-    std::uint64_t useClock_ = 0;
-
-    /** The cache's ways, one vector of setsPerShard_ x assoc_ per
-     * shard, allocated by the partition's first fill: a pipeline
-     * shard simulator only ever reaches its own channel's partition. */
-    std::vector<std::vector<Way>> parts_;
+    ChannelCache<Way> cache_;
 
     /** Authoritative NVMM-resident index, one partition per shard
      * (functional model). */

@@ -7,7 +7,9 @@
  * (predicted non-duplicate). We model the predictor as a table of
  * 2-bit saturating counters indexed by a hash of the logical line —
  * write regions tend to be persistently duplicate-heavy or not, which
- * is the locality the original scheme exploits.
+ * is the locality the original scheme exploits. Like the metadata
+ * caches (channel_cache.hh), each memory channel owns entries / N
+ * counters, indexed by the line's position within its channel.
  */
 
 #ifndef ESD_DEDUP_PREDICTOR_HH
@@ -52,8 +54,12 @@ struct PredictorStats
 class DupPredictor
 {
   public:
-    explicit DupPredictor(std::size_t entries = 4096)
-        : table_(entries, 1)  // weakly not-duplicate
+    static constexpr std::size_t kDefaultEntries = 4096;
+
+    explicit DupPredictor(std::size_t entries = kDefaultEntries,
+                          unsigned channels = 1)
+        : channels_(channels), perChannel_(entries / channels),
+          table_(perChannel_ * channels, 1)  // weakly not-duplicate
     {
     }
 
@@ -86,19 +92,22 @@ class DupPredictor
     }
 
     const PredictorStats &stats() const { return stats_; }
-    void resetStats() { stats_ = PredictorStats{}; }
 
   private:
     std::size_t
     indexOf(Addr logical) const
     {
-        std::uint64_t h = lineIndex(logical);
+        std::uint64_t line = lineIndex(logical);
+        std::uint64_t h = line / channels_;
         h ^= h >> 17;
         h *= 0x9E3779B97F4A7C15ull;
         h ^= h >> 29;
-        return static_cast<std::size_t>(h % table_.size());
+        return static_cast<std::size_t>(line % channels_ * perChannel_ +
+                                        h % perChannel_);
     }
 
+    unsigned channels_;
+    std::size_t perChannel_;
     std::vector<std::uint8_t> table_;
     PredictorStats stats_;
 };

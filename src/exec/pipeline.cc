@@ -130,14 +130,11 @@ ShardedPipeline::ShardedPipeline(const SimConfig &cfg, SchemeKind kind,
 
     // Shard configs are the user config verbatim — same geometry, same
     // seed (the AES keys and fingerprint spaces must match a serial
-    // run), full-size caches. The EFIT and the fingerprint cache index
-    // sets by channel, so a shard only ever touches (and allocates)
-    // its own channel's partition and behaves exactly like its slice
-    // of the global cache. The AMT cache does not: it indexes sets by
-    // entry-block group (kLineSize / amt_entry_bytes consecutive
-    // logical lines), and a group spans channels, so each shard holds
-    // a private full-size AMT cache and its AMT hits, misses and
-    // write-backs differ from a serial run's.
+    // run), full-size caches. Every metadata cache (ChannelCache: the
+    // EFIT, the fingerprint cache, the AMT cache, the ESD+ content
+    // cache) and DeWrite's predictor partition by channel, so a shard
+    // only ever touches (and allocates) its own channel's partition and
+    // behaves exactly like its slice of the serial simulation.
     // Only crash injection is stripped: the crash index is *global*
     // write order, which the demux counts — it arms the owning shard
     // at the chosen write instead. Any shard may own it, so every

@@ -4,10 +4,13 @@
  *
  * SweepRunner (sweep_runner.hh) parallelises *across* independent
  * simulations; this layer parallelises *inside* one simulation. The
- * per-channel metadata sharding of the schemes — EFIT/AMT/fingerprint
- * partitions, LineStore allocation, and PCM channel queues are all
- * keyed by channelOf(addr) — means a line in channel c can only ever
- * deduplicate against channel c. ShardedPipeline cashes that in: it
+ * per-channel metadata sharding of the schemes — the partitions of
+ * the EFIT, fingerprint, AMT and content caches (one ChannelCache
+ * core) and of DeWrite's predictor, LineStore allocation, and PCM
+ * channel queues are all keyed by channelOf(addr) — means a line in
+ * channel c can only ever deduplicate against channel c, and a shard
+ * counts exactly what its channel does in a serial run (every counter
+ * that does not depend on time). ShardedPipeline cashes that in: it
  * runs one complete Simulator per channel shard (shared-nothing — each
  * owns its scheme, device, store, RAS state, persistence journal, and
  * StatRegistry) and demultiplexes the trace by channelOf(line) into

@@ -107,6 +107,11 @@ PersistenceManager::onWriteEnd(Tick end_t)
     extra += static_cast<Tick>(groupCount_) * cfg_.journalAppendNs;
     stats_.journalRecords.inc(groupCount_);
 
+    // A forced commit since the last write end charges its barrier
+    // here.
+    extra += forcedExtra_;
+    forcedExtra_ = 0;
+
     // ADR barriers wait for the WPQ first: a committed journal record
     // must never describe data the array does not hold. Under eADR the
     // WPQ is inside the persistence domain, so commits skip the drain.
@@ -142,36 +147,58 @@ PersistenceManager::onWriteEnd(Tick end_t)
                      tail.size() - keep);
     }
 
-    // Flush the group (under eADR this is the persistent buffer).
+    flushGroup();
+    if (commit_now)
+        extra += commit(end_t, commit_tick, boundary);
+    return extra;
+}
+
+void
+PersistenceManager::commitNow(Tick now)
+{
+    stats_.journalRecords.inc(groupCount_);
+    forcedExtra_ += static_cast<Tick>(groupCount_) * cfg_.journalAppendNs;
+    flushGroup();
+    Tick commit_tick = cfg_.domain == PersistDomain::Adr
+                           ? device_.wpqDrainTick(now)
+                           : now;
+    forcedExtra_ += commit(now, commit_tick, false);
+}
+
+void
+PersistenceManager::flushGroup()
+{
+    // Under eADR the flush buffer is inside the persistence domain.
     pendingCount_ += groupCount_;
     groupCount_ = 0;
     pending_.insert(pending_.end(), group_.begin(), group_.end());
     group_.clear();
+}
 
-    if (commit_now) {
-        Tick drain_wait = commit_tick - end_t;
-        extra += drain_wait + cfg_.barrierNs;
-        stats_.drainWaitNs.inc(drain_wait);
-        stats_.barrierNs.inc(drain_wait + cfg_.barrierNs);
+Tick
+PersistenceManager::commit(Tick at, Tick commit_tick, bool boundary)
+{
+    Tick drain_wait = commit_tick - at;
+    Tick extra = drain_wait + cfg_.barrierNs;
+    stats_.drainWaitNs.inc(drain_wait);
+    stats_.barrierNs.inc(drain_wait + cfg_.barrierNs);
 
-        committedCount_ += pendingCount_;
-        pendingCount_ = 0;
-        committed_.insert(committed_.end(), pending_.begin(),
-                          pending_.end());
-        pending_.clear();
-        ++epochsCommitted_;
-        stats_.epochCommits.inc();
-        if (!boundary)
-            stats_.earlyCommits.inc();
-        if (epochCommitHook_)
-            epochCommitHook_();
-        pruneUndo(commit_tick);
+    committedCount_ += pendingCount_;
+    pendingCount_ = 0;
+    committed_.insert(committed_.end(), pending_.begin(), pending_.end());
+    pending_.clear();
+    ++epochsCommitted_;
+    stats_.epochCommits.inc();
+    if (!boundary)
+        stats_.earlyCommits.inc();
+    if (epochCommitHook_)
+        epochCommitHook_();
+    pruneUndo(commit_tick);
 
-        if (epochsCommitted_ % cfg_.checkpointEpochs == 0) {
-            checkpoint();
-            extra += cfg_.barrierNs;
-            stats_.barrierNs.inc(cfg_.barrierNs);
-        }
+    if (epochsCommitted_ % cfg_.checkpointEpochs == 0) {
+        checkpoint();
+        extra += cfg_.barrierNs;
+        stats_.barrierNs.inc(cfg_.barrierNs);
     }
     return extra;
 }

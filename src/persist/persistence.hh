@@ -171,6 +171,17 @@ class PersistenceManager
     }
 
     /**
+     * Commit the journal ahead of the epoch boundary: every flushed
+     * group and the current write's records so far become durable, as
+     * an early commit whose append, drain and barrier time the next
+     * onWriteEnd() charges. Before the RAS engine erases a line an
+     * uncorrectable error destroyed, it commits this way, so the
+     * LineRetire record that explains the missing content survives
+     * any later crash.
+     */
+    void commitNow(Tick now);
+
+    /**
      * A content-store line write is in flight: capture the undo state
      * (what the array held before) so an ADR crash image can revert
      * writes that had not drained by the crash tick, and trigger the
@@ -253,6 +264,14 @@ class PersistenceManager
     /** Drop undo entries whose writes drained at or before @p tick. */
     void pruneUndo(Tick tick);
 
+    /** Move the current write's records into the flush buffer. */
+    void flushGroup();
+
+    /** Commit the flush buffer at @p commit_tick (the WPQ drain under
+     * ADR), reached at @p at; checkpoints when due.
+     * @return the drain wait plus barrier time */
+    Tick commit(Tick at, Tick commit_tick, bool boundary);
+
     void checkpoint();
 
     PersistenceConfig cfg_;
@@ -268,6 +287,9 @@ class PersistenceManager
     std::uint64_t writeIndex_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t epochsCommitted_ = 0;
+
+    /** Time of forced commits not yet charged to a write. */
+    Tick forcedExtra_ = 0;
 
     /** A crash image can be captured: record bodies, the checkpoint
      * fold and (ADR) the undo log are kept. Otherwise only the

@@ -195,12 +195,15 @@ RasEngine::demandScrub(Addr phys, const CacheLine &plain, LineEcc ecc,
 void
 RasEngine::onUncorrectable(Addr phys, Tick now)
 {
-    (void)now;
     if (!cfg_.enabled)
         return;
     stats_.ueEvents.inc();
     accountBlast(phys);
-    retire(phys);
+    // The erase below must not outrun the retire record: a crash image
+    // with the content gone but no durable LineRetire shows a mapped
+    // line that is neither retired nor present.
+    if (retire(phys) != kInvalidAddr && persist_)
+        persist_->commitNow(now);
     store_.erase(phys);
     poisoned_.insert(lineAlign(phys));
     if (hooks_.onRetire)

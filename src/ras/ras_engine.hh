@@ -150,8 +150,10 @@ class RasEngine
     /**
      * Uncorrectable error on a demand or compare read of @p phys: the
      * content is lost. Accounts the dedup blast radius, retires the
-     * medium, poisons the line, invalidates scheme metadata, and
-     * latches dedup suspension when the threshold is crossed.
+     * medium (committing the journal at @p now, so the retire record
+     * is durable before the content goes), poisons the line,
+     * invalidates scheme metadata, and latches dedup suspension when
+     * the threshold is crossed.
      */
     void onUncorrectable(Addr phys, Tick now);
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the deduplication metadata structures: AMT, EFIT (LRCU),
- * the full-dedup fingerprint table, the line store, and the DeWrite
- * predictor.
+ * Tests for the deduplication metadata structures: the partitioned
+ * cache core, AMT, EFIT (LRCU), the full-dedup fingerprint table, the
+ * line store, and the DeWrite predictor.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "common/config.hh"
 #include "dedup/amt.hh"
+#include "dedup/channel_cache.hh"
 #include "dedup/efit.hh"
 #include "dedup/fp_table.hh"
 #include "dedup/line_store.hh"
@@ -22,6 +23,87 @@ namespace esd
 {
 namespace
 {
+
+// --------------------------------------------------------- ChannelCache
+
+struct TestWay
+{
+    bool valid = false;
+    std::uint64_t tag = 0;
+    std::uint64_t rank = 0;
+    std::uint64_t lastUse = 0;
+};
+
+/** Channel of @p addr under the device's line interleave. */
+unsigned
+channelOfLine(Addr addr, unsigned channels)
+{
+    return static_cast<unsigned>(lineIndex(addr) % channels);
+}
+
+/** A partition's table lines sit on its own channel, one per step of
+ * the device interleave, for power-of-two and other channel counts and
+ * for region bases on any channel. */
+TEST(ChannelCache, NvmLinesSitOnTheirPartitionsChannel)
+{
+    for (unsigned n : {1u, 2u, 3u, 4u, 5u, 7u, 8u}) {
+        ChannelCache<TestWay> cache("test cache", 64 * n, 2, n);
+        for (Addr base : {Addr{8ull << 30}, Addr{13ull << 30},
+                          Addr{5 * kLineSize}, Addr{kLineSize + 8}}) {
+            for (unsigned p = 0; p < n; ++p) {
+                Addr prev = 0;
+                for (std::uint64_t k = 0; k < 40; ++k) {
+                    Addr line = cache.nvmLine(base, p, k * kLineSize + 3);
+                    EXPECT_EQ(channelOfLine(line, n), p)
+                        << "n=" << n << " base=" << base << " k=" << k;
+                    EXPECT_GE(line, lineAlign(base));
+                    EXPECT_EQ(line % kLineSize, 0u);
+                    if (k > 0) {
+                        EXPECT_EQ(line - prev, n * kLineSize);
+                    }
+                    prev = line;
+                }
+            }
+        }
+    }
+    // One partition: the region's lines in order.
+    ChannelCache<TestWay> one("test cache", 64, 2, 1);
+    EXPECT_EQ(one.nvmLine(13ull << 30, 0, 200),
+              lineAlign((13ull << 30) + 200));
+}
+
+/** Partitions are disjoint, allocated by their first fill, and a
+ * victim is an invalid way first, then the lowest rank. */
+TEST(ChannelCache, PartitionsAreDisjointAndVictimsRanked)
+{
+    ChannelCache<TestWay> cache("test cache", 8, 4, 2);  // 1 set each
+    EXPECT_EQ(cache.capacity(), 8u);
+    auto byTag = [](std::uint64_t t) {
+        return [t](const TestWay &w) { return w.tag == t; };
+    };
+    EXPECT_EQ(cache.find(0, 7, byTag(7)), nullptr);
+    for (std::uint64_t t = 0; t < 4; ++t) {
+        TestWay &w = cache.victim(0, t);
+        EXPECT_FALSE(w.valid);
+        w = TestWay{true, t, 10 - t, 0};
+        cache.touch(w);
+    }
+    EXPECT_EQ(cache.find(1, 2, byTag(2)), nullptr);
+    // LRU: tag 0 is the oldest, unless it is used again.
+    EXPECT_EQ(cache.victim(0, 9).tag, 0u);
+    cache.touch(*cache.find(0, 0, byTag(0)));
+    EXPECT_EQ(cache.victim(0, 9).tag, 1u);
+    // A caller's rank: the lowest wins whatever the recency.
+    auto byRank = [](const TestWay &a, const TestWay &b) {
+        return a.rank < b.rank;
+    };
+    EXPECT_EQ(cache.victim(0, 9, byRank).tag, 3u);
+    cache.find(0, 2, byTag(2))->valid = false;
+    EXPECT_EQ(cache.victim(0, 9, byRank).tag, 2u);  // invalid first
+    std::uint64_t valid = 0;
+    cache.forEachValid([&valid](const TestWay &) { ++valid; });
+    EXPECT_EQ(valid, 3u);
+}
 
 // ----------------------------------------------------------- PackedPhys
 
@@ -372,6 +454,34 @@ TEST(Amt, NvmBytesTracksEntries)
 
 // ---------------------------------------------------------------- EFIT
 
+/** With N channels an entry block groups lines of one channel
+ * (every Nth line), its partition is that channel and its NVMM line
+ * sits on it. */
+TEST(Amt, BlocksGroupLinesOfOneChannel)
+{
+    MetadataConfig cfg = tinyMeta();
+    cfg.amtCacheBytes = 6 * kLineSize;  // 3 sets: 1 per channel
+    Amt amt(cfg, 8ull << 30, 3);
+    const std::uint64_t per = amt.entriesPerBlock();
+    // Lines 0, 3, 6, ... of channel 0 share one block and one NVMM line.
+    for (std::uint64_t i = 0; i < per; ++i) {
+        Addr a = 3 * i * kLineSize;
+        EXPECT_EQ(amt.entryNvmAddr(a), amt.entryNvmAddr(0));
+        amt.update(a, 64 * (i + 1));
+    }
+    EXPECT_NE(amt.entryNvmAddr(3 * per * kLineSize), amt.entryNvmAddr(0));
+    for (std::uint64_t line = 0; line < 60; ++line)
+        EXPECT_EQ(lineIndex(amt.entryNvmAddr(line * kLineSize)) % 3,
+                  line % 3);
+    // The other channels' lines cannot displace channel 0's block.
+    for (std::uint64_t line = 1; line < 200; line += 3)
+        amt.update(line * kLineSize, 64);
+    for (std::uint64_t line = 2; line < 200; line += 3)
+        amt.update(line * kLineSize, 64);
+    EXPECT_TRUE(amt.lookup(0).cacheHit);
+    EXPECT_TRUE(amt.lookup(3 * (per - 1) * kLineSize).cacheHit);
+}
+
 TEST(Efit, InsertThenHit)
 {
     Efit efit(tinyMeta());
@@ -464,6 +574,30 @@ TEST(Efit, DecaySubtractsFixedValue)
     Efit::Entry *after = efit.lookup(99);
     if (after)  // may have been evicted depending on set mapping
         EXPECT_EQ(after->referH, before - 1);
+}
+
+/** Decay is per partition: inserts into one channel's partition age
+ * only that partition's entries. */
+TEST(Efit, DecayCountsInsertsPerPartition)
+{
+    MetadataConfig cfg = tinyMeta();
+    cfg.efitCacheBytes = 64 * 16;
+    cfg.decayPeriod = 4;
+    cfg.decayDelta = 1;
+    Efit efit(cfg, 2);
+    efit.insert(7, 0, 1);
+    Efit::Entry *e = efit.lookup(7, 1);
+    ASSERT_NE(e, nullptr);
+    efit.bumpRef(e);
+    efit.bumpRef(e);
+    for (std::uint64_t i = 0; i < 8; ++i)
+        efit.insert(100 + i, 64 * (i + 1), 0);
+    EXPECT_EQ(efit.stats().decayRounds.value(), 2u);
+    EXPECT_EQ(efit.lookup(7, 1)->referH, 3u);
+    for (std::uint64_t i = 0; i < 3; ++i)
+        efit.insert(200 + i, 64 * (i + 20), 1);
+    EXPECT_EQ(efit.stats().decayRounds.value(), 3u);
+    EXPECT_EQ(efit.lookup(7, 1)->referH, 2u);
 }
 
 TEST(Efit, EraseRemovesMatchingEntryOnly)
@@ -569,7 +703,9 @@ snapshotDigest(const std::vector<Efit::Entry> &entries)
 /** A 4-shard EFIT driven through its partitions in the order 2, 0, 3
  * (shard 1 never probed): hits, LRCU victims, decay rounds and the
  * surviving entries are pinned, so allocating a partition at its first
- * probe changes nothing a caller can see. */
+ * probe changes nothing a caller can see. Each partition decays on its
+ * own inserts, so a partition's entries age only with its own
+ * traffic. */
 TEST(Efit, ShardPartitionsInOrder203)
 {
     MetadataConfig cfg = tinyMeta();
@@ -591,20 +727,21 @@ TEST(Efit, ShardPartitionsInOrder203)
                 efit.erase(ecc, phys, shard);
         }
     }
-    EXPECT_EQ(efit.stats().hits.value(), 304u);
+    EXPECT_EQ(efit.stats().hits.value(), 302u);
     EXPECT_EQ(efit.stats().evictions.value(), 532u);
-    EXPECT_EQ(efit.stats().evictionsRef1.value(), 501u);
-    EXPECT_EQ(efit.stats().decayRounds.value(), 37u);
-    EXPECT_EQ(efit.validEntries(), 46u);
+    EXPECT_EQ(efit.stats().evictionsRef1.value(), 503u);
+    EXPECT_EQ(efit.stats().decayRounds.value(), 36u);
+    EXPECT_EQ(efit.validEntries(), 47u);
     std::vector<Efit::Entry> snap = efit.snapshotValid();
-    EXPECT_EQ(snap.size(), 46u);
-    EXPECT_EQ(snapshotDigest(snap), 1080388962681631432ull);
+    EXPECT_EQ(snap.size(), 47u);
+    EXPECT_EQ(snapshotDigest(snap), 18070414130974978509ull);
     EXPECT_EQ(efit.capacityEntries(), 64u);
     EXPECT_EQ(efit.lookup(1002, 1), nullptr);
 }
 
 /** The same walk over a 4-shard fingerprint table: cache hits, NVMM
- * finds and the index addresses are pinned. */
+ * finds and the index addresses (each on its shard's own channel) are
+ * pinned. */
 TEST(FpTable, ShardPartitionsInOrder203)
 {
     FpTable t(32 * 26, 26, 2, 1 << 30, 4);  // 16 sets: 4 per shard
@@ -628,7 +765,7 @@ TEST(FpTable, ShardPartitionsInOrder203)
     EXPECT_EQ(t.stats().cacheMisses.value(), 886u);
     EXPECT_EQ(t.stats().nvmFoundAfterMiss.value(), 739u);
     EXPECT_EQ(t.nvmEntries(), 120u);
-    EXPECT_EQ(addr_sum, 1109175691584ull);
+    EXPECT_EQ(addr_sum, 1109175553600ull);
     EXPECT_EQ(t.cacheCapacityEntries(), 32u);
     EXPECT_FALSE(t.lookup(1002, 1).found);
 }
@@ -656,6 +793,19 @@ TEST(DupPredictor, ForgetsAfterNonDuplicates)
     for (int i = 0; i < 4; ++i)
         p.train(addr, p.predictDuplicate(addr), false);
     EXPECT_FALSE(p.predictDuplicate(addr));
+}
+
+/** Each channel trains only its own counters: duplicate-heavy lines
+ * on channel 0 never flip a prediction on channel 1. */
+TEST(DupPredictor, ChannelsOwnTheirCounters)
+{
+    DupPredictor p(64, 4);  // 16 counters per channel
+    for (std::uint64_t line = 0; line < 400; line += 4)
+        for (int i = 0; i < 3; ++i)
+            p.train(line * kLineSize, false, true);
+    for (std::uint64_t line = 1; line < 400; line += 4)
+        EXPECT_FALSE(p.predictDuplicate(line * kLineSize)) << line;
+    EXPECT_TRUE(p.predictDuplicate(0));
 }
 
 TEST(DupPredictor, AccuracyTracking)

@@ -11,16 +11,21 @@
  * variants re-run the same comparisons with randomized per-worker
  * barrier delays (ESD_TEST_JITTER=1) so a scheduling-dependent merge
  * cannot hide behind a lucky interleaving — under TSan this doubles
- * as a race-flushing stress.
+ * as a race-flushing stress. SerialPipelineTest holds the pipeline to
+ * the serial simulation: the shards' summed counters equal the serial
+ * run's wherever time cannot move them.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/stat_registry.hh"
 #include "core/simulator.hh"
 #include "exec/pipeline.hh"
 #include "exec/sweep_runner.hh"
@@ -399,6 +404,107 @@ TEST(Pipeline, ShardCrashImageMatchesStandaloneSimulator)
         }
     }
 }
+
+// ------------------------------------------------ serial == pipeline
+
+/** The counters a run's timing cannot move: every scheme counter, the
+ * metadata caches' counters, and the per-channel device access counts.
+ * Gauges (hit rates, capacities) are left out, except the ESD+ content
+ * cache's hit count, which is a gauge over a plain count. */
+bool
+timeFreeCounter(const StatRegistry::Entry &e)
+{
+    auto starts = [&e](const char *p) { return e.name.rfind(p, 0) == 0; };
+    auto ends = [&e](const std::string &sfx) {
+        return e.name.size() >= sfx.size() &&
+               e.name.compare(e.name.size() - sfx.size(), sfx.size(),
+                              sfx) == 0;
+    };
+    if (e.name == "esd.content_cache.hits")
+        return true;
+    if (e.kind != StatRegistry::Kind::Counter)
+        return false;
+    if (starts("pcm.ch"))
+        return ends(".reads") || ends(".writes");
+    return starts("scheme.") || starts("esd.efit.") ||
+           starts("cache.amt.") || starts("cache.fp.");
+}
+
+/** Add @p reg 's time-free counters into @p sums. */
+void
+addTimeFreeCounters(const StatRegistry &reg,
+                    std::map<std::string, double> &sums)
+{
+    for (const StatRegistry::Entry &e : reg.entries())
+        if (timeFreeCounter(e))
+            sums[e.name] += reg.scalar(e.name);
+}
+
+class SerialPipelineTest
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, unsigned>>
+{
+};
+
+/**
+ * A shard is exactly its channel's slice of the serial simulation: on
+ * the default config, the serial run's time-free counters equal the
+ * shards' sums, at one worker and at one worker per channel. Every
+ * per-channel structure (the EFIT, the fingerprint cache and index,
+ * the AMT cache and its blocks, the ESD+ content cache, the DeWrite
+ * predictor, the line allocator) must partition by channel for this
+ * to hold.
+ */
+TEST_P(SerialPipelineTest, ShardSumsEqualSerialCounters)
+{
+    const auto [kind, channels] = GetParam();
+    SimConfig c;
+    c.channels.count = channels;
+    constexpr std::uint64_t kRecords = 30000;
+    constexpr std::uint64_t kWarmup = 2000;
+
+    std::map<std::string, double> serial;
+    {
+        SyntheticWorkload trace(findApp("gcc"), c.seed);
+        Simulator sim(c, kind);
+        sim.run(trace, kRecords, kWarmup);
+        addTimeFreeCounters(sim.statRegistry(), serial);
+    }
+    ASSERT_TRUE(serial.count("scheme.logical_writes"));
+    ASSERT_TRUE(serial.count("pcm.ch" + std::to_string(channels - 1) +
+                             ".writes"));
+    if (kind != SchemeKind::Baseline) {
+        ASSERT_TRUE(serial.count("cache.amt.nvm_writebacks"));
+    }
+
+    for (unsigned workers : {1u, channels}) {
+        SyntheticWorkload trace(findApp("gcc"), c.seed);
+        exec::ShardedPipeline pipe(c, kind, workers);
+        pipe.run(trace, kRecords, kWarmup);
+        std::map<std::string, double> sums;
+        for (unsigned s = 0; s < pipe.shardCount(); ++s)
+            addTimeFreeCounters(pipe.shard(s).statRegistry(), sums);
+        ASSERT_EQ(sums.size(), serial.size());
+        for (const auto &[name, value] : serial) {
+            EXPECT_EQ(sums[name], value)
+                << name << " at -workers=" << workers;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, SerialPipelineTest,
+    ::testing::Combine(
+        ::testing::Values(SchemeKind::Baseline, SchemeKind::DedupSha1,
+                          SchemeKind::DeWrite, SchemeKind::Esd,
+                          SchemeKind::EsdFull, SchemeKind::EsdPlus),
+        ::testing::Values(3u, 4u)),
+    [](const auto &info) {
+        std::string n = schemeName(std::get<0>(info.param));
+        for (char &ch : n)
+            if (!std::isalnum(static_cast<unsigned char>(ch)))
+                ch = '_';
+        return n + "_ch" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace esd

@@ -1,16 +1,9 @@
 #include "bench_common.hh"
 
-#include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <set>
 
-#include "common/json.hh"
+#include "common/cli_flags.hh"
 #include "common/logging.hh"
-#include "core/run_report.hh"
-#include "exec/sweep_runner.hh"
 
 namespace esd::bench
 {
@@ -24,19 +17,22 @@ benchConfig()
     return cfg;
 }
 
-namespace
-{
-
 std::uint64_t
 envOr(const char *name, std::uint64_t fallback)
 {
     const char *v = std::getenv(name);
     if (!v)
         return fallback;
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(v, &end, 10);
-    return (end && *end == '\0' && parsed > 0) ? parsed : fallback;
+    std::uint64_t parsed = parseU64(name, v);
+    if (parsed == 0)
+        esd_fatal("%s: must be at least 1", name);
+    return parsed;
 }
+
+namespace
+{
+
+unsigned benchJobsOverride = 0;  // set by -jobs=N
 
 } // namespace
 
@@ -55,107 +51,6 @@ benchWarmup()
     return v;
 }
 
-namespace
-{
-
-/** Every run this bench binary performed, in execution order, for the
- * ESD_BENCH_JSON report: {"app": ..., "result": {...}}. */
-std::map<std::pair<std::string, int>, RunResult> &
-runCache()
-{
-    static std::map<std::pair<std::string, int>, RunResult> cache;
-    return cache;
-}
-
-/** Keys the bench actually consumed through cachedRun(). The JSON
- * dump is restricted to these so pre-warming extra (app, scheme)
- * pairs never changes the ESD_BENCH_JSON artifact. */
-std::set<std::pair<std::string, int>> &
-usedKeys()
-{
-    static std::set<std::pair<std::string, int>> used;
-    return used;
-}
-
-void
-dumpBenchJson()
-{
-    const char *path = std::getenv("ESD_BENCH_JSON");
-    if (!path || !*path)
-        return;
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "bench: cannot open ESD_BENCH_JSON path '" << path
-                  << "'\n";
-        return;
-    }
-    JsonWriter w(out);
-    w.beginObject();
-    w.kv("records_per_run", benchRecords());
-    w.kv("warmup", benchWarmup());
-    w.key("config");
-    writeConfigJson(w, benchConfig());
-    w.key("runs");
-    w.beginArray();
-    std::size_t dumped = 0;
-    for (const auto &[key, r] : runCache()) {
-        if (!usedKeys().count(key))
-            continue;
-        ++dumped;
-        w.beginObject();
-        w.kv("app", key.first);
-        w.kv("scheme_kind", key.second);
-        w.key("result");
-        writeRunResultJson(w, r);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    out << "\n";
-    std::cerr << "bench: wrote " << dumped << " runs to " << path
-              << "\n";
-}
-
-} // namespace
-
-namespace
-{
-
-void
-ensureDumpRegistered()
-{
-    static const bool registered = []
-    {
-        // Construct the cache first: exit-time teardown is LIFO, so
-        // the dump handler then runs while the cache is still alive.
-        runCache();
-        usedKeys();
-        std::atexit(dumpBenchJson);
-        return true;
-    }();
-    (void)registered;
-}
-
-unsigned benchJobsOverride = 0;  // set by -jobs=N
-
-} // namespace
-
-const RunResult &
-cachedRun(const std::string &app, SchemeKind kind)
-{
-    ensureDumpRegistered();
-
-    auto key = std::make_pair(app, static_cast<int>(kind));
-    usedKeys().insert(key);
-    auto it = runCache().find(key);
-    if (it != runCache().end())
-        return it->second;
-    SyntheticWorkload trace(findApp(app), /*global_seed=*/1);
-    RunResult r = runWorkload(benchConfig(), kind, trace, benchRecords(),
-                              benchWarmup());
-    return runCache().emplace(key, std::move(r)).first->second;
-}
-
 unsigned
 benchJobs()
 {
@@ -167,52 +62,22 @@ benchJobs()
 }
 
 void
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv, std::string *out_dir)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("-jobs=", 0) == 0) {
-            benchJobsOverride =
-                static_cast<unsigned>(std::stoul(arg.substr(6)));
+            std::uint64_t jobs = parseU64("-jobs", arg.substr(6));
+            if (jobs < 1 || jobs > 256)
+                esd_fatal("-jobs: %llu out of range [1, 256]",
+                          static_cast<unsigned long long>(jobs));
+            benchJobsOverride = static_cast<unsigned>(jobs);
+        } else if (out_dir && arg.rfind("-out=", 0) == 0) {
+            *out_dir = arg.substr(5);
         } else {
-            esd_fatal("unknown bench argument '%s' (supported: "
-                      "-jobs=N)", arg.c_str());
+            esd_fatal("unknown bench argument '%s' (supported: -jobs=N%s)",
+                      arg.c_str(), out_dir ? ", -out=DIR" : "");
         }
-    }
-}
-
-void
-warmRunCache(const std::vector<std::string> &apps,
-             const std::vector<SchemeKind> &kinds)
-{
-    ensureDumpRegistered();
-
-    std::vector<exec::JobSpec> jobs;
-    for (const std::string &app : apps) {
-        for (SchemeKind k : kinds) {
-            if (runCache().count({app, static_cast<int>(k)}))
-                continue;
-            exec::JobSpec job;
-            job.app = app;
-            job.scheme = k;
-            job.cfg = benchConfig();
-            // Matches cachedRun's serial path exactly: global seed 1.
-            job.cfg.seed = 1;
-            job.records = benchRecords();
-            job.warmup = benchWarmup();
-            jobs.push_back(std::move(job));
-        }
-    }
-    if (jobs.size() < 2 || benchJobs() <= 1)
-        return;  // the lazy cachedRun path handles these fine
-
-    exec::SweepRunner runner(benchJobs());
-    std::vector<exec::SweepOutcome> outcomes = runner.run(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        runCache().emplace(
-            std::make_pair(jobs[i].app,
-                           static_cast<int>(jobs[i].scheme)),
-            std::move(outcomes[i].result));
     }
 }
 
@@ -225,24 +90,28 @@ appNames()
     return names;
 }
 
-double
-geomean(const std::vector<double> &values)
+void
+printHeader(const std::string &title, const std::string &what,
+            std::ostream &os)
 {
-    if (values.empty())
-        return 0.0;
-    double acc = 0;
-    for (double v : values)
-        acc += std::log(std::max(v, 1e-12));
-    return std::exp(acc / values.size());
+    os << "==== " << title << " ====\n"
+       << what << "\n"
+       << "records/run=" << benchRecords()
+       << " warmup=" << benchWarmup() << "\n\n";
 }
 
-void
-printHeader(const std::string &title, const std::string &what)
+BandStatus
+bandStatus(bool passed, bool registered)
 {
-    std::cout << "==== " << title << " ====\n"
-              << what << "\n"
-              << "records/run=" << benchRecords()
-              << " warmup=" << benchWarmup() << "\n\n";
+    if (passed)
+        return registered ? BandStatus::Stale : BandStatus::Holds;
+    return registered ? BandStatus::Deviates : BandStatus::Fails;
+}
+
+bool
+breaksWall(BandStatus s)
+{
+    return s == BandStatus::Fails || s == BandStatus::Stale;
 }
 
 } // namespace esd::bench

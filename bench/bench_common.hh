@@ -1,23 +1,21 @@
 /**
  * @file
- * Shared machinery for the figure benches: one simulated run per
- * (application, scheme) pair, memoised within the binary, with record
- * counts overridable through the environment:
+ * Shared machinery for the benches: the evaluation configuration, the
+ * run size, the pool width and the deviation register's rule. Record
+ * counts come from the environment:
  *
- *   ESD_BENCH_RECORDS  total trace records per run (default 60000)
- *   ESD_BENCH_WARMUP   leading records excluded from stats (default 12000)
- *   ESD_BENCH_JSON     path: at exit, dump every run this bench
- *                      performed as one machine-readable JSON report
- *   ESD_BENCH_JOBS     worker threads for warmRunCache() grids
- *                      (default 1; the -jobs=N flag overrides)
+ *   ESD_BENCH_RECORDS  total trace records per run (default 250000)
+ *   ESD_BENCH_WARMUP   leading records excluded from stats (default 50000)
+ *   ESD_BENCH_JOBS     sweep worker threads (default 1; -jobs=N overrides)
  *
- * Every bench prints the same rows/series as the corresponding paper
- * figure; EXPERIMENTS.md records the paper-vs-measured comparison.
+ * A malformed or zero value is fatal and names the variable, here and
+ * in every other ESD_BENCH_* knob read through envOr().
  */
 
 #ifndef ESD_BENCH_BENCH_COMMON_HH
 #define ESD_BENCH_BENCH_COMMON_HH
 
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,10 @@
 
 namespace esd::bench
 {
+
+/** Environment variable @p name as a positive integer, @p fallback
+ * when unset; a malformed or zero value is fatal. */
+std::uint64_t envOr(const char *name, std::uint64_t fallback);
 
 /** The evaluation configuration used by all figure benches. */
 SimConfig benchConfig();
@@ -36,33 +38,38 @@ std::uint64_t benchRecords();
 /** Warm-up records per run (env-overridable). */
 std::uint64_t benchWarmup();
 
-/** Run (or fetch the memoised run of) @p app under @p kind. */
-const RunResult &cachedRun(const std::string &app, SchemeKind kind);
-
-/** Worker threads for warmRunCache (ESD_BENCH_JOBS / -jobs=N). */
+/** Sweep worker threads (ESD_BENCH_JOBS / -jobs=N). */
 unsigned benchJobs();
 
-/** Parse bench CLI flags (-jobs=N); fatal on anything else. */
-void parseBenchArgs(int argc, char **argv);
-
 /**
- * Pre-populate the run cache for the @p apps x @p kinds grid on a
- * benchJobs()-wide thread pool. Each grid point runs exactly the
- * simulation cachedRun would have run serially (same config, seed,
- * records), so later cachedRun calls hit the cache with bit-identical
- * results — the table the bench prints does not depend on -jobs.
+ * Parse bench CLI flags: -jobs=N, plus -out=DIR when @p out_dir is
+ * given (it receives the directory). Anything else is fatal.
  */
-void warmRunCache(const std::vector<std::string> &apps,
-                  const std::vector<SchemeKind> &kinds);
+void parseBenchArgs(int argc, char **argv, std::string *out_dir = nullptr);
 
 /** Names of all 20 paper applications, SPEC first. */
 std::vector<std::string> appNames();
 
-/** Geometric mean helper (speedup summaries). */
-double geomean(const std::vector<double> &values);
-
 /** Print the standard bench header. */
-void printHeader(const std::string &title, const std::string &what);
+void printHeader(const std::string &title, const std::string &what,
+                 std::ostream &os = std::cout);
+
+/**
+ * Where a paper-shape band stands against the deviation register. A
+ * registered band is one whose miss EXPERIMENTS.md explains.
+ */
+enum class BandStatus
+{
+    Holds,      ///< passed, not registered
+    Deviates,   ///< failed, registered
+    Fails,      ///< failed, not registered
+    Stale,      ///< passed, yet registered: the entry must go
+};
+
+BandStatus bandStatus(bool passed, bool registered);
+
+/** Fails and Stale break the wall; the other two keep it. */
+bool breaksWall(BandStatus s);
 
 } // namespace esd::bench
 

@@ -128,18 +128,6 @@ rate(std::uint64_t collisions, std::uint64_t lines)
         static_cast<double>(collisions) / static_cast<double>(lines), 8);
 }
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    if (const char *env = std::getenv(name); env && *env) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            return v;
-    }
-    return fallback;
-}
-
 } // namespace
 
 int
@@ -150,8 +138,8 @@ main()
                        "Per-engine encode/decode throughput and "
                        "64-bit fingerprint collision rates");
 
-    std::uint64_t n = envU64("ESD_BENCH_RECORDS", 400000);
-    std::uint64_t seed = envU64("ESD_BENCH_SEED", 2024);
+    std::uint64_t n = bench::envOr("ESD_BENCH_RECORDS", 400000);
+    std::uint64_t seed = bench::envOr("ESD_BENCH_SEED", 2024);
     Pcg32 rng(seed);
 
     // Corpus A: independent random lines.

@@ -38,18 +38,6 @@ namespace
 
 using namespace esd;
 
-std::uint64_t
-benchReps()
-{
-    if (const char *env = std::getenv("ESD_BENCH_REPS"); env && *env) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            return v;
-    }
-    return 3;
-}
-
 /** Order-stable digest of the simulated (host-independent) results. */
 std::string
 resultDigest(const RunResult &r)
@@ -77,7 +65,7 @@ main(int argc, char **argv)
     const std::vector<std::string> apps = bench::appNames();
     const std::uint64_t records = bench::benchRecords();
     const std::uint64_t warmup = bench::benchWarmup();
-    const std::uint64_t reps = benchReps();
+    const std::uint64_t reps = bench::envOr("ESD_BENCH_REPS", 3);
 
     struct Row
     {

@@ -72,7 +72,7 @@ main()
     table.print();
     std::cout << "\nexpected: every scheme's latencies grow with core "
                  "count. ESD leads Baseline's IPC at 1-2 cores but "
-                 "falls behind it from 4 cores on. ROADMAP item 3 "
+                 "falls behind it from 4 cores on. ROADMAP item 2 "
                  "attributes ESD's IPC deficit to AMT dirty "
                  "write-backs (every unique write dirties an AMT "
                  "block), traffic that grows with the working set "

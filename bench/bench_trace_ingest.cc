@@ -41,18 +41,6 @@ namespace
 
 using namespace esd;
 
-std::uint64_t
-benchReps()
-{
-    if (const char *env = std::getenv("ESD_BENCH_REPS"); env && *env) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            return v;
-    }
-    return 3;
-}
-
 /** Order-sensitive digest of a decoded stream (FNV-1a over fields). */
 struct StreamDigest
 {
@@ -97,7 +85,7 @@ main(int argc, char **argv)
                        "format");
 
     const std::uint64_t records = bench::benchRecords();
-    const std::uint64_t reps = benchReps();
+    const std::uint64_t reps = bench::envOr("ESD_BENCH_REPS", 3);
 
     std::filesystem::path dir =
         std::filesystem::temp_directory_path() /

@@ -198,6 +198,9 @@ class Amt
 
     const AmtStats &stats() const { return stats_; }
 
+    /** Zero the counters at the warm-up boundary; contents stay warm. */
+    void resetStats() { stats_ = AmtStats{}; }
+
     /** Register counters, hit rate, and footprint under
      * "<prefix>.*". */
     void registerStats(StatRegistry &reg,

@@ -41,6 +41,13 @@ class DeWriteScheme : public FullIndexScheme
     /** Adds the predictor ("scheme.predictor.*"). */
     void registerStats(StatRegistry &reg) const override;
 
+    void
+    resetStats() override
+    {
+        FullIndexScheme::resetStats();
+        predictor_.resetStats();
+    }
+
     const DupPredictor &predictor() const { return predictor_; }
 
   private:

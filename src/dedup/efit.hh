@@ -122,6 +122,9 @@ class Efit
 
     const EfitStats &stats() const { return stats_; }
 
+    /** Zero the counters at the warm-up boundary; contents stay warm. */
+    void resetStats() { stats_ = EfitStats{}; }
+
     /** Register counters, hit rate, and occupancy under
      * "<prefix>.*". */
     void registerStats(StatRegistry &reg,

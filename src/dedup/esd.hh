@@ -43,6 +43,13 @@ class EsdScheme : public MappedDedupScheme
     /** Adds the EFIT under "esd.efit.*". */
     void registerStats(StatRegistry &reg) const override;
 
+    void
+    resetStats() override
+    {
+        MappedDedupScheme::resetStats();
+        efit_.resetStats();
+    }
+
     /** Only the AMT lives in NVMM — no fingerprint store. */
     std::uint64_t metadataNvmBytes() const override
     {

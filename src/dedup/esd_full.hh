@@ -8,7 +8,7 @@
  * behind the on-chip cache, like Dedup_SHA1/DeWrite do. Comparing this
  * against EsdScheme isolates the contribution of *selective*
  * deduplication from the contribution of the ECC fingerprint itself
- * (the bench_abl_selective experiment; not a paper scheme).
+ * (esd_figures' bench_abl_selective row; not a paper scheme).
  */
 
 #ifndef ESD_DEDUP_ESD_FULL_HH

@@ -38,6 +38,13 @@ class EsdPlusScheme : public EsdScheme
     /** Adds the content cache under "esd.content_cache.*". */
     void registerStats(StatRegistry &reg) const override;
 
+    void
+    resetStats() override
+    {
+        EsdScheme::resetStats();
+        contentHits_ = 0;
+    }
+
     /** Compares answered without a device read. */
     std::uint64_t contentCacheHits() const { return contentHits_; }
     std::uint64_t contentCacheCapacity() const { return content_.capacity(); }

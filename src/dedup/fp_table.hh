@@ -104,6 +104,9 @@ class FpTable
 
     const FpTableStats &stats() const { return stats_; }
 
+    /** Zero the counters at the warm-up boundary; contents stay warm. */
+    void resetStats() { stats_ = FpTableStats{}; }
+
     /** Register counters, hit rate, and footprint under
      * "<prefix>.*". */
     void registerStats(StatRegistry &reg,

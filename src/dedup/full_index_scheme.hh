@@ -36,6 +36,13 @@ class FullIndexScheme : public MappedDedupScheme
     /** Adds the fingerprint index under "cache.fp.*". */
     void registerStats(StatRegistry &reg) const override;
 
+    void
+    resetStats() override
+    {
+        MappedDedupScheme::resetStats();
+        fps_.resetStats();
+    }
+
     /** The fingerprint cache's counts plus the AMT's. */
     MetadataCacheCounts metadataCacheCounts() const override;
 

@@ -33,6 +33,13 @@ class MappedDedupScheme : public DedupScheme
     /** Adds the AMT metadata cache under "cache.amt.*". */
     void registerStats(StatRegistry &reg) const override;
 
+    void
+    resetStats() override
+    {
+        DedupScheme::resetStats();
+        amt_.resetStats();
+    }
+
     /** Mapped schemes additionally defer line reclamation to epoch
      * commits, so a freed physical line is never reused before the
      * journal record releasing it is durable. */

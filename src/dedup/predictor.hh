@@ -93,6 +93,9 @@ class DupPredictor
 
     const PredictorStats &stats() const { return stats_; }
 
+    /** Zero the counters at the warm-up boundary; contents stay warm. */
+    void resetStats() { stats_ = PredictorStats{}; }
+
   private:
     std::size_t
     indexOf(Addr logical) const

@@ -214,6 +214,9 @@ class DedupScheme
 
     const SchemeStats &stats() const { return stats_; }
 
+    /** Zero every counter at the warm-up boundary, the metadata
+     * caches' included (schemes that own one extend this); cached
+     * contents stay warm. */
     virtual void
     resetStats()
     {

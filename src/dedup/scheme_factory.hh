@@ -28,12 +28,13 @@ enum class SchemeKind
     Esd = 3,
 
     /** Ablation-only: ECC fingerprints with a full NVMM-resident
-     * index (not a paper scheme; see bench_abl_selective). */
+     * index (not a paper scheme; see esd_figures' bench_abl_selective
+     * row). */
     EsdFull = 4,
 
     /** Extension: ESD plus a hot-content cache that answers byte
-     * comparisons on chip (not a paper scheme; see
-     * bench_abl_content_cache). */
+     * comparisons on chip (not a paper scheme; see esd_figures'
+     * bench_abl_content_cache row). */
     EsdPlus = 5,
 };
 

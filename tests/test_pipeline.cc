@@ -506,5 +506,50 @@ INSTANTIATE_TEST_SUITE_P(
         return n + "_ch" + std::to_string(std::get<1>(info.param));
     });
 
+/** Sum of counter @p name over @p sims' registries. */
+double
+summed(const std::vector<const Simulator *> &sims, const std::string &name)
+{
+    double sum = 0;
+    for (const Simulator *s : sims)
+        sum += s->statRegistry().scalar(name);
+    return sum;
+}
+
+/**
+ * The metadata caches' counters restart at the warm-up boundary like
+ * the scheme's own: each measured write makes one EFIT lookup and at
+ * most one AMT update, so neither count may exceed the measured
+ * writes — serially and at -workers=1 and -workers=4.
+ */
+TEST(WarmupReset, MetadataCacheCountersCountOnlyMeasuredWrites)
+{
+    SimConfig c;
+    c.channels.count = 4;
+    auto check = [](const std::vector<const Simulator *> &sims,
+                    const std::string &where)
+    {
+        double writes = summed(sims, "scheme.logical_writes");
+        ASSERT_GT(writes, 0) << where;
+        EXPECT_LE(summed(sims, "esd.efit.lookups"), writes) << where;
+        EXPECT_LE(summed(sims, "cache.amt.updates"), writes) << where;
+    };
+
+    SyntheticWorkload serial_trace(findApp("gcc"), c.seed);
+    Simulator sim(c, SchemeKind::Esd);
+    sim.run(serial_trace, 30000, 2000);
+    check({&sim}, "serial");
+
+    for (unsigned workers : {1u, 4u}) {
+        SyntheticWorkload trace(findApp("gcc"), c.seed);
+        exec::ShardedPipeline pipe(c, SchemeKind::Esd, workers);
+        pipe.run(trace, 30000, 2000);
+        std::vector<const Simulator *> shards;
+        for (unsigned s = 0; s < pipe.shardCount(); ++s)
+            shards.push_back(&pipe.shard(s));
+        check(shards, "-workers=" + std::to_string(workers));
+    }
+}
+
 } // namespace
 } // namespace esd

@@ -56,8 +56,12 @@ benchJobs()
 {
     if (benchJobsOverride > 0)
         return benchJobsOverride;
-    static const auto v =
-        static_cast<unsigned>(envOr("ESD_BENCH_JOBS", 1));
+    static const unsigned v = [] {
+        const char *env = std::getenv("ESD_BENCH_JOBS");
+        return env ? static_cast<unsigned>(
+                         parseU64InRange("ESD_BENCH_JOBS", env, 1, 256))
+                   : 1u;
+    }();
     return v;
 }
 
@@ -67,11 +71,8 @@ parseBenchArgs(int argc, char **argv, std::string *out_dir)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("-jobs=", 0) == 0) {
-            std::uint64_t jobs = parseU64("-jobs", arg.substr(6));
-            if (jobs < 1 || jobs > 256)
-                esd_fatal("-jobs: %llu out of range [1, 256]",
-                          static_cast<unsigned long long>(jobs));
-            benchJobsOverride = static_cast<unsigned>(jobs);
+            benchJobsOverride = static_cast<unsigned>(
+                parseU64InRange("-jobs", arg.substr(6), 1, 256));
         } else if (out_dir && arg.rfind("-out=", 0) == 0) {
             *out_dir = arg.substr(5);
         } else {

@@ -6,7 +6,8 @@
  *
  *   ESD_BENCH_RECORDS  total trace records per run (default 250000)
  *   ESD_BENCH_WARMUP   leading records excluded from stats (default 50000)
- *   ESD_BENCH_JOBS     sweep worker threads (default 1; -jobs=N overrides)
+ *   ESD_BENCH_JOBS     sweep worker threads (default 1, at most 256;
+ *                      -jobs=N overrides)
  *
  * A malformed or zero value is fatal and names the variable, here and
  * in every other ESD_BENCH_* knob read through envOr().

@@ -21,6 +21,7 @@
 
 #include "bench_common.hh"
 #include "common/json.hh"
+#include "exec/sweep_grid.hh"
 #include "exec/sweep_runner.hh"
 #include "metrics/report.hh"
 
@@ -35,21 +36,13 @@ main(int argc, char **argv)
                        "Parallel sweep wall-clock, 4 apps x 6 schemes "
                        "= 24 jobs, jobs in {1,2,4,8}");
 
-    const std::vector<std::string> apps = {"mcf", "lbm", "gcc",
-                                           "deepsjeng"};
-    std::vector<JobSpec> grid;
-    for (const std::string &app : apps) {
-        for (SchemeKind k : allSchemeKindsExtended()) {
-            JobSpec job;
-            job.app = app;
-            job.scheme = k;
-            job.cfg = bench::benchConfig();
-            job.cfg.seed = deriveJobSeed(1, grid.size());
-            job.records = bench::benchRecords();
-            job.warmup = bench::benchWarmup();
-            grid.push_back(std::move(job));
-        }
-    }
+    SweepGrid sweep;
+    sweep.apps = {"mcf", "lbm", "gcc", "deepsjeng"};
+    JobSpec proto;
+    proto.cfg = bench::benchConfig();
+    proto.records = bench::benchRecords();
+    proto.warmup = bench::benchWarmup();
+    const std::vector<JobSpec> grid = expandGrid(sweep, proto);
 
     std::vector<unsigned> levels = {1, 2, 4, 8};
     if (bench::benchJobs() > 1)

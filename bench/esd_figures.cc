@@ -680,6 +680,7 @@ renderSelective(const Runs &runs, std::ostream &os, Figures &f)
     for (std::size_t a = 0; a < runs.apps().size(); ++a) {
         const RunResult &esd = runs.at(a, 0);
         const RunResult &full = runs.at(a, 1);
+        std::uint64_t fp_lookups = runs.stat(a, 1, "scheme.fp_nvm_lookups");
         w_esd += esd.writeLatency.mean();
         w_full += full.writeLatency.mean();
         table.addRow(
@@ -687,7 +688,7 @@ renderSelective(const Runs &runs, std::ostream &os, Figures &f)
              TablePrinter::pct(full.writeReduction()),
              TablePrinter::num(esd.writeLatency.mean(), 1),
              TablePrinter::num(full.writeLatency.mean(), 1),
-             std::to_string(full.nvmReadsTotal - esd.nvmReadsTotal),
+             std::to_string(fp_lookups),
              TablePrinter::num(esd.metadataNvmBytes / 1024.0, 1),
              TablePrinter::num(full.metadataNvmBytes / 1024.0, 1)});
         more_dups = std::min(more_dups, full.writeReduction() -
@@ -695,8 +696,7 @@ renderSelective(const Runs &runs, std::ostream &os, Figures &f)
         more_meta = std::min(more_meta,
                              static_cast<double>(full.metadataNvmBytes) -
                                  static_cast<double>(esd.metadataNvmBytes));
-        lookups = std::min<double>(lookups,
-                                   runs.stat(a, 1, "scheme.fp_nvm_lookups"));
+        lookups = std::min<double>(lookups, fp_lookups);
     }
     table.print(os);
     std::size_t n = runs.apps().size();

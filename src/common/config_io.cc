@@ -29,14 +29,19 @@ trim(const std::string &s)
 std::uint64_t
 asU64(const std::string &key, const std::string &v)
 {
-    // std::stoull silently wraps negative inputs; reject them first.
+    // std::stoull silently wraps negative inputs and skips a leading
+    // '+' or space; reject them first. Base 10 always: "010" is ten,
+    // not octal eight, and "0x10" is trailing garbage.
     if (!v.empty() && v[0] == '-')
         esd_fatal("config key '%s': '%s' is negative (expected an "
                   "unsigned integer)",
                   key.c_str(), v.c_str());
+    if (v.empty() || v[0] < '0' || v[0] > '9')
+        esd_fatal("config key '%s': '%s' is not an integer", key.c_str(),
+                  v.c_str());
     try {
         std::size_t consumed = 0;
-        std::uint64_t out = std::stoull(v, &consumed, 0);
+        std::uint64_t out = std::stoull(v, &consumed, 10);
         if (consumed != v.size())
             esd_fatal("config key '%s': trailing garbage in '%s'",
                       key.c_str(), v.c_str());

@@ -29,11 +29,8 @@ JobFlags::take(const std::string &arg)
         warmup_ = parseU64("-warmup", value());
         warmupGiven_ = true;
     } else if (arg.rfind("-workers=", 0) == 0) {
-        std::uint64_t w = parseU64("-workers", value());
-        if (w < 1 || w > 256)
-            esd_fatal("-workers: %llu out of range [1, 256]",
-                      static_cast<unsigned long long>(w));
-        workers_ = static_cast<unsigned>(w);
+        workers_ = static_cast<unsigned>(
+            parseU64InRange("-workers", value(), 1, 256));
     } else {
         return false;
     }

@@ -7,7 +7,7 @@
  * A job is either one Simulator (JobSpec::workers == 0) or a
  * ShardedPipeline of per-channel shard simulators driven by `workers`
  * threads (exec/pipeline.hh). esd_sim runs one Job; SweepRunner runs
- * one per grid point for esd_batch, esd_sweep and the figure benches.
+ * one per grid point for esd_sweep and the figure driver.
  * Each Job owns its whole simulated world, so jobs stay shared-nothing
  * across the sweep pool.
  */

@@ -1,8 +1,8 @@
 #include "exec/sweep_grid.hh"
 
-#include <cstdlib>
 #include <sstream>
 
+#include "common/cli_flags.hh"
 #include "common/config_io.hh"
 #include "trace/workloads.hh"
 
@@ -23,28 +23,22 @@ splitCsv(const std::string &s)
     return out;
 }
 
-/** Parse "N" or "A..B" (inclusive) into @p out; false on bad syntax. */
+/** Parse "N" or "A..B" (inclusive, ASCII digits only) into @p out;
+ * false on bad syntax. */
 bool
 parseIntOrRange(const std::string &tok, std::vector<std::uint64_t> &out)
 {
-    auto parse_one = [](const std::string &s, std::uint64_t &v) {
-        if (s.empty())
-            return false;
-        char *end = nullptr;
-        v = std::strtoull(s.c_str(), &end, 10);
-        return end && *end == '\0';
-    };
     std::size_t dots = tok.find("..");
     if (dots == std::string::npos) {
         std::uint64_t v;
-        if (!parse_one(tok, v))
+        if (!tryParseDigits(tok, v))
             return false;
         out.push_back(v);
         return true;
     }
     std::uint64_t lo, hi;
-    if (!parse_one(tok.substr(0, dots), lo) ||
-        !parse_one(tok.substr(dots + 2), hi) || hi < lo ||
+    if (!tryParseDigits(tok.substr(0, dots), lo) ||
+        !tryParseDigits(tok.substr(dots + 2), hi) || hi < lo ||
         hi - lo > 4096)
         return false;
     for (std::uint64_t v = lo; v <= hi; ++v)
@@ -103,8 +97,10 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
         } else if (key == "scheme") {
             // Ranges expand over ordinals; names parse directly.
             std::vector<std::uint64_t> ints;
-            if (value.find("..") != std::string::npos &&
-                parseIntOrRange(value, ints)) {
+            if (value.find("..") != std::string::npos) {
+                if (!parseIntOrRange(value, ints))
+                    return fail("bad range '" + value +
+                                "' for sweep dimension 'scheme'");
                 for (std::uint64_t v : ints) {
                     std::optional<SchemeKind> k =
                         tryParseSchemeKind(std::to_string(v));
@@ -148,22 +144,20 @@ parseSweepSpec(const std::string &spec, SweepGrid &grid, std::string *err)
 }
 
 std::vector<JobSpec>
-expandGrid(const SweepGrid &grid, const SimConfig &base,
-           std::uint64_t records, std::uint64_t warmup,
-           std::uint64_t base_seed)
+expandGrid(const SweepGrid &grid, const JobSpec &proto)
 {
     std::vector<std::string> apps = grid.apps;
     if (apps.empty())
-        apps.push_back("mcf");
+        apps.push_back(proto.traceFile.empty() ? "mcf" : proto.traceFile);
     std::vector<SchemeKind> schemes = grid.schemes;
     if (schemes.empty())
         schemes = allSchemeKindsExtended();
     std::vector<unsigned> channels = grid.channels;
     if (channels.empty())
-        channels.push_back(base.channels.count);
+        channels.push_back(proto.cfg.channels.count);
     std::vector<unsigned> wpq = grid.wpqDepths;
     if (wpq.empty())
-        wpq.push_back(base.pcm.writeQueueDepth);
+        wpq.push_back(proto.cfg.pcm.writeQueueDepth);
 
     std::vector<JobSpec> jobs;
     jobs.reserve(apps.size() * schemes.size() * channels.size() *
@@ -172,16 +166,11 @@ expandGrid(const SweepGrid &grid, const SimConfig &base,
         for (SchemeKind k : schemes) {
             for (unsigned ch : channels) {
                 for (unsigned d : wpq) {
-                    JobSpec job;
+                    JobSpec job = proto;
                     job.app = app;
                     job.scheme = k;
-                    job.cfg = base;
                     job.cfg.channels.count = ch;
                     job.cfg.pcm.writeQueueDepth = d;
-                    job.cfg.seed =
-                        deriveJobSeed(base_seed, jobs.size());
-                    job.records = records;
-                    job.warmup = warmup;
                     jobs.push_back(std::move(job));
                 }
             }

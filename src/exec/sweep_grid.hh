@@ -15,8 +15,10 @@
  *
  * Expansion order is fixed (app, then scheme, then channels, then
  * wpq_depth, each in spec order) so job indices — and therefore the
- * deriveJobSeed() streams and the merged report — are a pure function
- * of the spec, never of flag order or thread count.
+ * merged report — are a pure function of the spec, never of flag
+ * order or thread count. Every job keeps the prototype's cfg.seed, so
+ * all points of one app replay the same trace and differ only in what
+ * the grid varies.
  */
 
 #ifndef ESD_EXEC_SWEEP_GRID_HH
@@ -51,16 +53,14 @@ bool parseSweepSpec(const std::string &spec, SweepGrid &grid,
                     std::string *err);
 
 /**
- * Cross-product @p grid over @p base into a job list. Unswept
- * dimensions keep the base config's values; apps default to mcf and
- * schemes to all six when unswept. Job i's seed is
- * deriveJobSeed(base_seed, i).
+ * Cross-product @p grid over the prototype job @p proto (config, run
+ * shape, workers, trace file) into a job list. Unswept dimensions keep
+ * the prototype's values; schemes default to all six when unswept, and
+ * the app to mcf — or, when @p proto replays a trace file, to the
+ * trace path, which the app column then carries.
  */
 std::vector<JobSpec> expandGrid(const SweepGrid &grid,
-                                 const SimConfig &base,
-                                 std::uint64_t records,
-                                 std::uint64_t warmup,
-                                 std::uint64_t base_seed);
+                                 const JobSpec &proto);
 
 } // namespace esd::exec
 

@@ -88,25 +88,9 @@ runOneJob(const JobSpec &spec, std::size_t index)
 
 } // namespace
 
-std::uint64_t
-deriveJobSeed(std::uint64_t base_seed, std::uint64_t job_index)
-{
-    // splitmix64 of the (base, index) pair: decorrelated streams per
-    // grid point, reproducible from the pair alone.
-    std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (job_index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z ? z : 1;
-}
-
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs)
 {
-    if (jobs_ == 0) {
-        jobs_ = std::thread::hardware_concurrency();
-        if (jobs_ == 0)
-            jobs_ = 1;
-    }
+    esd_assert(jobs_ >= 1, "a sweep needs at least one worker thread");
 }
 
 std::vector<SweepOutcome>

@@ -10,8 +10,8 @@
  * so workers share no mutable state and the merged sweep report is
  * byte-identical whatever the thread count or completion order:
  *
- *   - job seeds are fixed by the job list (deriveJobSeed(base, index)
- *     or the caller's explicit cfg.seed), never by scheduling;
+ *   - each job's seed is its own cfg.seed, fixed by the job list and
+ *     never by scheduling;
  *   - each worker serializes its own per-job JSON fragment while its
  *     registry is alive;
  *   - the merger splices fragments in job-index order.
@@ -56,14 +56,6 @@ struct SweepOutcome
     std::string error;
 };
 
-/**
- * Deterministic per-job seed: splitmix64 over (base_seed, job_index).
- * Depends only on the job's grid position, so a sweep's random streams
- * are identical at any -jobs=N. Never returns 0.
- */
-std::uint64_t deriveJobSeed(std::uint64_t base_seed,
-                            std::uint64_t job_index);
-
 /** Serialized progress callback: (job index, job, its result). */
 using SweepProgressFn =
     std::function<void(std::size_t, const JobSpec &, const RunResult &)>;
@@ -79,11 +71,8 @@ using SweepProgressFn =
 class SweepRunner
 {
   public:
-    /** @param jobs worker threads; 0 = one per hardware thread. */
+    /** @param jobs worker threads, at least 1. */
     explicit SweepRunner(unsigned jobs = 1);
-
-    /** Resolved worker count (>= 1). */
-    unsigned jobs() const { return jobs_; }
 
     /** Execute every job; outcomes[i] belongs to jobs[i]. */
     std::vector<SweepOutcome> run(const std::vector<JobSpec> &jobs,

@@ -255,8 +255,8 @@ class GzipByteStream : public ByteStream
 
 /**
  * The streaming trace frontend, and the repo's only trace decoder
- * (`esd_sim -trace-in=` and its alias `-InputFile=`, esd_batch,
- * esd_sweep, esd_tracecvt).
+ * (`esd_sim -trace-in=` and its alias `-InputFile=`, `esd_sweep
+ * -trace-in=`, esd_tracecvt).
  *
  * Decodes records lazily through a bounded read-ahead buffer;
  * TraceSource::nextBatch is overridden to hand the pipeline demux a

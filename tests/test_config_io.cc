@@ -405,6 +405,11 @@ TEST(ConfigIoDeath, BadIntegerIsFatal)
     SimConfig cfg;
     EXPECT_EXIT(applyConfigKey(cfg, "pcm.read_latency", "abc"),
                 ::testing::ExitedWithCode(1), "not an integer");
+    // A flag such as -channels=+2 reaches the same parser.
+    EXPECT_EXIT(applyConfigKey(cfg, "channels.count", "+2"),
+                ::testing::ExitedWithCode(1), "'\\+2' is not an integer");
+    EXPECT_EXIT(applyConfigKey(cfg, "channels.count", " 2"),
+                ::testing::ExitedWithCode(1), "' 2' is not an integer");
 }
 
 TEST(ConfigIoDeath, NegativeIntegerIsFatal)
@@ -419,6 +424,8 @@ TEST(ConfigIoDeath, TrailingGarbageIsFatal)
 {
     SimConfig cfg;
     EXPECT_EXIT(applyConfigKey(cfg, "pcm.read_latency", "75ns"),
+                ::testing::ExitedWithCode(1), "trailing garbage");
+    EXPECT_EXIT(applyConfigKey(cfg, "pcm.read_latency", "0x4b"),
                 ::testing::ExitedWithCode(1), "trailing garbage");
     EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "2.0GHz"),
                 ::testing::ExitedWithCode(1), "trailing garbage");
@@ -549,6 +556,9 @@ TEST(ConfigIo, ChannelKeysApply)
     SimConfig cfg;
     EXPECT_TRUE(applyConfigKey(cfg, "channels.count", "4"));
     EXPECT_EQ(cfg.channels.count, 4u);
+    // Integers are decimal: a leading zero is not an octal prefix.
+    EXPECT_TRUE(applyConfigKey(cfg, "channels.count", "010"));
+    EXPECT_EQ(cfg.channels.count, 10u);
     EXPECT_TRUE(applyConfigKey(cfg, "channels.wpq_coalescing", "true"));
     EXPECT_TRUE(cfg.channels.wpqCoalescing);
     EXPECT_TRUE(applyConfigKey(cfg, "channels.wpq_coalescing", "off"));

@@ -3,13 +3,15 @@
  * The one run path (exec/job.hh): a JobSpec picks its engine — one
  * Simulator or a ShardedPipeline of per-channel shards — and the Job
  * reports in that engine's schema; JobFlags holds the run-shape flag
- * rules every front end shares.
+ * rules every front end shares, on the strict integer parsers of
+ * common/cli_flags.hh.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "common/cli_flags.hh"
 #include "exec/job.hh"
 
 namespace esd
@@ -100,6 +102,34 @@ TEST(JobFlags, OtherFlagsAreNotTaken)
     EXPECT_FALSE(flags.take("-jobs=4"));
     EXPECT_FALSE(flags.take("-records"));
     EXPECT_FALSE(flags.take("-channels=2"));
+}
+
+TEST(CliFlagsDeath, ParseU64TakesAsciiDigitsOnly)
+{
+    EXPECT_EQ(100u, parseU64("-records", "100"));
+    EXPECT_EQ(0u, parseU64("-records", "0"));
+    EXPECT_EQ(18446744073709551615ull,
+              parseU64("-records", "18446744073709551615"));
+    // std::stoull would take the sign, the leading space and the hex
+    // prefix's 0, or throw on overflow.
+    for (const char *bad : {"+100", " 100", "100 ", "-5", "", "0x10",
+                            "1e3", "18446744073709551616"}) {
+        EXPECT_EXIT(parseU64("-records", bad),
+                    ::testing::ExitedWithCode(1),
+                    "-records: '.*' is not an unsigned integer")
+            << "'" << bad << "'";
+    }
+}
+
+TEST(CliFlagsDeath, ParseU64InRangeNamesTheBounds)
+{
+    EXPECT_EQ(256u, parseU64InRange("-jobs", "256", 1, 256));
+    EXPECT_EXIT(parseU64InRange("-jobs", "0", 1, 256),
+                ::testing::ExitedWithCode(1),
+                "-jobs: 0 out of range \\[1, 256\\]");
+    EXPECT_EXIT(parseU64InRange("-jobs", "4294967297", 1, 256),
+                ::testing::ExitedWithCode(1),
+                "-jobs: 4294967297 out of range");
 }
 
 } // namespace

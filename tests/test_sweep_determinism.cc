@@ -4,8 +4,8 @@
  * sweep report must be byte-identical whatever the worker count and
  * across repeated runs at the same seed. Failures print the first
  * diverging JSON path. Also covers the SweepRunner contract (stable
- * outcome ordering, serialized progress), grid expansion, seed
- * derivation, and the non-fatal CLI validators.
+ * outcome ordering, serialized progress), grid expansion and its one
+ * seed rule, and the non-fatal CLI validators.
  */
 
 #include <set>
@@ -41,7 +41,7 @@ goldenJobs()
         job.cfg = SimConfig{};
         job.cfg.channels.count = 2;
         job.cfg.pcm.writeQueueDepth = 16;
-        job.cfg.seed = exec::deriveJobSeed(42, jobs.size());
+        job.cfg.seed = 42;
         job.records = 3000;
         job.warmup = 500;
         jobs.push_back(std::move(job));
@@ -111,7 +111,7 @@ TEST(SweepRunner, OutcomesInJobOrderRegardlessOfCompletion)
         job.app = "mcf";
         job.scheme = i == 0 ? SchemeKind::Esd : SchemeKind::Baseline;
         job.cfg = SimConfig{};
-        job.cfg.seed = exec::deriveJobSeed(7, i);
+        job.cfg.seed = 7;
         job.records = i == 0 ? 6000 : 400;
         job.warmup = 0;
         jobs.push_back(std::move(job));
@@ -137,7 +137,7 @@ TEST(SweepRunner, FailedJobKeepsSlotAndSurfacesInReport)
         job.app = "mcf";
         job.scheme = SchemeKind::Esd;
         job.cfg = SimConfig{};
-        job.cfg.seed = exec::deriveJobSeed(11, i);
+        job.cfg.seed = 11;
         if (i == 1) {
             job.cfg.persist.enabled = true;
             job.cfg.persist.crashAtWrite = 500;
@@ -210,23 +210,6 @@ TEST(SweepRunner, ProgressFiresOncePerJobWithMatchingIndex)
     EXPECT_EQ(jobs.size(), seen.size());
 }
 
-TEST(SweepSeed, DerivationIsStableAndDecorrelated)
-{
-    // Pure function of (base, index)...
-    EXPECT_EQ(exec::deriveJobSeed(1, 0), exec::deriveJobSeed(1, 0));
-    EXPECT_EQ(exec::deriveJobSeed(42, 17), exec::deriveJobSeed(42, 17));
-    // ...never zero, and collision-free over a realistic grid.
-    std::set<std::uint64_t> seeds;
-    for (std::uint64_t base : {0ull, 1ull, 42ull}) {
-        for (std::uint64_t i = 0; i < 1000; ++i) {
-            std::uint64_t s = exec::deriveJobSeed(base, i);
-            EXPECT_NE(0u, s);
-            seeds.insert(s);
-        }
-    }
-    EXPECT_EQ(3000u, seeds.size());
-}
-
 TEST(SweepGridSpec, ParsesDimensionsRangesAndLists)
 {
     SweepGrid grid;
@@ -288,6 +271,28 @@ TEST(SweepGridSpec, RejectsBadInputWithMessage)
         << err;
     EXPECT_EQ((std::vector<unsigned>{1048576}), wpq.wpqDepths);
     EXPECT_FALSE(exec::parseSweepSpec("wpq_depth=1048577", wpq, &err));
+
+    // Integers are ASCII digits only: no sign, no space, no wrap. The
+    // message names the value and the dimension.
+    const std::pair<const char *, const char *> bad_ints[] = {
+        {"channels=+2", "bad integer or range '+2' for sweep dimension "
+                        "'channels'"},
+        {"channels= 2", "' 2' for sweep dimension 'channels'"},
+        {"channels=-1", "'-1' for sweep dimension 'channels'"},
+        {"channels=2 ", "'2 ' for sweep dimension 'channels'"},
+        {"channels=1..+3", "'1..+3' for sweep dimension 'channels'"},
+        {"wpq_depth=18446744073709551617",
+         "'18446744073709551617' for sweep dimension 'wpq_depth'"},
+        {"scheme=-0..1", "bad range '-0..1' for sweep dimension 'scheme'"},
+        {"scheme=+0..1", "'+0..1' for sweep dimension 'scheme'"},
+    };
+    for (const auto &[spec, message] : bad_ints) {
+        SweepGrid g;
+        err.clear();
+        EXPECT_FALSE(exec::parseSweepSpec(spec, g, &err)) << spec;
+        EXPECT_NE(std::string::npos, err.find(message))
+            << spec << ": " << err;
+    }
 }
 
 TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)
@@ -297,9 +302,12 @@ TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)
     ASSERT_TRUE(exec::parseSweepSpec("app=mcf,lbm,scheme=0,3,channels=1,2",
                                      grid, &err))
         << err;
-    SimConfig base;
-    std::vector<JobSpec> jobs =
-        exec::expandGrid(grid, base, 1000, 100, 42);
+    JobSpec proto;
+    proto.cfg.seed = 42;
+    proto.records = 1000;
+    proto.warmup = 100;
+    proto.workers = 2;
+    std::vector<JobSpec> jobs = exec::expandGrid(grid, proto);
     ASSERT_EQ(8u, jobs.size());
     // app-major, then scheme, then channels.
     EXPECT_EQ("mcf", jobs[0].app);
@@ -308,8 +316,16 @@ TEST(SweepGridSpec, ExpansionOrderAndSeedsAreStable)
     EXPECT_EQ(2u, jobs[1].cfg.channels.count);
     EXPECT_EQ(SchemeKind::Esd, jobs[2].scheme);
     EXPECT_EQ("lbm", jobs[4].app);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(exec::deriveJobSeed(42, i), jobs[i].cfg.seed);
+    // One seed rule: every point runs on the prototype's cfg.seed, so
+    // each app's points replay one trace; the run shape reaches every
+    // job through the prototype.
+    for (const JobSpec &job : jobs) {
+        EXPECT_EQ(42u, job.cfg.seed);
+        EXPECT_EQ(1000u, job.records);
+        EXPECT_EQ(100u, job.warmup);
+        EXPECT_EQ(2u, job.workers);
+        EXPECT_TRUE(job.traceFile.empty());
+    }
 }
 
 TEST(CliValidation, TryParseSchemeKindRejectsUnknown)

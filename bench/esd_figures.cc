@@ -1,7 +1,8 @@
 /**
  * @file
- * The figure driver: Table I, every evaluation figure of the paper and
- * the four ablations, as rows of one table.
+ * The figure driver: Table I, every evaluation figure of the paper,
+ * the four ablations and the five extensions (endurance, RAS, crash
+ * consistency, channels, cores), as rows of one table.
  *
  *   esd_figures [-jobs=N] [-out=DIR]
  *
@@ -60,6 +61,8 @@ const char *const kPlacement = "Deviation: AMT placement";
 const char *const kFootprint = "Deviation: footprint";
 const char *const kSha1Profile = "Deviation: SHA-1 write profile";
 const char *const kLookupShare = "Deviation: fingerprint lookup share";
+const char *const kChannelDomain = "Deviation: per-channel dedup domain";
+const char *const kAdrFloor = "Deviation: ADR overhead floor";
 
 /** Numbers a row computed for its bands, by name. */
 using Figures = std::map<std::string, double>;
@@ -94,6 +97,7 @@ struct Series
 {
     SchemeKind scheme;
     SimConfig cfg = bench::benchConfig();
+    std::vector<std::string> coreApps = {};  ///< exec::JobSpec::coreApps
 };
 
 class Runs;
@@ -125,11 +129,14 @@ class Grid
         job.cfg.seed = 1;
         job.records = bench::benchRecords();
         job.warmup = bench::benchWarmup();
+        job.coreApps = s.coreApps;
         std::string key = app + "\n" +
                           std::to_string(static_cast<int>(s.scheme)) +
                           "\n" + std::to_string(job.records) + "\n" +
                           std::to_string(job.warmup) + "\n" +
                           renderConfig(job.cfg);
+        for (const std::string &core : s.coreApps)
+            key += "\ncore " + core;
         auto [it, fresh] = index_.emplace(key, jobs_.size());
         if (fresh)
             jobs_.push_back(std::move(job));
@@ -813,6 +820,341 @@ renderContentCache(const Runs &runs, std::ostream &os, Figures &f)
         cmp_sum ? static_cast<double>(onchip_sum) / cmp_sum : 0;
 }
 
+/** Start-Gap off and on under each paper scheme. Off is the default
+ * config; on rotates a 64-line region every 2 writes, so a bench run
+ * sees whole rotations (production Start-Gap, period 100 over 16 K-line
+ * regions, needs ~1.6 M writes per region to rotate once). */
+std::vector<Series>
+enduranceSeries()
+{
+    std::vector<Series> out;
+    for (SchemeKind k : allSchemeKinds()) {
+        Series on{k};
+        on.cfg.pcm.startGapEnabled = true;
+        on.cfg.pcm.gapMovePeriod = 2;
+        on.cfg.pcm.startGapRegionLines = 64;
+        out.push_back({k});
+        out.push_back(on);
+    }
+    return out;
+}
+
+void
+renderEndurance(const Runs &runs, std::ostream &os, Figures &f)
+{
+    constexpr double kCellEndurance = 1e7;  // PCM, Section I
+    TablePrinter table({"scheme", "start-gap", "NVMM-writes",
+                        "max-line-wear", "imbalance", "rel-lifetime"});
+    const std::size_t kinds = allSchemeKinds().size();
+    std::vector<double> writes(2 * kinds), wear(2 * kinds),
+        imbalance(2 * kinds);
+    double base_life = 0;
+    for (std::size_t s = 0; s < 2 * kinds; ++s) {
+        std::uint64_t total = 0, max_wear = 0;
+        for (std::size_t a = 0; a < runs.apps().size(); ++a) {
+            const RunResult &r = runs.at(a, s);
+            total += r.nvmWritesTotal;
+            max_wear = std::max(max_wear, r.wear.maxLineWrites);
+            imbalance[s] += r.wear.imbalance();
+        }
+        imbalance[s] /= runs.apps().size();
+        writes[s] = static_cast<double>(total);
+        wear[s] = static_cast<double>(max_wear);
+        double life = max_wear ? kCellEndurance / max_wear : 0;
+        if (s == 0)
+            base_life = life;
+        table.addRow({schemeName(allSchemeKinds()[s / 2]),
+                      s % 2 ? "on" : "off", std::to_string(total),
+                      std::to_string(max_wear),
+                      TablePrinter::num(imbalance[s], 1),
+                      speedup(base_life ? life / base_life : 1.0)});
+    }
+    table.print(os);
+    os << "\n";
+    // Series 2k is SchemeKind k with Start-Gap off, 2k + 1 with it on;
+    // Baseline is kind 0 and ESD the last.
+    double more_writes = -kInf, wear_gap = kInf, gap_wear = -kInf;
+    for (std::size_t k = 1; k < kinds; ++k)
+        more_writes = std::max(more_writes, writes[2 * k] - writes[0]);
+    for (SchemeKind kind : {SchemeKind::DedupSha1, SchemeKind::DeWrite}) {
+        std::size_t k = static_cast<std::size_t>(kind);
+        wear_gap = std::min(wear_gap, wear[2 * k] - wear[0]);
+        gap_wear = std::max(gap_wear, wear[2 * k + 1] - wear[2 * k]);
+    }
+    double flattest = kInf;
+    for (std::size_t k = 0; k + 1 < kinds; ++k)
+        flattest = std::min(flattest, imbalance[2 * k + 1] -
+                                          imbalance[2 * kinds - 1]);
+    f["dedup_minus_baseline_writes_max"] = more_writes;
+    f["sha1_dewrite_minus_baseline_wear_min"] = wear_gap;
+    f["start_gap_sha1_dewrite_wear_change_max"] = gap_wear;
+    f["others_minus_esd_imbalance_start_gap_min"] = flattest;
+}
+
+const double kRasBers[] = {0.0, 1e-6, 1e-5, 1e-4};
+
+/** A fault campaign per (paper scheme, read BER), then each scheme's
+ * fault-free default config for the BER-0 identity band. */
+std::vector<Series>
+rasSeries()
+{
+    std::vector<Series> out;
+    for (SchemeKind k : allSchemeKinds()) {
+        for (double ber : kRasBers) {
+            Series s{k};
+            s.cfg.ras.enabled = true;
+            s.cfg.ras.readBer = ber;
+            s.cfg.ras.writeBer = ber / 10;
+            s.cfg.ras.demandScrub = true;
+            s.cfg.ras.patrolIntervalWrites = 512;
+            s.cfg.ras.patrolLinesPerSweep = 8;
+            s.cfg.ras.writeVerifyRetries = 2;
+            s.cfg.ras.writeVerifyBackoffNs = 100;
+            out.push_back(s);
+        }
+    }
+    for (SchemeKind k : allSchemeKinds())
+        out.push_back({k});
+    return out;
+}
+
+void
+renderRas(const Runs &runs, std::ostream &os, Figures &f)
+{
+    TablePrinter table({"scheme", "read-BER", "injected", "corrected",
+                        "retired", "UE", "SDC", "blast-radius",
+                        "dedup-rate"});
+    const std::size_t kinds = allSchemeKinds().size();
+    const std::size_t bers = std::size(kRasBers);
+    double ber0_max = 0, ber0_gap = 0, sdc_share = 0, base_blast = 0;
+    double dedup_blast = kInf;
+    for (std::size_t k = 0; k < kinds; ++k) {
+        for (std::size_t b = 0; b < bers; ++b) {
+            std::size_t s = k * bers + b;
+            auto stat = [&](const char *key) { return runs.stat(0, s, key); };
+            enum { kInjected, kCorrected, kRetired, kUe, kSdc, kBlast };
+            const std::uint64_t col[] = {
+                stat("ras.faults.bit_flips_read") +
+                    stat("ras.faults.bit_flips_write"),
+                stat("scheme.ecc_corrected_reads") +
+                    stat("ras.patrol_corrected"),
+                stat("ras.lines_retired"), stat("ras.ue_events"),
+                stat("scheme.sdc_events"), stat("ras.blast_radius_refs")};
+            double red = runs.at(0, s).writeReduction();
+            Cells row{schemeName(allSchemeKinds()[k]),
+                      TablePrinter::num(kRasBers[b], 6)};
+            for (std::uint64_t v : col)
+                row.push_back(std::to_string(v));
+            row.push_back(TablePrinter::pct(red));
+            table.addRow(row);
+            double blast_over_ue = static_cast<double>(col[kBlast]) -
+                                   static_cast<double>(col[kUe]);
+            if (b == 0) {
+                ber0_max = std::max<double>(
+                    ber0_max, *std::max_element(std::begin(col),
+                                                std::end(col)));
+                // Series kinds * bers + k is scheme k's fault-free run.
+                ber0_gap = std::max(
+                    ber0_gap, std::fabs(red - runs.at(0, kinds * bers + k)
+                                                  .writeReduction()));
+            }
+            if (col[kInjected])
+                sdc_share = std::max(sdc_share,
+                                     static_cast<double>(col[kSdc]) /
+                                         col[kInjected]);
+            if (k == 0)
+                base_blast = std::max(base_blast, std::fabs(blast_over_ue));
+            else if (b == bers - 1)
+                dedup_blast = std::min(dedup_blast, blast_over_ue);
+        }
+    }
+    table.print(os);
+    os << "\n";
+    f["ber0_ras_column_max"] = ber0_max;
+    f["ber0_reduction_gap_max"] = ber0_gap;
+    f["sdc_share_of_injected_max"] = sdc_share;
+    f["baseline_blast_minus_ue_max"] = base_blast;
+    f["dedup_blast_minus_ue_at_1e-4_min"] = dedup_blast;
+}
+
+const char *const kPersistDomains[] = {"off", "adr", "eadr"};
+
+/** Every scheme with persistence off (the default config), under ADR
+ * and under eADR. */
+std::vector<Series>
+persistSeries()
+{
+    std::vector<Series> out;
+    for (SchemeKind k : allSchemeKindsExtended()) {
+        for (const char *domain : kPersistDomains) {
+            Series s{k};
+            if (domain != kPersistDomains[0]) {
+                s.cfg.persist.enabled = true;
+                s.cfg.persist.domain = parsePersistDomain("domain", domain);
+            }
+            out.push_back(s);
+        }
+    }
+    return out;
+}
+
+void
+renderPersist(const Runs &runs, std::ostream &os, Figures &f)
+{
+    TablePrinter table({"scheme", "persist", "write mean", "write p99",
+                        "mean vs off", "journal recs", "commits",
+                        "barrier ns", "drain ns"});
+    const std::size_t domains = std::size(kPersistDomains);
+    double eadr_drain = 0, eadr_over_adr = -kInf, adr_lo = kInf,
+           adr_hi = -kInf;
+    for (std::size_t k = 0; k < allSchemeKindsExtended().size(); ++k) {
+        double off_mean = runs.at(0, k * domains).writeLatency.mean();
+        for (std::size_t d = 0; d < domains; ++d) {
+            std::size_t s = k * domains + d;
+            const RunResult &r = runs.at(0, s);
+            // persist.* is registered only on persistence-enabled runs.
+            auto stat = [&](const char *key)
+            { return d == 0 ? 0 : runs.stat(0, s, key); };
+            double mean = r.writeLatency.mean();
+            double rel = off_mean > 0 ? mean / off_mean : 1.0;
+            table.addRow({schemeName(allSchemeKindsExtended()[k]),
+                          kPersistDomains[d], TablePrinter::num(mean, 1),
+                          TablePrinter::num(r.writeLatency.percentile(99), 0),
+                          TablePrinter::num(rel, 3),
+                          std::to_string(stat("persist.journal_records")),
+                          std::to_string(stat("persist.epoch_commits")),
+                          std::to_string(stat("persist.barrier_ns")),
+                          std::to_string(stat("persist.drain_wait_ns"))});
+            if (d == 1) {
+                adr_lo = std::min(adr_lo, rel);
+                adr_hi = std::max(adr_hi, rel);
+            } else if (d == 2) {
+                eadr_drain = std::max<double>(
+                    eadr_drain, stat("persist.drain_wait_ns"));
+                eadr_over_adr = std::max(
+                    eadr_over_adr,
+                    mean - runs.at(0, s - 1).writeLatency.mean());
+            }
+        }
+    }
+    table.print(os);
+    os << "\n";
+    f["eadr_drain_wait_ns_max"] = eadr_drain;
+    f["eadr_minus_adr_mean_max"] = eadr_over_adr;
+    f["adr_mean_vs_off_min"] = adr_lo;
+    f["adr_mean_vs_off_max"] = adr_hi;
+}
+
+const unsigned kChannelCounts[] = {1, 2, 4, 8};
+
+/** Every scheme at 1/2/4/8 channels with WPQ coalescing on. */
+std::vector<Series>
+channelSeries()
+{
+    std::vector<Series> out;
+    for (SchemeKind k : allSchemeKindsExtended()) {
+        for (unsigned ch : kChannelCounts) {
+            Series s{k};
+            s.cfg.channels.count = ch;
+            s.cfg.channels.wpqCoalescing = true;
+            out.push_back(s);
+        }
+    }
+    return out;
+}
+
+void
+renderChannels(const Runs &runs, std::ostream &os, Figures &f)
+{
+    TablePrinter table({"scheme", "ch", "write mean ns", "write p99 ns",
+                        "coalesced", "IPC"});
+    const std::size_t counts = std::size(kChannelCounts);
+    const std::size_t kinds = allSchemeKindsExtended().size();
+    double ipc_step = kInf;
+    for (std::size_t s = 0; s < kinds * counts; ++s) {
+        const RunResult &r = runs.at(0, s);
+        table.addRow({r.schemeName, std::to_string(kChannelCounts[s % counts]),
+                      TablePrinter::num(r.writeLatency.mean(), 1),
+                      TablePrinter::num(r.writeLatency.percentile(99), 0),
+                      std::to_string(r.nvmWritesCoalesced),
+                      TablePrinter::num(r.ipc, 3)});
+        if (s % counts)
+            ipc_step = std::min(ipc_step, r.ipc - runs.at(0, s - 1).ipc);
+    }
+    table.print(os);
+
+    // Headline: how much the channel spread alone buys each scheme.
+    os << "\nwrite-latency speedup, 1 -> 4 channels:\n";
+    double others = kInf;
+    for (std::size_t k = 0; k < kinds; ++k) {
+        double one = runs.at(0, k * counts).writeLatency.mean();
+        double four = runs.at(0, k * counts + 2).writeLatency.mean();
+        double sp = four > 0 ? one / four : 0;
+        os << "  " << schemeName(allSchemeKindsExtended()[k]) << ": "
+           << speedup(sp) << "\n";
+        if (allSchemeKindsExtended()[k] == SchemeKind::DedupSha1)
+            f["sha1_speedup_1_to_4"] = sp;
+        else
+            others = std::min(others, sp);
+    }
+    os << "\n";
+    f["ipc_step_min"] = ipc_step;
+    f["speedup_1_to_4_min_but_sha1"] = others;
+}
+
+const unsigned kCoreCounts[] = {1, 2, 4, 8};
+
+/** Each paper scheme at 1/2/4/8 cores; core i replays a different app
+ * of a mixed bag so the cores do not run in lockstep. */
+std::vector<Series>
+multicoreSeries()
+{
+    static const char *const kMix[] = {"gcc", "lbm",  "x264",    "mcf",
+                                       "wrf", "dedup", "facesim", "bodytrack"};
+    std::vector<Series> out;
+    for (unsigned cores : kCoreCounts)
+        for (SchemeKind k : allSchemeKinds())
+            out.push_back({k, bench::benchConfig(),
+                           {kMix + 1, kMix + cores}});
+    return out;
+}
+
+void
+renderMulticore(const Runs &runs, std::ostream &os, Figures &f)
+{
+    TablePrinter table({"cores", "scheme", "sys-IPC", "wlat(ns)",
+                        "rlat(ns)", "write-red", "vs-Baseline-IPC"});
+    const std::size_t kinds = allSchemeKinds().size();
+    double lat_step = kInf, esd_vs_base = kInf;
+    for (std::size_t c = 0; c < std::size(kCoreCounts); ++c) {
+        double base_ipc = runs.at(0, c * kinds).ipc;
+        for (std::size_t k = 0; k < kinds; ++k) {
+            const RunResult &r = runs.at(0, c * kinds + k);
+            double rel = base_ipc > 0 ? r.ipc / base_ipc : 1.0;
+            table.addRow({std::to_string(kCoreCounts[c]),
+                          schemeName(allSchemeKinds()[k]),
+                          TablePrinter::num(r.ipc, 3),
+                          TablePrinter::num(r.writeLatency.mean(), 1),
+                          TablePrinter::num(r.readLatency.mean(), 1),
+                          TablePrinter::pct(r.writeReduction()),
+                          speedup(rel)});
+            if (c > 0) {
+                const RunResult &fewer = runs.at(0, (c - 1) * kinds + k);
+                lat_step = std::min(
+                    {lat_step,
+                     r.writeLatency.mean() - fewer.writeLatency.mean(),
+                     r.readLatency.mean() - fewer.readLatency.mean()});
+            }
+            if (allSchemeKinds()[k] == SchemeKind::Esd && kCoreCounts[c] <= 2)
+                esd_vs_base = std::min(esd_vs_base, rel);
+        }
+    }
+    table.print(os);
+    os << "\n";
+    f["latency_step_min"] = lat_step;
+    f["esd_rel_ipc_1_2_cores_min"] = esd_vs_base;
+}
+
 std::vector<Row>
 makeRows()
 {
@@ -998,6 +1340,73 @@ makeRows()
            -kInf, 0, "identity: exact"},
           {"most byte comparisons move on chip", "onchip_compare_share", 0.5,
            kInf, "most: more than half, exact"}}},
+        {"bench_endurance", "Endurance",
+         "NVMM write totals, wear concentration (max/mean line writes), and "
+         "relative lifetime (suite aggregate)",
+         enduranceSeries(), renderEndurance,
+         {{"every dedup scheme's suite NVMM writes are at most Baseline's",
+           "dedup_minus_baseline_writes_max", -kInf, 0, kOrder},
+          {"Dedup_SHA1's and DeWrite's max-line wear exceed Baseline's",
+           "sha1_dewrite_minus_baseline_wear_min", 1, kInf,
+           "an ordering of integer counts: exact"},
+          {"Start-Gap lowers max-line wear for Dedup_SHA1 and DeWrite",
+           "start_gap_sha1_dewrite_wear_change_max", -kInf, -1,
+           "an ordering of integer counts: exact"},
+          {"with Start-Gap on, ESD's imbalance is the lowest of the four",
+           "others_minus_esd_imbalance_start_gap_min", 0, kInf, kOrder}}},
+        {"bench_ras_faults", "RAS fault campaign",
+         "per-scheme fault tolerance vs raw BER (gcc workload): "
+         "injected/corrected faults, retired lines, UEs, silent data "
+         "corruptions, and the dedup blast radius",
+         rasSeries(), renderRas,
+         {{"at BER 0 every RAS column is zero", "ber0_ras_column_max", -kInf,
+           0, "disabled-is-inert: exact"},
+          {"at BER 0 each scheme has its fault-free dedup rate",
+           "ber0_reduction_gap_max", -kInf, 0, "identity: exact"},
+          {"SDC stays at most 1% of injected faults at every BER",
+           "sdc_share_of_injected_max", -kInf, 0.01,
+           "the nightly ras-stress bound"},
+          {"Baseline's blast radius equals its UE count",
+           "baseline_blast_minus_ue_max", -kInf, 0,
+           "structural: one logical line per physical line, exact"},
+          {"each dedup scheme's blast radius exceeds its UE count at 1e-4",
+           "dedup_blast_minus_ue_at_1e-4_min", 1, kInf,
+           "an ordering of integer counts: exact"}},
+         {"gcc"}},
+        {"bench_persist_overhead", "Metadata-journaling overhead",
+         "per-scheme write-latency cost of crash consistency (gcc "
+         "workload): off vs ADR vs eADR persistence domains",
+         persistSeries(), renderPersist,
+         {{"eADR never waits for a WPQ drain", "eadr_drain_wait_ns_max",
+           -kInf, 0, "structural: exact"},
+          {"eADR's mean write latency is at most ADR's for every scheme",
+           "eadr_minus_adr_mean_max", -kInf, 0, kOrder},
+          {"ADR costs at least 1.02x the mean write latency",
+           "adr_mean_vs_off_min", 1.02, kInf,
+           "the range EXPERIMENTS.md states, exact", kAdrFloor},
+          {"ADR costs at most 1.16x the mean write latency",
+           "adr_mean_vs_off_max", -kInf, 1.16,
+           "the range EXPERIMENTS.md states, exact"}},
+         {"gcc"}},
+        {"bench_channel_scaling", "Channel scaling",
+         "write latency and IPC vs memory channels (lbm)", channelSeries(),
+         renderChannels,
+         {{"IPC does not fall as channels are added, for any scheme",
+           "ipc_step_min", 0, kInf, kOrder},
+          {"1 -> 4 channels speeds writes up for every scheme but "
+           "Dedup_SHA1",
+           "speedup_1_to_4_min_but_sha1", 1, kInf, kOrder},
+          {"1 -> 4 channels speeds Dedup_SHA1's writes up",
+           "sha1_speedup_1_to_4", 1, kInf, kOrder, kChannelDomain}},
+         {"lbm"}},
+        {"bench_multicore", "Extension: multi-core scaling",
+         "1/2/4/8 cores sharing one controller; mixed application per core",
+         multicoreSeries(), renderMulticore,
+         {{"every scheme's latencies grow with core count",
+           "latency_step_min", 0, kInf, kOrder},
+          {"ESD's IPC is at least Baseline's at 1-2 cores",
+           "esd_rel_ipc_1_2_cores_min", 1, kInf, kOrder, kPlacement}},
+         {"gcc"}},
     };
 }
 

@@ -55,24 +55,26 @@ asU64(const std::string &key, const std::string &v)
     }
 }
 
-/** A finite double: "nan" and "inf" parse but are rejected. */
+/** A finite decimal double: "nan" and "inf" parse but are rejected.
+ * std::from_chars in general format takes neither the leading '+' or
+ * space nor the hex floats std::stod accepts, so "+2", " 2" and
+ * "0x1p1" are refused like the integer keys' spellings. */
 double
 asDouble(const std::string &key, const std::string &v)
 {
-    double out;
-    try {
-        std::size_t consumed = 0;
-        out = std::stod(v, &consumed);
-        if (consumed != v.size())
-            esd_fatal("config key '%s': trailing garbage in '%s'",
-                      key.c_str(), v.c_str());
-    } catch (const std::out_of_range &) {
+    double out = 0;
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] =
+        std::from_chars(v.data(), end, out, std::chars_format::general);
+    if (ec == std::errc::result_out_of_range)
         esd_fatal("config key '%s': '%s' is out of double range",
                   key.c_str(), v.c_str());
-    } catch (...) {
+    if (ec != std::errc())
         esd_fatal("config key '%s': '%s' is not a number", key.c_str(),
                   v.c_str());
-    }
+    if (ptr != end)
+        esd_fatal("config key '%s': trailing garbage in '%s'", key.c_str(),
+                  v.c_str());
     if (!std::isfinite(out))
         esd_fatal("config key '%s': '%s' is not a finite number",
                   key.c_str(), v.c_str());

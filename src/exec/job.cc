@@ -50,6 +50,10 @@ JobFlags::applyTo(JobSpec &spec) const
 
 Job::Job(const JobSpec &spec) : spec_(spec)
 {
+    if (!spec_.coreApps.empty() && spec_.workers >= 1)
+        esd_fatal("a %zu-core job needs workers == 0: pipeline shards "
+                  "step only core 0",
+                  spec_.coreApps.size() + 1);
     if (spec_.workers >= 1) {
         pipe_ = std::make_unique<ShardedPipeline>(spec_.cfg, spec_.scheme,
                                                   spec_.workers);
@@ -66,7 +70,14 @@ Job::run(TraceSource &trace)
 {
     if (pipe_)
         return pipe_->run(trace, spec_.records, spec_.warmup);
-    result_ = sim_->run(trace, spec_.records, spec_.warmup);
+    std::vector<std::unique_ptr<TraceSource>> cores;
+    std::vector<TraceSource *> traces{&trace};
+    for (std::size_t i = 0; i < spec_.coreApps.size(); ++i) {
+        cores.push_back(std::make_unique<SyntheticWorkload>(
+            findApp(spec_.coreApps[i]), spec_.cfg.seed + i + 1));
+        traces.push_back(cores.back().get());
+    }
+    result_ = sim_->run(traces, spec_.records, spec_.warmup);
     return result_;
 }
 

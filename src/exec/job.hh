@@ -47,6 +47,13 @@ struct JobSpec
      * (per-shard results) and is byte-identical at any thread count.
      * Don't mix modes within one sweep — the two schemas differ. */
     unsigned workers = 0;
+
+    /** Apps of cores 1..N-1 of a multi-core run, one Simulator with
+     * one trace per core; empty runs one core. Core i replays its app
+     * synthetically, seeded cfg.seed + i, so core 0 is the job's own
+     * source. Each core runs `records` records with `warmup` warm-up.
+     * Pipeline shards step only core 0: needs workers == 0. */
+    std::vector<std::string> coreApps;
 };
 
 /** The job's workload: a TraceFrontend over spec.traceFile, or the
@@ -102,8 +109,9 @@ class Job
      * shard simulators in shard order. */
     const std::vector<Simulator *> &simulators() const { return sims_; }
 
-    /** Run spec.records records of @p trace, the first spec.warmup
-     * excluded from statistics. May be called exactly once. */
+    /** Run spec.records records of @p trace (core 0's), the first
+     * spec.warmup excluded from statistics; cores 1..N-1 replay
+     * spec.coreApps. May be called exactly once. */
     const RunResult &run(TraceSource &trace);
 
     /** esd::checkInjectedCrash on the simulator, or on the shard that

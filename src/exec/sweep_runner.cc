@@ -25,6 +25,14 @@ writeJobIdentity(JsonWriter &w, const JobSpec &job, std::size_t index)
     // their pre-frontend report schema byte-for-byte.
     if (!job.traceFile.empty())
         w.kv("trace", job.traceFile);
+    // Likewise only multi-core jobs list their other cores' apps.
+    if (!job.coreApps.empty()) {
+        w.key("core_apps");
+        w.beginArray();
+        for (const std::string &app : job.coreApps)
+            w.value(app);
+        w.endArray();
+    }
     w.kv("scheme", schemeName(job.scheme));
     w.kv("scheme_kind", static_cast<int>(job.scheme));
     w.kv("records", job.records);

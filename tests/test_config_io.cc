@@ -431,6 +431,31 @@ TEST(ConfigIoDeath, TrailingGarbageIsFatal)
                 ::testing::ExitedWithCode(1), "trailing garbage");
 }
 
+TEST(ConfigIoDeath, DoubleKeysTakeDecimalSpellingsOnly)
+{
+    // std::stod would take the sign, the leading space and the C99 hex
+    // float, so each of these loaded 2.
+    SimConfig cfg;
+    EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "+2"),
+                ::testing::ExitedWithCode(1),
+                "'core.clock_ghz': '\\+2' is not a number");
+    EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", " 2"),
+                ::testing::ExitedWithCode(1),
+                "'core.clock_ghz': ' 2' is not a number");
+    EXPECT_EXIT(applyConfigKey(cfg, "core.clock_ghz", "0x1p1"),
+                ::testing::ExitedWithCode(1),
+                "'core.clock_ghz': trailing garbage in '0x1p1'");
+    EXPECT_EXIT(applyConfigKey(cfg, "ras.read_ber", "1e999"),
+                ::testing::ExitedWithCode(1),
+                "'ras.read_ber': '1e999' is out of double range");
+    // Decimal and exponent spellings still load.
+    for (const char *v : {"2", "2.5", ".5", "3.", "25e-1", "1E1"})
+        EXPECT_TRUE(applyConfigKey(cfg, "core.clock_ghz", v)) << v;
+    EXPECT_DOUBLE_EQ(cfg.core.clockGhz, 10.0);
+    EXPECT_TRUE(applyConfigKey(cfg, "ras.read_ber", "1e-6"));
+    EXPECT_DOUBLE_EQ(cfg.ras.readBer, 1e-6);
+}
+
 TEST(ConfigIoDeath, OverflowIsFatal)
 {
     SimConfig cfg;

@@ -1,7 +1,8 @@
 /**
  * @file
  * The one run path (exec/job.hh): a JobSpec picks its engine — one
- * Simulator or a ShardedPipeline of per-channel shards — and the Job
+ * Simulator over one trace per core, or a ShardedPipeline of
+ * per-channel shards — and the Job
  * reports in that engine's schema; JobFlags holds the run-shape flag
  * rules every front end shares, on the strict integer parsers of
  * common/cli_flags.hh.
@@ -13,6 +14,8 @@
 
 #include "common/cli_flags.hh"
 #include "exec/job.hh"
+#include "exec/sweep_runner.hh"
+#include "trace/workloads.hh"
 
 namespace esd
 {
@@ -60,6 +63,78 @@ TEST(Job, WorkersRunOneShardPerChannel)
     EXPECT_EQ(job.simulators().size(), 4u);
     EXPECT_EQ(job.pipeline()->shardCount(), 4u);
     EXPECT_NE(runAndReport(smallSpec(2)).find("\"shards\""),
+              std::string::npos);
+}
+
+exec::JobSpec
+fourCoreSpec()
+{
+    exec::JobSpec spec;
+    spec.app = "gcc";
+    spec.coreApps = {"lbm", "x264", "mcf"};
+    spec.scheme = SchemeKind::Esd;
+    spec.cfg.seed = 7;
+    spec.records = 3000;
+    spec.warmup = 500;
+    return spec;
+}
+
+TEST(Job, MultiCoreIsSimulatorRunOverOneSourcePerCore)
+{
+    exec::JobSpec spec = fourCoreSpec();
+    exec::Job job(spec);
+    RunResult via_job = job.run(*exec::openSource(spec));
+    std::ostringstream job_report;
+    job.writeReport(job_report, /*indent=*/0);
+
+    // Core i replays its app seeded cfg.seed + i.
+    Simulator sim(spec.cfg, spec.scheme);
+    std::vector<std::unique_ptr<SyntheticWorkload>> apps;
+    std::vector<TraceSource *> traces;
+    const char *names[] = {"gcc", "lbm", "x264", "mcf"};
+    for (unsigned i = 0; i < 4; ++i) {
+        apps.push_back(std::make_unique<SyntheticWorkload>(
+            findApp(names[i]), spec.cfg.seed + i));
+        traces.push_back(apps.back().get());
+    }
+    RunResult by_hand = sim.run(traces, spec.records, spec.warmup);
+    std::ostringstream hand_report;
+    writeStatsReport(hand_report, spec.cfg, by_hand, sim.statRegistry(),
+                     &sim.sampler(), /*indent=*/0);
+
+    EXPECT_EQ(via_job.logicalWrites, by_hand.logicalWrites);
+    EXPECT_EQ(via_job.ipc, by_hand.ipc);
+    EXPECT_EQ(via_job.writeLatency.mean(), by_hand.writeLatency.mean());
+    EXPECT_EQ(job_report.str(), hand_report.str());
+    // Four cores' records, not one core's.
+    exec::JobSpec one = spec;
+    one.coreApps.clear();
+    exec::Job single(one);
+    EXPECT_LT(single.run(*exec::openSource(one)).logicalWrites,
+              via_job.logicalWrites);
+}
+
+TEST(JobDeath, MultiCoreNeedsOneSimulator)
+{
+    // Pipeline shards step only core 0 (Simulator::stepRecord).
+    exec::JobSpec spec = fourCoreSpec();
+    spec.workers = 1;
+    EXPECT_EXIT(exec::Job job(spec), ::testing::ExitedWithCode(1),
+                "a 4-core job needs workers == 0: pipeline shards step "
+                "only core 0");
+}
+
+TEST(Job, SweepFragmentListsCoreAppsOnlyForMultiCoreJobs)
+{
+    exec::JobSpec multi = fourCoreSpec();
+    exec::JobSpec single = multi;
+    single.coreApps.clear();
+    std::vector<exec::SweepOutcome> out =
+        exec::SweepRunner(1).run({single, multi});
+    ASSERT_TRUE(out[0].ok && out[1].ok);
+    EXPECT_EQ(out[0].reportJson.find("core_apps"), std::string::npos);
+    EXPECT_NE(out[1].reportJson.find(
+                  "\"core_apps\":[\"lbm\",\"x264\",\"mcf\"]"),
               std::string::npos);
 }
 

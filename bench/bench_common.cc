@@ -4,6 +4,8 @@
 
 #include "common/cli_flags.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "metrics/report.hh"
 
 namespace esd::bench
 {
@@ -36,18 +38,24 @@ unsigned benchJobsOverride = 0;  // set by -jobs=N
 
 } // namespace
 
+RunSize
+runSize(std::uint64_t records, std::uint64_t warmup)
+{
+    const std::uint64_t r = envOr("ESD_BENCH_RECORDS", records);
+    return {r, std::min(envOr("ESD_BENCH_WARMUP", warmup), r / 2)};
+}
+
 std::uint64_t
 benchRecords()
 {
-    static const std::uint64_t v = envOr("ESD_BENCH_RECORDS", 250000);
+    static const std::uint64_t v = runSize(250000, 50000).records;
     return v;
 }
 
 std::uint64_t
 benchWarmup()
 {
-    static const std::uint64_t v =
-        std::min(envOr("ESD_BENCH_WARMUP", 50000), benchRecords() / 2);
+    static const std::uint64_t v = runSize(250000, 50000).warmup;
     return v;
 }
 
@@ -113,6 +121,31 @@ bool
 breaksWall(BandStatus s)
 {
     return s == BandStatus::Fails || s == BandStatus::Stale;
+}
+
+Corpora
+collisionCorpora(std::uint64_t lines, std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    Corpora c{std::vector<CacheLine>(lines), std::vector<CacheLine>(lines)};
+    for (CacheLine &l : c.random)
+        rng.fillLine(l);
+    CacheLine base;
+    rng.fillLine(base);
+    for (CacheLine &l : c.similar) {
+        l = base;
+        l.setWord(rng.below(kWordsPerLine), rng.next64());
+    }
+    return c;
+}
+
+std::string
+Collisions::rate() const
+{
+    if (collisions == 0)
+        return "0";
+    return TablePrinter::num(
+        static_cast<double>(collisions) / static_cast<double>(lines), 8);
 }
 
 } // namespace esd::bench

@@ -1,11 +1,13 @@
 /**
  * @file
  * Shared machinery for the benches: the evaluation configuration, the
- * run size, the pool width and the deviation register's rule. Record
- * counts come from the environment:
+ * run size, the pool width, the deviation register's rule and Fig. 8's
+ * collision corpora. Record counts come from the environment:
  *
  *   ESD_BENCH_RECORDS  total trace records per run (default 250000)
  *   ESD_BENCH_WARMUP   leading records excluded from stats (default 50000)
+ *
+ * (esd_hostbench's rows default to their baselines' sizes instead.)
  *   ESD_BENCH_JOBS     sweep worker threads (default 1, at most 256;
  *                      -jobs=N overrides)
  *
@@ -18,6 +20,7 @@
 
 #include <iostream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/simulator.hh"
@@ -32,6 +35,19 @@ std::uint64_t envOr(const char *name, std::uint64_t fallback);
 
 /** The evaluation configuration used by all figure benches. */
 SimConfig benchConfig();
+
+/** Records and warm-up records of one run. */
+struct RunSize
+{
+    std::uint64_t records;
+    std::uint64_t warmup;
+};
+
+/**
+ * @p records and @p warmup unless ESD_BENCH_RECORDS / ESD_BENCH_WARMUP
+ * override them; the warm-up is capped at half the records.
+ */
+RunSize runSize(std::uint64_t records, std::uint64_t warmup);
 
 /** Records per run (env-overridable). */
 std::uint64_t benchRecords();
@@ -71,6 +87,47 @@ BandStatus bandStatus(bool passed, bool registered);
 
 /** Fails and Stale break the wall; the other two keep it. */
 bool breaksWall(BandStatus s);
+
+/**
+ * Fig. 8's two seed-pinned corpora of the same size: independent random
+ * lines, and "similar" lines, each a shared base with one random word
+ * re-rolled (the adversarial case for linear fingerprints).
+ */
+struct Corpora
+{
+    std::vector<CacheLine> random;
+    std::vector<CacheLine> similar;
+};
+
+Corpora collisionCorpora(std::uint64_t lines, std::uint64_t seed);
+
+/** Fingerprint collisions among the distinct contents of a corpus. */
+struct Collisions
+{
+    std::uint64_t collisions = 0;
+    std::uint64_t lines = 0;  ///< distinct contents
+
+    /** collisions / lines to 8 places, or "0". */
+    std::string rate() const;
+};
+
+/** Count collisions of @p fingerprint (CacheLine -> hashable key) over
+ * @p corpus; identical contents are not collisions. */
+template <typename Fingerprint>
+Collisions
+countCollisions(const std::vector<CacheLine> &corpus, Fingerprint fingerprint)
+{
+    Collisions c;
+    std::unordered_set<std::uint64_t> content_seen;
+    std::unordered_set<decltype(fingerprint(corpus.front()))> fp_seen;
+    for (const CacheLine &l : corpus) {
+        if (!content_seen.insert(l.contentHash()).second)
+            continue;
+        ++c.lines;
+        c.collisions += !fp_seen.insert(fingerprint(l)).second;
+    }
+    return c;
+}
 
 } // namespace esd::bench
 

@@ -44,7 +44,10 @@
 #include "common/config_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "crypto/crc.hh"
+#include "crypto/sha1.hh"
 #include "dedup/analyzer.hh"
+#include "ecc/line_ecc.hh"
 #include "exec/sweep_runner.hh"
 #include "metrics/report.hh"
 
@@ -407,6 +410,72 @@ renderFig5(const Runs &runs, std::ostream &os, Figures &f)
     f["via_cache_average"] = s_cache / n;
     f["via_nvm_average"] = s_nvm / n;
     f["lookup_share_average"] = s_share / n;
+}
+
+/**
+ * Fig. 8: empirical collision rates of each fingerprint over the two
+ * seed-pinned corpora, benchRecords() * 8 / 5 lines each (400 000 at
+ * the committed size). It runs no simulation.
+ */
+void
+renderFig8(const Runs &, std::ostream &os, Figures &f)
+{
+    const bench::Corpora c =
+        bench::collisionCorpora(bench::benchRecords() * 8 / 5, 2024);
+    struct Fingerprint
+    {
+        const char *name;
+        const char *bits;
+        bench::Collisions random, similar;
+    };
+    auto count = [&](const char *name, const char *bits, auto fingerprint)
+    {
+        return Fingerprint{name, bits,
+                           bench::countCollisions(c.random, fingerprint),
+                           bench::countCollisions(c.similar, fingerprint)};
+    };
+    const Fingerprint fps[] = {
+        count("CRC32C (DeWrite)", "32",
+              [](const CacheLine &l) { return Crc32c::line(l); }),
+        count("ECC (ESD)", "64",
+              [](const CacheLine &l) { return LineEccCodec::encode(l); }),
+        count("SHA-1/64", "64",
+              [](const CacheLine &l) { return Sha1::fingerprint64(l); }),
+        count("SHA-1 full", "160", [](const CacheLine &l)
+              { return Sha1::toHex(Sha1::digestLine(l)); })};
+    const double crc_random = static_cast<double>(fps[0].random.collisions);
+
+    TablePrinter table({"fingerprint", "bits", "random-collide",
+                        "similar-collide", "vs-CRC(random)"});
+    for (const Fingerprint &fp : fps)
+        table.addRow({fp.name, fp.bits, fp.random.rate(), fp.similar.rate(),
+                      crc_random == 0
+                          ? "-"
+                          : TablePrinter::num(
+                                static_cast<double>(fp.random.collisions) /
+                                    crc_random,
+                                4)});
+    table.print(os);
+    os << "\nlines: random=" << fps[0].random.lines
+       << " similar=" << fps[0].similar.lines
+       << "\npaper shape: on independent contents the 64-bit ECC "
+          "collides orders of magnitude less than 32-bit CRC; "
+          "cryptographic hashes never collide at this scale.\n"
+          "Note the similar-corpus column: per-word ECC is "
+          "linear, so lines differing in a single word exercise "
+          "only that word's 8 check bits and collide heavily — "
+          "this is exactly why ESD always verifies candidates "
+          "with a byte-by-byte comparison (harmless there, but "
+          "fatal for any hash-trusting scheme with a weak "
+          "fingerprint).\n";
+    f["crc32c_random_collisions"] = crc_random;
+    f["ecc_random_collisions"] =
+        static_cast<double>(fps[1].random.collisions);
+    f["ecc_similar_collisions"] =
+        static_cast<double>(fps[1].similar.collisions);
+    f["sha1_collisions_max"] = static_cast<double>(
+        std::max({fps[2].random.collisions, fps[2].similar.collisions,
+                  fps[3].random.collisions, fps[3].similar.collisions}));
 }
 
 void
@@ -1237,6 +1306,19 @@ makeRows()
           near("fingerprint NVMM lookups cost ~49.2% of write latency",
                "lookup_share_average", 0.492, 0.05, kShare,
                kLookupShare)}},
+        {"bench_fig08_collision", "Figure 8",
+         "Fingerprint collision rates (lower is better; normalised view: "
+         "CRC is the reference)",
+         {}, renderFig8,
+         {{"CRC32C (DeWrite) collides on random lines",
+           "crc32c_random_collisions", 1, kInf, "a count: exact"},
+          {"the 64-bit ECC never collides on random lines",
+           "ecc_random_collisions", -kInf, 0, "a count: exact"},
+          {"SHA-1/64 and full SHA-1 never collide on either corpus",
+           "sha1_collisions_max", -kInf, 0, "a count: exact"},
+          {"the ECC collides on the similar corpus", "ecc_similar_collisions",
+           1, kInf, "a count: exact"}},
+         {}},
         {"bench_fig11_writes", "Figure 11",
          "Cache-line write reduction vs Baseline (fraction of logical "
          "writes eliminated)",

@@ -1,41 +1,46 @@
 #!/usr/bin/env python3
 """Compare a fresh benchmark JSON against a committed baseline.
 
-Used by the CI `perf` job: bench_hotpath and bench_sweep_scaling dump
-their ESD_BENCH_JSON artifacts, and this script fails the build when
-any throughput metric drops below `--threshold` (default 0.85) times
-its baseline value. Higher-is-better metrics only; latency-style
-metrics are not extracted.
+Used by the CI `perf` job: `esd_hostbench -out=DIR` writes one
+DIR/<row>.json per row (hotpath, sweep_scaling, pipeline_scaling,
+trace_ingest, ecc_codecs), and this script fails the build when any
+throughput metric drops below `--threshold` (default 0.85) times its
+value in bench/baselines/<row>.json. Higher-is-better metrics only;
+latency-style metrics are not extracted.
 
-Metric extraction understands the two bench JSON shapes:
+Metric extraction understands the five row shapes:
 
-  bench_hotpath:        {"schemes": [{"scheme": S, "writes_per_s": W}],
-                         "aggregate_writes_per_s": W}
-  bench_sweep_scaling:  {"scaling": [{"jobs": N, "writes_per_s": W,
-                                      "speedup": X}]}
-  bench_pipeline_scaling: {"scaling": [{"workers": N,
-                                        "writes_per_s": W,
-                                        "speedup": X}]}
-  bench_trace_ingest:   {"formats": [{"format": F,
-                                      "records_per_s": R}]}
-  bench_ecc_codecs:     {"codecs": [{"codec": C,
-                                     "encode_lines_per_s": E,
-                                     "decode_lines_per_s": D}]}
+  hotpath:          {"schemes": [{"scheme": S, "writes_per_s": W}],
+                     "aggregate_writes_per_s": W}
+  sweep_scaling:    {"scaling": [{"jobs": N, "writes_per_s": W,
+                                  "speedup": X}]}
+  pipeline_scaling: {"scaling": [{"workers": N, "writes_per_s": W,
+                                  "speedup": X}]}
+  trace_ingest:     {"formats": [{"format": F, "records_per_s": R}]}
+  ecc_codecs:       {"codecs": [{"codec": C, "encode_lines_per_s": E,
+                                 "decode_lines_per_s": D}]}
 
 plus a generic fallback: any top-level numeric field ending in
 "_per_s".
+
+The two files must describe runs of the same size: every top-level
+integer field other than `host_threads` that both files carry
+(records_per_run, warmup, reps, apps, records, lines, seed, channels,
+grid_jobs, schemes_per_level) must be equal, or the comparison is
+refused.
 
 Scaling rows are host-bound: a `workers[N]` or `jobs[N]` row is
 compared only when N <= the smaller top-level `host_threads` of the two
 files, and each skipped row is printed. When either file lacks
 `host_threads`, every row is compared.
 
-Exit status: 0 when every metric holds, 1 on regression or a metric
-missing from the fresh run, 2 on usage/IO errors.
+Exit status: 0 when every metric holds, 1 on regression, on a metric
+missing from the fresh run or on runs of different sizes, 2 on
+usage/IO errors.
 
 Example:
   python3 scripts/check_perf.py \
-    --baseline bench/baselines/hotpath.json --fresh hotpath.json
+    --baseline bench/baselines/hotpath.json --fresh fresh/hotpath.json
 
 Self-test (used by ctest):
   python3 scripts/check_perf.py --self-test
@@ -95,6 +100,16 @@ def thread_limit(baseline_doc, fresh_doc):
     if not all(isinstance(c, int) and c > 0 for c in counts):
         return None
     return min(counts)
+
+
+def size_mismatches(baseline_doc, fresh_doc):
+    """Top-level integer fields, host_threads aside, that both
+    documents carry with different values: [(key, baseline, fresh)]."""
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+    return [(k, v, fresh_doc[k]) for k, v in baseline_doc.items()
+            if k != "host_threads" and k in fresh_doc and is_int(v)
+            and is_int(fresh_doc[k]) and v != fresh_doc[k]]
 
 
 def compare(baseline, fresh, threshold, max_threads=None):
@@ -204,6 +219,16 @@ def self_test():
     assert failures == ["jobs[4].speedup", "jobs[4].writes_per_s",
                         "workers[2].speedup"], failures
 
+    # Runs of different sizes are refused, naming the key; host_threads
+    # and keys only one side carries do not count.
+    small = {"records_per_run": 60000, "warmup": 30000, "reps": 3,
+             "host_threads": 4}
+    assert size_mismatches(small, dict(small)) == []
+    assert size_mismatches(small, dict(small, host_threads=8)) == []
+    assert size_mismatches(small, {"records": 250000}) == []
+    assert size_mismatches(small, dict(small, records_per_run=250000)) \
+        == [("records_per_run", 60000, 250000)]
+
     print("check_perf.py self-test: ok")
     return 0
 
@@ -231,6 +256,13 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_perf: {e}", file=sys.stderr)
         return 2
+    mismatches = size_mismatches(baseline_doc, fresh_doc)
+    for key, base, cur in mismatches:
+        print(f"check_perf: {key} is {cur} in {args.fresh} but {base} in "
+              f"{args.baseline}; runs of different sizes do not compare",
+              file=sys.stderr)
+    if mismatches:
+        return 1
     baseline = extract_metrics(baseline_doc)
     fresh = extract_metrics(fresh_doc)
 

@@ -36,6 +36,20 @@ tryParseDigits(const std::string &v, std::uint64_t &out)
     return !v.empty();
 }
 
+/** Parse @p v as one of the boolean spellings 1/true/on/yes and
+ * 0/false/off/no; false (leaving @p out alone) on anything else. */
+inline bool
+tryParseBool(const std::string &v, bool &out)
+{
+    if (v == "1" || v == "true" || v == "on" || v == "yes")
+        out = true;
+    else if (v == "0" || v == "false" || v == "off" || v == "no")
+        out = false;
+    else
+        return false;
+    return true;
+}
+
 /** Strict u64 parse: the whole flag value must be a number. */
 inline std::uint64_t
 parseU64(const std::string &flag, const std::string &v)
@@ -65,10 +79,9 @@ parseU64InRange(const std::string &flag, const std::string &v,
 inline bool
 parseBool(const std::string &flag, const std::string &v)
 {
-    if (v == "1" || v == "true" || v == "on" || v == "yes")
-        return true;
-    if (v == "0" || v == "false" || v == "off" || v == "no")
-        return false;
+    bool out;
+    if (tryParseBool(v, out))
+        return out;
     esd_fatal("%s: '%s' is not a boolean (use 0/1/true/false/on/off/"
               "yes/no)",
               flag.c_str(), v.c_str());

@@ -404,11 +404,8 @@ enum class EccEngineKind
 };
 
 /**
- * ECC engine selection ([ecc] section).
- *
- * Default Hamming keeps every golden report byte-identical: the
- * section is only serialized into run reports when a non-default
- * engine is selected.
+ * ECC engine selection ([ecc] section). Hamming, the paper's engine,
+ * is the default; every run report names the engine in its config.
  */
 struct EccConfig
 {

@@ -8,6 +8,8 @@
 #include <type_traits>
 #include <variant>
 
+#include "common/cli_flags.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace esd
@@ -26,12 +28,14 @@ trim(const std::string &s)
     return s.substr(a, b - a + 1);
 }
 
+/** Decimal ASCII digits only: "010" is ten, not octal eight, and a
+ * sign, a space or "0x10" is refused with what is wrong with it. */
 std::uint64_t
 asU64(const std::string &key, const std::string &v)
 {
-    // std::stoull silently wraps negative inputs and skips a leading
-    // '+' or space; reject them first. Base 10 always: "010" is ten,
-    // not octal eight, and "0x10" is trailing garbage.
+    std::uint64_t out;
+    if (tryParseDigits(v, out))
+        return out;
     if (!v.empty() && v[0] == '-')
         esd_fatal("config key '%s': '%s' is negative (expected an "
                   "unsigned integer)",
@@ -39,20 +43,11 @@ asU64(const std::string &key, const std::string &v)
     if (v.empty() || v[0] < '0' || v[0] > '9')
         esd_fatal("config key '%s': '%s' is not an integer", key.c_str(),
                   v.c_str());
-    try {
-        std::size_t consumed = 0;
-        std::uint64_t out = std::stoull(v, &consumed, 10);
-        if (consumed != v.size())
-            esd_fatal("config key '%s': trailing garbage in '%s'",
-                      key.c_str(), v.c_str());
-        return out;
-    } catch (const std::out_of_range &) {
-        esd_fatal("config key '%s': '%s' does not fit in 64 bits",
-                  key.c_str(), v.c_str());
-    } catch (...) {
-        esd_fatal("config key '%s': '%s' is not an integer", key.c_str(),
+    if (v.find_first_not_of("0123456789") != std::string::npos)
+        esd_fatal("config key '%s': trailing garbage in '%s'", key.c_str(),
                   v.c_str());
-    }
+    esd_fatal("config key '%s': '%s' does not fit in 64 bits", key.c_str(),
+              v.c_str());
 }
 
 /** A finite decimal double: "nan" and "inf" parse but are rejected.
@@ -84,10 +79,9 @@ asDouble(const std::string &key, const std::string &v)
 bool
 asBool(const std::string &key, const std::string &v)
 {
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
+    bool out;
+    if (tryParseBool(v, out))
+        return out;
     esd_fatal("config key '%s': '%s' is not a boolean", key.c_str(),
               v.c_str());
 }
@@ -532,6 +526,44 @@ renderConfig(const SimConfig &cfg)
     for (const ConfigKey &k : kConfigKeys)
         out += std::string(k.name) + " = " + k.render(copy) + "\n";
     return out;
+}
+
+void
+writeConfigJson(JsonWriter &w, const SimConfig &cfg)
+{
+    SimConfig copy = cfg;
+    w.beginObject();
+    std::string open;  // the section whose object is being written
+    for (const ConfigKey &k : kConfigKeys) {
+        const std::string name = k.name;
+        const std::size_t dot = name.find('.');
+        const std::string section =
+            dot == std::string::npos ? "" : name.substr(0, dot);
+        // Execution settings: they never change a simulated outcome.
+        if (section == "telemetry" || section == "trace" ||
+            section == "pipeline")
+            continue;
+        if (section != open) {
+            if (!open.empty())
+                w.endObject();
+            if (!section.empty()) {
+                w.key(section);
+                w.beginObject();
+            }
+            open = section;
+        }
+        w.key(section.empty() ? name : name.substr(dot + 1));
+        // render() spells a bool, an integer and a (finite) double as
+        // JSON literals; only an enum's name needs quoting.
+        const std::string v = k.render(copy);
+        if (k.names)
+            w.value(v);
+        else
+            w.rawValue(v);
+    }
+    if (!open.empty())
+        w.endObject();
+    w.endObject();
 }
 
 } // namespace esd

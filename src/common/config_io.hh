@@ -5,9 +5,10 @@
  * line, `#` comments) that overrides the Table I defaults. Each key
  * is one row of the table in config_io.cc: its name, SimConfig field,
  * parser, bounds and rendering. `esd_sim -dump-config` lists every
- * key (configs/default.cfg is its output for the defaults). Any other
- * key is unknown: a config file warns once per such line and skips
- * it, a `-<section>.<key>=` flag dies naming it.
+ * key (configs/default.cfg is its output for the defaults), and the
+ * stats report's "config" object is the same table (writeConfigJson).
+ * Any other key is unknown: a config file warns once per such line
+ * and skips it, a `-<section>.<key>=` flag dies naming it.
  *
  * Command lines reach the same keys through ConfigFlags: the generic
  * `-<section>.<key>=v` spelling of any key, or one of the legacy
@@ -27,6 +28,8 @@
 namespace esd
 {
 
+class JsonWriter;
+
 /** Apply one `key = value` assignment to @p cfg.
  *  @return false (with no change) when the key is unknown. */
 bool applyConfigKey(SimConfig &cfg, const std::string &key,
@@ -39,6 +42,16 @@ void loadConfigFile(SimConfig &cfg, const std::string &path);
 /** Render @p cfg in the same key=value format (round-trippable:
  * doubles print in as many digits as they need, six or more). */
 std::string renderConfig(const SimConfig &cfg);
+
+/**
+ * Serialize @p cfg as the stats report's `config` object: every key of
+ * the table outside the execution sections (telemetry, trace,
+ * pipeline), in table order, one object per section and `seed` at the
+ * top level. Each key is named and valued as in renderConfig(): an
+ * integer in its own unit, a double as a number, a bool as a bool, an
+ * enum as its config-file name.
+ */
+void writeConfigJson(JsonWriter &w, const SimConfig &cfg);
 
 /** Usage text for @p key's value: N (integer), B (boolean), P
  * (probability), X (other number) or its enum names joined by '|'. */

@@ -114,7 +114,6 @@ struct JsonValue
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
 
-    bool isNull() const { return type == Type::Null; }
     bool isNumber() const { return type == Type::Number; }
     bool isString() const { return type == Type::String; }
     bool isArray() const { return type == Type::Array; }

@@ -50,14 +50,10 @@ LogHistogram::merge(const LogHistogram &o)
 }
 
 void
-LatencyStat::setReservoirCapacity(std::size_t cap)
+LatencyStat::enableRawSamples()
 {
-    esd_assert(count_ == 0,
-               "reservoir capacity must be set before sampling");
-    cap_ = cap;
+    esd_assert(count_ == 0, "raw samples must be enabled before sampling");
     keepRaw_ = true;
-    if (cap_ > 0)
-        samples_.reserve(cap_);
 }
 
 double

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.hh"
-
 namespace esd
 {
 
@@ -129,8 +127,6 @@ class LogHistogram
     /** Allocated counter slots (highest used bucket + 1). */
     std::size_t size() const { return counts_.size(); }
 
-    std::uint64_t countAt(std::size_t i) const { return counts_[i]; }
-
     /**
      * Value of the @p rank-th smallest recorded sample (1-indexed,
      * clamped to [1, totalCount]); 0 when empty.
@@ -175,39 +171,18 @@ class LogHistogram
  * to integral nanoseconds for the histogram — exact for the simulated
  * timing model, which produces integral ns.
  *
- * Raw per-sample storage is opt-in (enableRawSamples() or the capacity
- * constructor): when enabled, samples() keeps either every observation
- * (cap 0) or a uniform random subsample of the given size (Vitter's
- * Algorithm R, deterministic PCG stream) for external export — it no
- * longer feeds percentiles, so reported quantiles are reproducible
- * across worker counts and merge order.
+ * Raw per-sample storage is opt-in (enableRawSamples()): when enabled,
+ * samples() keeps every observation for external export. It never
+ * feeds percentiles, so reported quantiles are reproducible across
+ * worker counts and merge order.
  */
 class LatencyStat
 {
   public:
-    LatencyStat() = default;
+    /** Keep every sample in samples() (the raw-export opt-in). Must be
+     * called before the first sample, so samples() holds them all. */
+    void enableRawSamples();
 
-    /** Opt into raw-sample storage.
-     * @param reservoir_cap max stored samples; 0 = unbounded. */
-    explicit LatencyStat(std::size_t reservoir_cap)
-        : cap_(reservoir_cap), keepRaw_(true)
-    {
-    }
-
-    /**
-     * Opt into raw-sample storage with reservoir cap @p cap (0 =
-     * unbounded). Must be called before the first sample so the
-     * reservoir stays a uniform subsample.
-     */
-    void setReservoirCapacity(std::size_t cap);
-
-    /** Alias of setReservoirCapacity — the raw-export opt-in. */
-    void enableRawSamples(std::size_t cap = 0)
-    {
-        setReservoirCapacity(cap);
-    }
-
-    std::size_t reservoirCapacity() const { return cap_; }
     bool rawSamplesEnabled() const { return keepRaw_; }
 
     /** Record one sample (nanoseconds). */
@@ -221,17 +196,8 @@ class LatencyStat
         if (v > max_)
             max_ = v;
         hist_.record(quantize(v));
-        if (!keepRaw_)
-            return;
-        if (cap_ == 0 || samples_.size() < cap_) {
+        if (keepRaw_)
             samples_.push_back(v);
-        } else {
-            // Algorithm R: replace a random slot with probability
-            // cap/count, keeping the reservoir a uniform subsample.
-            std::uint64_t j = rng_.next64() % count_;
-            if (j < cap_)
-                samples_[static_cast<std::size_t>(j)] = v;
-        }
     }
 
     /** Total samples observed (exact). */
@@ -275,16 +241,14 @@ class LatencyStat
     /** The exact value histogram (serialization / analyzers). */
     const LogHistogram &histogram() const { return hist_; }
 
-    /**
-     * Raw stored samples — empty unless raw storage was opted into;
-     * then everything observed (cap 0) or the uniform reservoir.
-     */
+    /** Raw stored samples: empty unless raw storage was opted into,
+     * then everything observed. */
     const std::vector<double> &samples() const { return samples_; }
 
     /**
      * Fold another stat into this one: counters add, extrema combine,
      * histograms merge bucket-wise. Deterministic in any merge order.
-     * Raw reservoirs are not merged (samples() keeps only this stat's
+     * Raw samples are not merged (samples() keeps only this stat's
      * own observations).
      */
     void merge(const LatencyStat &o);
@@ -313,7 +277,6 @@ class LatencyStat
         return static_cast<std::uint64_t>(v);
     }
 
-    std::size_t cap_ = 0;
     bool keepRaw_ = false;
     std::vector<double> samples_;
     LogHistogram hist_;
@@ -321,7 +284,6 @@ class LatencyStat
     double sum_ = 0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-    Pcg32 rng_{0x6c61746e63797374ull};  // fixed stream: reproducible
 };
 
 /**

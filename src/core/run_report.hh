@@ -22,9 +22,6 @@ namespace esd
 
 class JsonWriter;
 
-/** Serialize @p cfg as a nested object mirroring SimConfig. */
-void writeConfigJson(JsonWriter &w, const SimConfig &cfg);
-
 /** Serialize the per-run summary (records, IPC, energy, wear, ...).
  * @p histogram_buckets additionally embeds the exact log-histogram
  * buckets of each latency stat; off by default so existing reports
@@ -36,6 +33,8 @@ void writeRunResultJson(JsonWriter &w, const RunResult &r,
  * Write the complete stats report document to @p os:
  *   {"config": {...}, "result": {...}, "stats": {...},
  *    "intervals": {...}}        // intervals only when sampler != null
+ * "config" is writeConfigJson() (common/config_io.hh): every config
+ * key outside the execution sections, named as in a config file.
  *
  * @param indent spaces per JSON nesting level; 0 emits the compact
  *        one-line form the sweep merger embeds per job.

@@ -193,15 +193,14 @@ class Simulator
         device_.setSpanTrace(spans);
     }
 
-    /** Opt the latency stats into raw-sample retention (for
+    /** Opt the latency stats into keeping every raw sample (for
      * -latency-out= style exports). Percentiles always come from the
-     * exact histograms; this only re-enables the reservoir. Call
-     * before run(). @p cap 0 keeps every sample. */
+     * exact histograms. Call before run(). */
     void
-    enableRawLatencySamples(std::size_t cap = 0)
+    enableRawLatencySamples()
     {
-        readLatency_.enableRawSamples(cap);
-        writeLatency_.enableRawSamples(cap);
+        readLatency_.enableRawSamples();
+        writeLatency_.enableRawSamples();
     }
 
     /**
@@ -252,7 +251,6 @@ class Simulator
     }
 
     const Profiler &profiler() const { return profiler_; }
-    bool profilingEnabled() const { return profiling_; }
 
     /** The crash-consistency engine, or nullptr when [persistence] is
      * off. Crash tooling reads the image and runs recovery off it. */

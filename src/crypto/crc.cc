@@ -33,25 +33,7 @@ struct Crc32cTable
     }
 };
 
-/** Reflected CRC64/ECMA table. */
-struct Crc64Table
-{
-    std::array<std::uint64_t, 256> t{};
-
-    Crc64Table()
-    {
-        constexpr std::uint64_t poly = 0xC96C5795D7870F42ull; // reflected
-        for (std::uint64_t i = 0; i < 256; ++i) {
-            std::uint64_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? (poly ^ (c >> 1)) : (c >> 1);
-            t[i] = c;
-        }
-    }
-};
-
 const Crc32cTable crc32c_tbl;
-const Crc64Table crc64_tbl;
 
 #ifdef ESD_CRC_HW
 
@@ -94,16 +76,6 @@ Crc32c::compute(const void *data, std::size_t len, std::uint32_t crc)
     crc = ~crc;
     for (std::size_t i = 0; i < len; ++i)
         crc = crc32c_tbl.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
-    return ~crc;
-}
-
-std::uint64_t
-Crc64::compute(const void *data, std::size_t len, std::uint64_t crc)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = crc64_tbl.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
     return ~crc;
 }
 

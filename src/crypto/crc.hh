@@ -1,9 +1,9 @@
 /**
  * @file
- * CRC fingerprints — the lightweight hash DeWrite (MICRO'18) uses for
- * duplicate prediction. CRC32C (Castagnoli) and CRC64 (ECMA-182) with
- * table-driven implementations; the Fig. 8 collision bench compares
- * their collision behaviour against ECC and SHA-1 fingerprints.
+ * CRC32C (Castagnoli), the lightweight fingerprint DeWrite (MICRO'18)
+ * uses for duplicate prediction: SSE4.2's crc32 instruction where the
+ * host has it, a table otherwise. esd_figures' Fig 8 row compares its
+ * collisions against the ECC fingerprint's.
  */
 
 #ifndef ESD_CRYPTO_CRC_HH
@@ -27,20 +27,6 @@ class Crc32c
 
     /** CRC32C of a cache line — DeWrite's fingerprint. */
     static std::uint32_t
-    line(const CacheLine &l)
-    {
-        return compute(l.data(), kLineSize);
-    }
-};
-
-/** CRC64/ECMA-182 (polynomial 0x42F0E1EBA9EA3693, reflected). */
-class Crc64
-{
-  public:
-    static std::uint64_t compute(const void *data, std::size_t len,
-                                 std::uint64_t crc = 0);
-
-    static std::uint64_t
     line(const CacheLine &l)
     {
         return compute(l.data(), kLineSize);

@@ -477,9 +477,6 @@ class DedupScheme
      * disjoint EFIT/AMT/fingerprint partitions. */
     unsigned channelOf(Addr addr) const { return device_.channelOf(addr); }
 
-    /** Partition count for per-channel metadata shards. */
-    unsigned metadataShards() const { return device_.channelCount(); }
-
     /** True when dedup is suspended by the RAS UE policy; counts the
      * bypassed write. Call once per write at the fingerprint probe. */
     bool

@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/config_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"

@@ -159,7 +159,8 @@ class ShardedPipeline
      *   {"config": {...}, "pipeline": {...}, "result": {...},
      *    "shards": [{"shard": i, "result": {...}, "stats": {...}},
      *    ...], "intervals": {...}}   // intervals only when sampled
-     * Byte-identical at any worker count: the pipeline section carries
+     * "config" is writeConfigJson() (common/config_io.hh), as in the
+     * serial report. Byte-identical at any worker count: the pipeline section carries
      * shard count and barrier cadence but never the worker count.
      */
     void writeReport(std::ostream &os, int indent = 2,

@@ -129,7 +129,6 @@ class SpanTrace
     }
 
     std::size_t capacity() const { return capacity_; }
-    std::uint64_t sampleEvery() const { return sampleEvery_; }
 
     /** Spans retained. */
     std::size_t size() const { return spans_.size(); }

@@ -149,19 +149,6 @@ class PcmDevice
     /** Busy-until time of global bank @p b (for tests). */
     Tick bankBusyUntil(unsigned b) const { return banks_[b]; }
 
-    /** Outstanding (not yet completed relative to @p now) writes,
-     * summed over all channel WPQs. */
-    std::size_t
-    outstandingWrites(Tick now)
-    {
-        std::size_t n = 0;
-        for (unsigned c = 0; c < chCfg_.count; ++c) {
-            drainCompleted(c, now);
-            n += wpqs_[c].completions.size();
-        }
-        return n;
-    }
-
     /**
      * Earliest tick (>= @p now) by which every currently queued write
      * will have reached the array — what a persist barrier under ADR
@@ -175,9 +162,6 @@ class PcmDevice
     }
 
     const NvmStats &stats() const { return stats_; }
-
-    /** Per-bank accounting for global bank @p b. */
-    const BankStats &bankStats(unsigned b) const { return bankStats_[b]; }
 
     /** Per-channel accounting for channel @p c. */
     const ChannelStats &

@@ -1,25 +1,7 @@
 #include "persist/journal.hh"
 
-#include "common/logging.hh"
-
 namespace esd
 {
-
-const char *
-journalOpName(JournalOp op)
-{
-    switch (op) {
-      case JournalOp::AmtUpdate: return "amt_update";
-      case JournalOp::RefAdd: return "ref_add";
-      case JournalOp::RefRelease: return "ref_release";
-      case JournalOp::EfitInsert: return "efit_insert";
-      case JournalOp::EfitEvict: return "efit_evict";
-      case JournalOp::CtrBump: return "ctr_bump";
-      case JournalOp::LineRetire: return "line_retire";
-      case JournalOp::DataWrite: return "data_write";
-    }
-    esd_panic("unreachable journal op %u", static_cast<unsigned>(op));
-}
 
 void
 applyRecord(CheckpointState &st, const JournalRecord &r)

@@ -39,9 +39,6 @@ enum class JournalOp : std::uint8_t
     DataWrite,   ///< a = line written in place (no indirection)
 };
 
-/** Config-file / report spelling of a journal op. */
-const char *journalOpName(JournalOp op);
-
 /** One ordered journal record. */
 struct JournalRecord
 {

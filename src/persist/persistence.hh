@@ -223,9 +223,6 @@ class PersistenceManager
 
     const PersistenceConfig &config() const { return cfg_; }
 
-    std::uint64_t writeIndex() const { return writeIndex_; }
-    std::uint64_t epochsCommitted() const { return epochsCommitted_; }
-
     const PersistStats &stats() const { return stats_; }
     void resetStats() { stats_ = PersistStats{}; }
 

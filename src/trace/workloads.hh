@@ -110,9 +110,6 @@ class SyntheticWorkload : public TraceSource
 
     const AppProfile &profile() const { return profile_; }
 
-    /** Number of distinct line ids handed out so far. */
-    std::uint64_t uniqueIdsIssued() const { return nextFreshId_; }
-
   private:
     Addr pickWriteAddr();
     std::uint64_t pickContentId();

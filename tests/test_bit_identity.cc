@@ -8,7 +8,10 @@
  * the flat-map metadata migration. Simulated results are pure model
  * outputs — no host timing leaks into the report — so any hot-path
  * "optimisation" that perturbs a single byte of them is a functional
- * change, and this test names the first divergent byte.
+ * change, and this test names the first divergent byte. The report's
+ * "config" is every config key that can move a simulated result (all
+ * but the telemetry, trace and pipeline sections), so two runs whose
+ * reports match were configured alike.
  *
  * Regenerating after an *intentional* model change:
  *   for s in 0 1 2 3 4 5; do
@@ -150,8 +153,9 @@ TEST(BitIdentityProfiling, ProfiledRunKeepsSimulatedResults)
 
     // ...but the simulated summary equals the unprofiled golden run's.
     // (The profiled report's stats section gains host.profile.* gauges
-    // whose values are host time; the "config" and "result" sections
-    // carry every simulated outcome and must be untouched.)
+    // whose values are host time; the "config" section carries every
+    // key that moves a simulated outcome and "result" the outcomes, so
+    // both must be untouched.)
     std::string golden = loadGolden(3);
     std::ostringstream os;
     writeStatsReport(os, cfg, r, sim.statRegistry(), &sim.sampler());
@@ -252,8 +256,8 @@ runFaultPath(SchemeKind kind)
 /** Digests of runFaultPath for schemes 0-5. Each uncorrectable error
  * commits the journal before its line is erased (an early commit). */
 constexpr std::uint64_t kFaultPathDigest[6] = {
-    0xbbbdb08418a248edull, 0x194b4bf2bbcfbf60ull, 0xa8f829bd4d2a3ef2ull,
-    0xb3bbff215c0fe191ull, 0xae121bf1a2c31b19ull, 0xfe48489214ad0e79ull,
+    0x0dbe3d217b7b2dd8ull, 0x3f70f6913dc871a9ull, 0x57d81a97d79b8e13ull,
+    0x7f513d6d3cfdd94cull, 0xa4cc03f13792e176ull, 0x22c4fd0cb99b4022ull,
 };
 
 class BitIdentityFaultPath : public ::testing::TestWithParam<int>

@@ -11,9 +11,15 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config_io.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "common/stat_registry.hh"
+#include "core/run_report.hh"
 
 namespace esd
 {
@@ -239,6 +245,110 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
     SimConfig back;
     loadConfigFile(back, path_.string());
     EXPECT_EQ(renderConfig(back), rendered);
+}
+
+/** The config key of a renderConfig() line, and whether its section
+ * is one the stats report leaves out (an execution setting). */
+std::string
+lineKey(const std::string &line)
+{
+    return line.substr(0, line.find(" = "));
+}
+
+bool
+isExecutionKey(const std::string &key)
+{
+    for (const char *section : {"telemetry.", "trace.", "pipeline."})
+        if (key.rfind(section, 0) == 0)
+            return true;
+    return false;
+}
+
+/** Every line of renderConfig(@p cfg) outside the execution sections. */
+std::vector<std::string>
+reportedLines(const SimConfig &cfg)
+{
+    std::istringstream in(renderConfig(cfg));
+    std::string line;
+    std::getline(in, line);  // the header comment
+    std::vector<std::string> out;
+    while (std::getline(in, line))
+        if (!isExecutionKey(lineKey(line)))
+            out.push_back(line);
+    return out;
+}
+
+TEST(ConfigReport, ConfigBlockIsTheKeyTableAndReloads)
+{
+    // At least one non-default key in every reported section, plus
+    // execution keys that must stay out of the report.
+    SimConfig cfg;
+    for (const auto &[key, v] : std::vector<std::pair<std::string,
+                                                      std::string>>{
+             {"pcm.start_gap", "true"},
+             {"pcm.start_gap_region_lines", "64"},
+             {"pcm.read_energy_pj", "1490.125"},
+             {"channels.count", "2"},
+             {"crypto.sha1_latency", "500"},
+             {"metadata.efit_kb", "256"},
+             {"metadata.decay_delta", "3"},
+             {"ras.enabled", "true"},
+             {"ras.read_ber", "1.23456789e-07"},
+             {"ras.write_ber", "0.12345678901234"},
+             {"ecc.engine", "bch"},
+             {"persistence.enabled", "true"},
+             {"persistence.domain", "adr"},
+             {"persistence.epoch_writes", "128"},
+             {"persistence.crash_phase", "mid_journal"},
+             {"core.clock_ghz", "2.0000001"},
+             {"seed", "42"},
+             {"telemetry.span_sample_every", "3"},
+             {"trace.read_ahead", "512"},
+             {"pipeline.epoch_records", "1024"},
+         })
+        ASSERT_TRUE(applyConfigKey(cfg, key, v)) << key;
+
+    std::ostringstream os;
+    writeStatsReport(os, cfg, RunResult{}, StatRegistry{});
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(tryParseJson(os.str(), doc, &err)) << err;
+    const JsonValue *config = doc.find("config");
+    ASSERT_NE(config, nullptr);
+
+    // Flatten to `section.key = value` and apply over the defaults.
+    std::vector<std::string> reported;
+    SimConfig back;
+    auto apply = [&](const std::string &key, const JsonValue &v) {
+        std::string text = v.str;
+        if (v.isNumber()) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%.17g", v.number);
+            text = buf;
+        } else if (v.type == JsonValue::Type::Bool) {
+            text = v.boolean ? "true" : "false";
+        }
+        reported.push_back(key);
+        EXPECT_TRUE(applyConfigKey(back, key, text)) << key;
+    };
+    for (const auto &[name, v] : config->object) {
+        if (!v.isObject()) {
+            apply(name, v);
+            continue;
+        }
+        for (const auto &[key, leaf] : v.object)
+            apply(name + "." + key, leaf);
+    }
+
+    EXPECT_EQ(reportedLines(back), reportedLines(cfg));
+
+    // The reported keys are exactly the table's non-execution rows, in
+    // table order.
+    std::vector<std::string> expected;
+    for (const std::string &line : reportedLines(cfg))
+        expected.push_back(lineKey(line));
+    EXPECT_EQ(reported, expected);
+    EXPECT_EQ(reported.size(), 52u);
 }
 
 TEST_F(ConfigFileTest, RenderRoundTrips)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Known-answer and property tests for the crypto substrate: SHA-1,
- * MD5, CRC32C/CRC64, AES-128 and the counter-mode line engine.
+ * CRC32C, AES-128 and the counter-mode line engine.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "crypto/aes.hh"
 #include "crypto/crc.hh"
 #include "crypto/ctr_mode.hh"
-#include "crypto/md5.hh"
 #include "crypto/sha1.hh"
 
 namespace esd
@@ -71,40 +70,6 @@ TEST(Sha1, Fingerprint64DiffersForDifferentLines)
     EXPECT_EQ(Sha1::fingerprint64(a), Sha1::fingerprint64(a));
 }
 
-// ----------------------------------------------------------------- MD5
-
-TEST(Md5, EmptyString)
-{
-    EXPECT_EQ(Md5::toHex(Md5::digest("", 0)),
-              "d41d8cd98f00b204e9800998ecf8427e");
-}
-
-TEST(Md5, Abc)
-{
-    EXPECT_EQ(Md5::toHex(Md5::digest("abc", 3)),
-              "900150983cd24fb0d6963f7d28e17f72");
-}
-
-TEST(Md5, QuickBrownFox)
-{
-    const char *msg = "The quick brown fox jumps over the lazy dog";
-    EXPECT_EQ(Md5::toHex(Md5::digest(msg, std::strlen(msg))),
-              "9e107d9d372bb6826bd81d3542a419d6");
-}
-
-TEST(Md5, StreamingMatchesOneShot)
-{
-    Pcg32 rng(3);
-    std::vector<std::uint8_t> buf(777);
-    for (auto &b : buf)
-        b = static_cast<std::uint8_t>(rng.next());
-    Md5 m;
-    m.update(buf.data(), 100);
-    m.update(buf.data() + 100, 28);
-    m.update(buf.data() + 128, buf.size() - 128);
-    EXPECT_EQ(m.finish(), Md5::digest(buf.data(), buf.size()));
-}
-
 // ----------------------------------------------------------------- CRC
 
 TEST(Crc32c, KnownAnswer)
@@ -116,12 +81,6 @@ TEST(Crc32c, KnownAnswer)
 TEST(Crc32c, EmptyIsZero)
 {
     EXPECT_EQ(Crc32c::compute("", 0), 0u);
-}
-
-TEST(Crc64, KnownAnswer)
-{
-    // CRC-64/XZ ("123456789") = 0x995DC9BBDF1939FA.
-    EXPECT_EQ(Crc64::compute("123456789", 9), 0x995DC9BBDF1939FAull);
 }
 
 TEST(Crc, IncrementalMatchesWhole)

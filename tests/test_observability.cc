@@ -55,7 +55,7 @@ TEST(Observability, StatsReportCoversEveryLayer)
     // Config round-trips key parameters.
     const JsonValue *pcm = doc.find("config")->find("pcm");
     ASSERT_NE(pcm, nullptr);
-    EXPECT_EQ(pcm->find("write_latency_ns")->number, 150.0);
+    EXPECT_EQ(pcm->find("write_latency")->number, 150.0);
 
     // Result mirrors the RunResult.
     const JsonValue *res = doc.find("result");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability primitives in common/: the JSON
- * writer/parser, the stat registry, and the LatencyStat reservoir.
+ * writer/parser, the stat registry, and LatencyStat.
  */
 
 #include <gtest/gtest.h>
@@ -197,28 +197,10 @@ TEST(LatencyStat, MinMaxAreExactAfterManySamples)
     EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(LatencyStat, ReservoirCapsStorageButKeepsExactSummary)
-{
-    LatencyStat s(100);
-    for (int i = 1; i <= 10000; ++i)
-        s.sample(i);
-    EXPECT_EQ(s.samples().size(), 100u);
-    EXPECT_EQ(s.count(), 10000u);
-    EXPECT_EQ(s.min(), 1.0);
-    EXPECT_EQ(s.max(), 10000.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 5000.5);
-
-    // The reservoir is a uniform subsample, so its median should be
-    // roughly the true median (loose bound — deterministic stream).
-    double p50 = s.percentile(50);
-    EXPECT_GT(p50, 2000.0);
-    EXPECT_LT(p50, 8000.0);
-}
-
 TEST(LatencyStat, UncappedKeepsEverySampleWhenOptedIn)
 {
     LatencyStat s;
-    s.enableRawSamples(0);
+    s.enableRawSamples();
     for (int i = 0; i < 5000; ++i)
         s.sample(i);
     EXPECT_EQ(s.samples().size(), 5000u);
@@ -241,7 +223,7 @@ TEST(LatencyStatDeathTest, CapAfterSamplesPanics)
 {
     LatencyStat s;
     s.sample(1.0);
-    EXPECT_DEATH(s.setReservoirCapacity(10), "assertion failed");
+    EXPECT_DEATH(s.enableRawSamples(), "assertion failed");
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 # Byte-identity gate for the sharded write pipeline, run as a ctest:
 # for every scheme, `esd_sim -workers=N` must write the identical
-# -stats-json= document as `esd_sim -workers=1`. Invoked as
+# -stats-json=, -trace-out=, -spans-out=, -metrics-out= and
+# -latency-out= files as `esd_sim -workers=1`; one ESD run with an
+# injected crash (-persist-crash-at=) must also write the identical
+# -recovery-json=. Invoked as
 #
 #   cmake -DESD_SIM=<path> -DWORK_DIR=<dir> \
 #         [-DTRACE=<trace file>] [-DCHANNELS=8] [-DWORKERS=8] \
@@ -28,39 +31,54 @@ else()
     set(input -app=gcc -records=8000 -warmup=1000)
 endif()
 
-foreach(scheme RANGE 0 5)
-    set(ref "${WORK_DIR}/identity_${tag}_s${scheme}_w1.json")
-    set(got "${WORK_DIR}/identity_${tag}_s${scheme}_w${WORKERS}.json")
-
+# One run at @p workers, writing every export of the caller's
+# `exports` list under ${WORK_DIR}/identity_<case>_w<workers>.<export>.
+function(run_case case workers)
+    set(out "${WORK_DIR}/identity_${case}_w${workers}")
+    set(extra "")
+    list(FIND exports recovery.json crash)
+    if(crash GREATER -1)
+        set(extra -recovery-json=${out}.recovery.json)
+    endif()
     execute_process(
-        COMMAND "${ESD_SIM}" -scheme=${scheme} ${input}
-                -channels=${CHANNELS} -workers=1 -stats-json=${ref}
-        RESULT_VARIABLE rc1 OUTPUT_QUIET)
-    if(NOT rc1 EQUAL 0)
-        message(FATAL_ERROR
-                "scheme ${scheme}: -workers=1 run failed (rc=${rc1})")
+        COMMAND "${ESD_SIM}" ${ARGN} ${extra} ${input} -channels=${CHANNELS}
+                -workers=${workers} -stats-json=${out}.stats.json
+                -trace-out=${out}.trace.jsonl -spans-out=${out}.spans.json
+                -metrics-out=${out}.metrics.prom
+                -latency-out=${out}.latency.txt
+        RESULT_VARIABLE rc OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${case}: -workers=${workers} run failed "
+                            "(rc=${rc})")
     endif()
+endfunction()
 
-    execute_process(
-        COMMAND "${ESD_SIM}" -scheme=${scheme} ${input}
-                -channels=${CHANNELS} -workers=${WORKERS}
-                -stats-json=${got}
-        RESULT_VARIABLE rcn OUTPUT_QUIET)
-    if(NOT rcn EQUAL 0)
-        message(FATAL_ERROR
-                "scheme ${scheme}: -workers=${WORKERS} run failed (rc=${rcn})")
-    endif()
-
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            "${ref}" "${got}"
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR
-                "scheme ${scheme}: -workers=${WORKERS} stats JSON diverges "
-                "from -workers=1 (${ref} vs ${got})")
-    endif()
+# Run @p case at -workers=1 and -workers=${WORKERS} and compare each of
+# @p exports between the two.
+function(check_case case exports)
+    run_case(${case} 1 ${ARGN})
+    run_case(${case} ${WORKERS} ${ARGN})
+    foreach(export ${exports})
+        set(ref "${WORK_DIR}/identity_${case}_w1.${export}")
+        set(got "${WORK_DIR}/identity_${case}_w${WORKERS}.${export}")
+        execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                                "${ref}" "${got}"
+                        RESULT_VARIABLE same)
+        if(NOT same EQUAL 0)
+            message(FATAL_ERROR
+                    "${case}: -workers=${WORKERS} ${export} diverges from "
+                    "-workers=1 (${ref} vs ${got})")
+        endif()
+    endforeach()
     message(STATUS
-            "scheme ${scheme}: workers 1 vs ${WORKERS} byte-identical")
+            "${case}: workers 1 vs ${WORKERS} byte-identical")
+endfunction()
+
+set(exports stats.json trace.jsonl spans.json metrics.prom latency.txt)
+foreach(scheme RANGE 0 5)
+    check_case(${tag}_s${scheme} "${exports}" -scheme=${scheme})
 endforeach()
+check_case(${tag}_crash "${exports};recovery.json" -scheme=3
+           -persist-crash-at=3000)
 
 message(STATUS "pipeline identity gate: all schemes byte-identical")

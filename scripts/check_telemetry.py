@@ -6,10 +6,11 @@ exporter enabled:
 
   --spans spans.json       assert the span file is loadable Chrome
                            trace-event JSON: a traceEvents array of
-                           well-formed M/X/i events on one process,
-                           with at least one complete span per track
-                           kind (pipeline + channel);
-  --metrics metrics.prom   round-trip the Prometheus text snapshot
+                           well-formed M/X/i events, one named process
+                           per simulator (one per shard under
+                           -workers), with at least one complete span
+                           per track kind (pipeline + channel);
+  --metrics metrics.prom   round-trip the Prometheus text page
                            through a line parser: every line must be a
                            comment, a HELP/TYPE header, or a sample,
                            and every TYPE'd metric must have samples;
@@ -39,6 +40,8 @@ def check_spans(doc):
         return ["traceEvents missing or not an array"]
 
     tracks = set()
+    named = set()
+    pids = set()
     complete = 0
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
@@ -52,7 +55,10 @@ def check_spans(doc):
         if not isinstance(e.get("name"), str):
             errors.append(f"{where}: missing name")
         if ph == "M":
+            if e.get("name") == "process_name":
+                named.add(e.get("pid"))
             continue
+        pids.add(e.get("pid"))
         for key in ("ts", "pid", "tid"):
             if not isinstance(e.get(key), (int, float)):
                 errors.append(f"{where}: missing numeric {key}")
@@ -64,6 +70,8 @@ def check_spans(doc):
             if isinstance(e.get("tid"), (int, float)):
                 tracks.add(int(e["tid"]))
 
+    for pid in sorted(pids - named, key=str):
+        errors.append(f"process {pid!r} has no process_name metadata")
     if complete == 0:
         errors.append("no complete ('X') spans recorded")
     # tid 0 is the write pipeline; tid 1+c the memory channels. A run
@@ -172,6 +180,10 @@ def self_test():
     bad = {"traceEvents": [{"name": "w", "ph": "X", "ts": 1,
                             "pid": 1, "tid": 0, "dur": -5}]}
     assert any("dur" in e for e in check_spans(bad))
+    sharded = {"traceEvents": ok_spans["traceEvents"] + [
+        {"name": "write", "ph": "X", "ts": 0.1, "dur": 0.25,
+         "pid": 2, "tid": 0}]}
+    assert any("process 2" in e for e in check_spans(sharded))
 
     page = ("# HELP esd_pcm_reads device reads\n"
             "# TYPE esd_pcm_reads counter\n"

@@ -238,13 +238,6 @@ struct TelemetryConfig
     /** Record every Nth write's spans (1 = full-rate tracing). */
     std::uint64_t spanSampleEvery = 1;
 
-    /** Max retained span events; later spans count as dropped. */
-    std::uint64_t spanBufferCap = 1u << 20;
-
-    /** Rewrite the Prometheus snapshot every N measured writes
-     * (0 = one final snapshot when the run ends). */
-    std::uint64_t metricsEveryWrites = 0;
-
     /** Serialize exact histogram buckets into latency summaries in
      * stats JSON. Off by default: golden reports stay byte-identical. */
     bool histogramBuckets = false;
@@ -331,8 +324,8 @@ struct PersistenceConfig
 };
 
 /**
- * Sharded write pipeline (exec/pipeline.hh): barrier cadence and queue
- * sizing for `esd_sim -workers=N`. Execution knobs only — none of
+ * Sharded write pipeline (exec/pipeline.hh): barrier cadence and
+ * sampling for `esd_sim -workers=N`. Execution knobs only — none of
  * these change simulated results except epoch_records/sample_epochs,
  * which set where cross-shard barrier effects (dedup-suspension
  * propagation, merged interval rows) land in the trace; the worker
@@ -342,10 +335,6 @@ struct PipelineConfig
 {
     /** Trace records per epoch (barrier cadence). */
     std::uint64_t epochRecords = 4096;
-
-    /** Bounded per-shard queue window, in epochs: how far the trace
-     * demux may run ahead of the slowest shard. */
-    std::uint64_t queueEpochs = 4;
 
     /** Record one merged interval row every this many epochs
      * (0 = off). */

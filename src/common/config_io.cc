@@ -300,9 +300,6 @@ constexpr ConfigKey kConfigKeys[] = {
      1u << 24},
     {"telemetry.span_sample_every", FIELD(telemetry.spanSampleEvery), 1,
      1u << 30},
-    {"telemetry.span_buffer_cap", FIELD(telemetry.spanBufferCap), 1, 1u << 26},
-    {"telemetry.metrics_every_writes", FIELD(telemetry.metricsEveryWrites), 0,
-     1ull << 40},
     {"telemetry.histogram_buckets", FIELD(telemetry.histogramBuckets)},
     {"ecc.engine", FIELD(ecc.engine), kEccEngines},
     {"persistence.enabled", FIELD(persist.enabled)},
@@ -324,7 +321,6 @@ constexpr ConfigKey kConfigKeys[] = {
     {"trace.line_payload", FIELD(trace.linePayload)},
     {"trace.read_ahead", FIELD(trace.readAhead), 1, 1u << 20},
     {"pipeline.epoch_records", FIELD(pipeline.epochRecords), 1, 1u << 20},
-    {"pipeline.queue_epochs", FIELD(pipeline.queueEpochs), 1, 1024},
     {"pipeline.sample_epochs", FIELD(pipeline.sampleEpochs), 0, 1u << 20},
     {"core.clock_ghz", FIELD(core.clockGhz), Real::Positive},
     {"core.base_cpi", FIELD(core.baseCpi), Real::Positive},
@@ -477,7 +473,6 @@ configFlagAliases()
         {"-trace-read-ahead", "trace.read_ahead"},
         {"-trace-ring", "telemetry.trace_ring_capacity"},
         {"-span-every", "telemetry.span_sample_every"},
-        {"-metrics-every", "telemetry.metrics_every_writes"},
         {"-hist-buckets", "telemetry.histogram_buckets", nullptr, "true"},
     };
     return table;

@@ -40,7 +40,6 @@ Simulator::resetMeasurement()
     writeLatency_.reset();
     sampler_.reset();
     profiler_.reset();
-    metrics_.reset();
     if (persist_)
         persist_->resetStats();
 }
@@ -107,7 +106,6 @@ Simulator::step(Core &c, const TraceRecord &rec, bool measured)
         if (measuring_) {
             writeLatency_.sample(static_cast<double>(r.latency));
             sampler_.onWrite(++measuredWrites_);
-            metrics_.onWrite(measuredWrites_);
         }
         // Posted write: only backpressure stalls the core.
         c.time += static_cast<double>(r.issuerStall);
@@ -134,9 +132,6 @@ Simulator::endRun()
             std::chrono::steady_clock::now() - hostStart_)
             .count());
     profiler_.setRunNs(out.hostNs);
-    // Final exposition snapshot: a scraper always ends up with the
-    // complete end-of-run page even when interval writes are off.
-    metrics_.writeSnapshot();
 
     out.readLatency = readLatency_;
     out.writeLatency = writeLatency_;

@@ -37,7 +37,6 @@
 #include "metrics/energy.hh"
 #include "metrics/interval_sampler.hh"
 #include "metrics/profiler.hh"
-#include "metrics/prometheus.hh"
 #include "metrics/span_trace.hh"
 #include "nvm/nvm_store.hh"
 #include "nvm/pcm_device.hh"
@@ -203,20 +202,6 @@ class Simulator
         writeLatency_.enableRawSamples();
     }
 
-    /**
-     * Rewrite a Prometheus text-format snapshot of the stat registry
-     * to @p path every @p every_writes measured writes (0 = only the
-     * final end-of-run snapshot). Call before run().
-     */
-    void
-    enableMetricsExposition(std::string path,
-                            std::uint64_t every_writes)
-    {
-        metrics_.configure(registry_, std::move(path), every_writes);
-    }
-
-    const MetricsExporter &metricsExporter() const { return metrics_; }
-
     /** Snapshot every scalar stat each @p every_writes measured
      * writes (0 disables). Call before run(). */
     void
@@ -306,7 +291,6 @@ class Simulator
     StatRegistry registry_;
     IntervalSampler sampler_;
     Profiler profiler_;
-    MetricsExporter metrics_;
     bool profiling_ = false;
 
     /** Measured-window latency distributions; registered as

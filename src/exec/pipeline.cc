@@ -48,16 +48,18 @@ struct ShardedPipeline::Batch
 };
 
 /** Bounded SPSC-in-spirit batch queue (the demux produces, the owning
- * worker consumes; a mutex keeps it simple and TSan-provable). */
+ * worker consumes; a mutex keeps it simple and TSan-provable). It holds
+ * kQueueEpochs batches: how far the demux may run ahead of the slowest
+ * shard. */
 struct ShardedPipeline::ShardQueue
 {
-    explicit ShardQueue(std::size_t cap) : cap_(cap < 1 ? 1 : cap) {}
+    static constexpr std::size_t kQueueEpochs = 4;
 
     void
     push(Batch b)
     {
         std::unique_lock<std::mutex> lk(m_);
-        notFull_.wait(lk, [&] { return q_.size() < cap_; });
+        notFull_.wait(lk, [&] { return q_.size() < kQueueEpochs; });
         q_.push_back(std::move(b));
         notEmpty_.notify_one();
     }
@@ -78,7 +80,6 @@ struct ShardedPipeline::ShardQueue
     std::condition_variable notEmpty_;
     std::condition_variable notFull_;
     std::deque<Batch> q_;
-    std::size_t cap_;
 };
 
 /** Generation-counting barrier; the last arriver runs the epoch action
@@ -150,8 +151,7 @@ ShardedPipeline::ShardedPipeline(const SimConfig &cfg, SchemeKind kind,
         shards_.push_back(std::make_unique<Simulator>(shard_cfg, kind_));
         if (crash_configured)
             shards_.back()->persistence()->prepareCrashCapture();
-        queues_.push_back(std::make_unique<ShardQueue>(
-            static_cast<std::size_t>(cfg_.pipeline.queueEpochs)));
+        queues_.push_back(std::make_unique<ShardQueue>());
     }
     barrier_ = std::make_unique<Barrier>(workers_);
 }

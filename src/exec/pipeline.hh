@@ -83,8 +83,8 @@ class ShardedPipeline
 
     /**
      * @param cfg     the run configuration; shard count =
-     *                cfg.channels.count, barrier cadence and queue
-     *                window from cfg.pipeline
+     *                cfg.channels.count, barrier cadence from
+     *                cfg.pipeline
      * @param kind    scheme under test (one instance per shard)
      * @param workers worker threads; clamped to [1, shard count]
      */

@@ -90,6 +90,18 @@ class Profiler
         runNs_ = 0;
     }
 
+    /** Add @p other's phase totals and run time (one table over a
+     * pipeline's shards). */
+    void
+    merge(const Profiler &other)
+    {
+        for (unsigned p = 0; p < kPhaseCount; ++p) {
+            totals_[p].ns += other.totals_[p].ns;
+            totals_[p].calls += other.totals_[p].calls;
+        }
+        runNs_ += other.runNs_;
+    }
+
     /** Register per-phase gauges under "<prefix>.<phase>_ns" /
      * "_calls" plus "<prefix>.run_ns". Call only on profiled runs —
      * registration changes the stats-JSON schema. */

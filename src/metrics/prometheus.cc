@@ -1,12 +1,9 @@
 #include "metrics/prometheus.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <sstream>
-#include <vector>
+#include <map>
+#include <utility>
 
-#include "common/atomic_file.hh"
-#include "common/logging.hh"
 #include "common/stat_registry.hh"
 
 namespace esd
@@ -52,6 +49,30 @@ writeHeader(std::ostream &os, const std::string &name,
     os << "# TYPE " << name << " " << type << "\n";
 }
 
+const char *
+typeName(StatRegistry::Kind kind)
+{
+    switch (kind) {
+      case StatRegistry::Kind::Counter:
+        return "counter";
+      case StatRegistry::Kind::Gauge:
+        return "gauge";
+      case StatRegistry::Kind::Latency:
+        return "summary";
+    }
+    return "untyped";
+}
+
+/** A sample's label set: "{a,b}" over the non-empty parts, or "". */
+std::string
+labels(const std::string &shard, const std::string &extra)
+{
+    if (shard.empty() && extra.empty())
+        return "";
+    return "{" + shard + (shard.empty() || extra.empty() ? "" : ",") +
+           extra + "}";
+}
+
 } // namespace
 
 std::string
@@ -68,61 +89,53 @@ prometheusName(const std::string &stat_name)
 }
 
 void
-writePrometheusText(std::ostream &os, const StatRegistry &reg)
+writePrometheusText(std::ostream &os,
+                    const std::vector<const StatRegistry *> &regs)
 {
-    // Name-sorted like the JSON report, so snapshots diff cleanly.
-    std::vector<const StatRegistry::Entry *> sorted;
-    sorted.reserve(reg.entries().size());
-    for (const StatRegistry::Entry &e : reg.entries())
-        sorted.push_back(&e);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const StatRegistry::Entry *a,
-                 const StatRegistry::Entry *b) {
-                  return a->name < b->name;
-              });
+    // Name-sorted like the JSON report, so pages diff cleanly; each
+    // name lists the (shard, entry) pairs that carry it, in shard order.
+    std::map<std::string, std::vector<std::pair<std::size_t,
+                                                const StatRegistry::Entry *>>>
+        byName;
+    for (std::size_t s = 0; s < regs.size(); ++s)
+        for (const StatRegistry::Entry &e : regs[s]->entries())
+            byName[e.name].emplace_back(s, &e);
+    const bool sharded = regs.size() > 1;
 
-    for (const StatRegistry::Entry *e : sorted) {
-        std::string name = prometheusName(e->name);
-        switch (e->kind) {
-          case StatRegistry::Kind::Counter:
-            writeHeader(os, name, e->desc, "counter");
-            os << name << " "
-               << sampleValue(static_cast<double>(e->counter->value()))
-               << "\n";
-            break;
-          case StatRegistry::Kind::Gauge:
-            writeHeader(os, name, e->desc, "gauge");
-            os << name << " " << sampleValue(e->gauge()) << "\n";
-            break;
-          case StatRegistry::Kind::Latency: {
-            const LatencyStat &s = *e->latency;
-            writeHeader(os, name, e->desc, "summary");
-            for (double q : {0.5, 0.9, 0.99}) {
-                os << name << "{quantile=\"" << sampleValue(q) << "\"} "
-                   << sampleValue(s.percentile(q * 100.0)) << "\n";
+    for (const auto &[stat, shards] : byName) {
+        const std::string name = prometheusName(stat);
+        const StatRegistry::Entry &first = *shards.front().second;
+        writeHeader(os, name, first.desc, typeName(first.kind));
+        for (const auto &[s, e] : shards) {
+            const std::string shard =
+                sharded ? "shard=\"" + std::to_string(s) + "\"" : "";
+            switch (e->kind) {
+              case StatRegistry::Kind::Counter:
+                os << name << labels(shard, "") << " "
+                   << sampleValue(static_cast<double>(e->counter->value()))
+                   << "\n";
+                break;
+              case StatRegistry::Kind::Gauge:
+                os << name << labels(shard, "") << " "
+                   << sampleValue(e->gauge()) << "\n";
+                break;
+              case StatRegistry::Kind::Latency: {
+                const LatencyStat &l = *e->latency;
+                for (double q : {0.5, 0.9, 0.99})
+                    os << name
+                       << labels(shard,
+                                 "quantile=\"" + sampleValue(q) + "\"")
+                       << " " << sampleValue(l.percentile(q * 100.0))
+                       << "\n";
+                os << name << "_sum" << labels(shard, "") << " "
+                   << sampleValue(l.sum()) << "\n";
+                os << name << "_count" << labels(shard, "") << " "
+                   << sampleValue(static_cast<double>(l.count())) << "\n";
+                break;
+              }
             }
-            os << name << "_sum " << sampleValue(s.sum()) << "\n";
-            os << name << "_count "
-               << sampleValue(static_cast<double>(s.count())) << "\n";
-            break;
-          }
         }
     }
-}
-
-void
-MetricsExporter::writeSnapshot()
-{
-    if (!enabled())
-        return;
-    // Rendered in memory and published with an atomic rename: a
-    // scraper sees the previous page or the new one, never a torn
-    // half-written file — even if the process dies mid-export.
-    std::ostringstream out;
-    writePrometheusText(out, *reg_);
-    if (!writeFileAtomic(path_, out.str()))
-        return;
-    ++snapshots_;
 }
 
 } // namespace esd

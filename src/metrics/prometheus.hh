@@ -6,21 +6,17 @@
  * Prometheus text exposition format (v0.0.4): counters and gauges as
  * single samples, latency stats as summaries (quantile series plus
  * _sum/_count). Names are sanitized ("pcm.ch0.reads" ->
- * "esd_pcm_ch0_reads") and emitted in registry-sorted order so
- * snapshots diff cleanly.
- *
- * MetricsExporter is the file-based seam a future esd_serve daemon
- * will put behind a socket: attach it to a Simulator and it rewrites
- * the snapshot file every N measured writes (plus a final snapshot at
- * end of run), giving live dashboards something to scrape mid-run.
+ * "esd_pcm_ch0_reads") and emitted in name-sorted order so pages diff
+ * cleanly. esd_sim renders the page once, after the run, over the
+ * finished job's simulators.
  */
 
 #ifndef ESD_METRICS_PROMETHEUS_HH
 #define ESD_METRICS_PROMETHEUS_HH
 
-#include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace esd
 {
@@ -31,54 +27,14 @@ class StatRegistry;
  * "esd_" prefix, [a-zA-Z0-9_] body, everything else becomes '_'. */
 std::string prometheusName(const std::string &stat_name);
 
-/** Render the whole registry as one text-format exposition page. */
-void writePrometheusText(std::ostream &os, const StatRegistry &reg);
-
-/** Periodic snapshot writer (see file comment). */
-class MetricsExporter
-{
-  public:
-    /**
-     * Attach to @p reg and rewrite @p path every @p every_writes
-     * measured writes; 0 writes only the final end-of-run snapshot.
-     */
-    void
-    configure(const StatRegistry &reg, std::string path,
-              std::uint64_t every_writes)
-    {
-        reg_ = &reg;
-        path_ = std::move(path);
-        every_ = every_writes;
-    }
-
-    bool enabled() const { return reg_ != nullptr && !path_.empty(); }
-    std::uint64_t interval() const { return every_; }
-    const std::string &path() const { return path_; }
-
-    /** Snapshots written so far. */
-    std::uint64_t snapshots() const { return snapshots_; }
-
-    /** Notify one completed measured write; rewrites the snapshot on
-     * interval multiples. One branch when detached or final-only. */
-    void
-    onWrite(std::uint64_t writes_so_far)
-    {
-        if (!enabled() || every_ == 0 || writes_so_far % every_ != 0)
-            return;
-        writeSnapshot();
-    }
-
-    /** Rewrite the snapshot file now (end-of-run final snapshot). */
-    void writeSnapshot();
-
-    void reset() { snapshots_ = 0; }
-
-  private:
-    const StatRegistry *reg_ = nullptr;
-    std::string path_;
-    std::uint64_t every_ = 0;
-    std::uint64_t snapshots_ = 0;
-};
+/**
+ * Render @p regs (one per simulator, in shard order) as one text-format
+ * exposition page. One registry gives unlabelled samples; several give
+ * each metric's HELP/TYPE once, then one sample per registry that has
+ * it, labelled shard="s" in shard order.
+ */
+void writePrometheusText(std::ostream &os,
+                         const std::vector<const StatRegistry *> &regs);
 
 } // namespace esd
 

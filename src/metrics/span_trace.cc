@@ -23,7 +23,7 @@ trackName(std::uint32_t track)
 
 void
 writeEventCommon(JsonWriter &w, const char *name, const char *ph,
-                 std::uint32_t tid, Tick ts_ns)
+                 std::uint64_t pid, std::uint32_t tid, Tick ts_ns)
 {
     w.kv("name", name);
     w.kv("cat", "sim");
@@ -31,14 +31,50 @@ writeEventCommon(JsonWriter &w, const char *name, const char *ph,
     // Trace-event timestamps are microseconds; simulated ns / 1000
     // keeps sub-microsecond spans visible as fractions.
     w.kv("ts", static_cast<double>(ts_ns) / 1000.0);
-    w.kv("pid", 1);
+    w.kv("pid", pid);
     w.kv("tid", static_cast<std::uint64_t>(tid));
 }
 
 } // namespace
 
 void
-SpanTrace::writeChromeJson(std::ostream &os) const
+SpanTrace::writeChromeJson(std::ostream &os,
+                           const std::vector<const SpanTrace *> &traces)
+{
+    std::uint64_t recorded = 0, dropped = 0;
+    for (const SpanTrace *t : traces) {
+        recorded += t->totalRecorded();
+        dropped += t->dropped_;
+    }
+
+    JsonWriter w(os, /*indent=*/0);
+    w.beginObject();
+    w.kv("displayTimeUnit", "ns");
+    w.key("otherData");
+    w.beginObject();
+    w.kv("generator", "esd_sim");
+    w.kv("clock", "simulated-ns");
+    w.kv("spans_recorded", recorded);
+    w.kv("spans_dropped", dropped);
+    w.kv("sample_every",
+         traces.empty() ? std::uint64_t{1} : traces.front()->sampleEvery_);
+    w.endObject();
+
+    w.key("traceEvents");
+    w.beginArray();
+    for (std::size_t s = 0; s < traces.size(); ++s)
+        traces[s]->writeProcess(w, 1 + s,
+                                traces.size() == 1
+                                    ? "esd_sim"
+                                    : "shard " + std::to_string(s));
+    w.endArray();
+    w.endObject();
+    os << "\n";
+}
+
+void
+SpanTrace::writeProcess(JsonWriter &w, std::uint64_t pid,
+                        const std::string &name) const
 {
     // Tracks actually used, ascending, for thread_name metadata.
     std::vector<std::uint32_t> tracks;
@@ -48,28 +84,13 @@ SpanTrace::writeChromeJson(std::ostream &os) const
     tracks.erase(std::unique(tracks.begin(), tracks.end()),
                  tracks.end());
 
-    JsonWriter w(os, /*indent=*/0);
-    w.beginObject();
-    w.kv("displayTimeUnit", "ns");
-    w.key("otherData");
-    w.beginObject();
-    w.kv("generator", "esd_sim");
-    w.kv("clock", "simulated-ns");
-    w.kv("spans_recorded", totalRecorded());
-    w.kv("spans_dropped", dropped_);
-    w.kv("sample_every", sampleEvery_);
-    w.endObject();
-
-    w.key("traceEvents");
-    w.beginArray();
-
     w.beginObject();
     w.kv("name", "process_name");
     w.kv("ph", "M");
-    w.kv("pid", 1);
+    w.kv("pid", pid);
     w.key("args");
     w.beginObject();
-    w.kv("name", "esd_sim");
+    w.kv("name", name);
     w.endObject();
     w.endObject();
 
@@ -77,7 +98,7 @@ SpanTrace::writeChromeJson(std::ostream &os) const
         w.beginObject();
         w.kv("name", "thread_name");
         w.kv("ph", "M");
-        w.kv("pid", 1);
+        w.kv("pid", pid);
         w.kv("tid", static_cast<std::uint64_t>(t));
         w.key("args");
         w.beginObject();
@@ -89,10 +110,10 @@ SpanTrace::writeChromeJson(std::ostream &os) const
     for (const Span &s : spans_) {
         w.beginObject();
         if (s.instant) {
-            writeEventCommon(w, s.name, "i", s.track, s.ts);
+            writeEventCommon(w, s.name, "i", pid, s.track, s.ts);
             w.kv("s", "t");  // thread-scoped instant
         } else {
-            writeEventCommon(w, s.name, "X", s.track, s.ts);
+            writeEventCommon(w, s.name, "X", pid, s.track, s.ts);
             w.kv("dur", static_cast<double>(s.dur) / 1000.0);
         }
         if (!s.args.empty()) {
@@ -109,10 +130,6 @@ SpanTrace::writeChromeJson(std::ostream &os) const
         }
         w.endObject();
     }
-
-    w.endArray();
-    w.endObject();
-    os << "\n";
 }
 
 } // namespace esd

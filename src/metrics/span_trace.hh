@@ -20,9 +20,9 @@
  * instrumentation site is a single null-pointer test.
  *
  * writeChromeJson() emits the Chrome trace-event JSON flavor that
- * chrome://tracing and Perfetto load directly: one process, one
- * thread ("track") per lane, "X" complete events with microsecond
- * timestamps.
+ * chrome://tracing and Perfetto load directly: one process per
+ * simulator, one thread ("track") per lane, "X" complete events with
+ * microsecond timestamps.
  */
 
 #ifndef ESD_METRICS_SPAN_TRACE_HH
@@ -39,6 +39,8 @@
 
 namespace esd
 {
+
+class JsonWriter;
 
 /** Bounded, sampled collector of simulated-time spans. */
 class SpanTrace
@@ -83,6 +85,9 @@ class SpanTrace
                       static_cast<unsigned long long>(v));
         return Arg{key, buf, true};
     }
+
+    /** Retained spans per simulator in esd_sim exports. */
+    static constexpr std::size_t kExportCapacity = 1u << 20;
 
     /**
      * @param capacity     max retained spans; excess is dropped (and
@@ -151,8 +156,15 @@ class SpanTrace
         accessSeq_ = 0;
     }
 
-    /** Emit the Chrome trace-event / Perfetto JSON document. */
-    void writeChromeJson(std::ostream &os) const;
+    /**
+     * Emit the Chrome trace-event / Perfetto JSON document of
+     * @p traces, one per simulator in shard order. One trace is
+     * process 1, named "esd_sim"; several are processes 1 + s, named
+     * "shard s", each with its own tracks. otherData sums the recorded
+     * and dropped counts.
+     */
+    static void writeChromeJson(std::ostream &os,
+                                const std::vector<const SpanTrace *> &traces);
 
   private:
     struct Span
@@ -164,6 +176,10 @@ class SpanTrace
         bool instant;
         std::vector<Arg> args;
     };
+
+    /** This trace's events as Chrome process @p pid named @p name. */
+    void writeProcess(JsonWriter &w, std::uint64_t pid,
+                      const std::string &name) const;
 
     void
     push(std::uint32_t track, const char *name, Tick ts, Tick dur,

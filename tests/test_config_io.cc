@@ -193,8 +193,6 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
         {"ras.dedup_suspend_ues", "5"},
         {"telemetry.trace_ring_capacity", "777"},
         {"telemetry.span_sample_every", "3"},
-        {"telemetry.span_buffer_cap", "123456"},
-        {"telemetry.metrics_every_writes", "5000"},
         {"telemetry.histogram_buckets", "true"},
         {"ecc.engine", "rs"},
         {"persistence.enabled", "true"},
@@ -212,7 +210,6 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
         {"trace.line_payload", "false"},
         {"trace.read_ahead", "512"},
         {"pipeline.epoch_records", "1024"},
-        {"pipeline.queue_epochs", "2"},
         {"pipeline.sample_epochs", "4"},
         {"core.clock_ghz", "2.0000001"},
         {"core.base_cpi", "1.5"},
@@ -374,8 +371,6 @@ TEST_F(ConfigFileTest, TelemetryRenderRoundTrips)
     SimConfig cfg;
     cfg.telemetry.traceRingCapacity = 777;
     cfg.telemetry.spanSampleEvery = 3;
-    cfg.telemetry.spanBufferCap = 123456;
-    cfg.telemetry.metricsEveryWrites = 5000;
     cfg.telemetry.histogramBuckets = true;
     {
         std::ofstream out(path_);
@@ -385,8 +380,6 @@ TEST_F(ConfigFileTest, TelemetryRenderRoundTrips)
     loadConfigFile(back, path_.string());
     EXPECT_EQ(back.telemetry.traceRingCapacity, 777u);
     EXPECT_EQ(back.telemetry.spanSampleEvery, 3u);
-    EXPECT_EQ(back.telemetry.spanBufferCap, 123456u);
-    EXPECT_EQ(back.telemetry.metricsEveryWrites, 5000u);
     EXPECT_TRUE(back.telemetry.histogramBuckets);
     EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
@@ -471,7 +464,6 @@ TEST_F(ConfigFileTest, PipelineRoundTrips)
 {
     SimConfig cfg;
     cfg.pipeline.epochRecords = 1024;
-    cfg.pipeline.queueEpochs = 2;
     cfg.pipeline.sampleEpochs = 4;
     {
         std::ofstream out(path_);
@@ -480,7 +472,6 @@ TEST_F(ConfigFileTest, PipelineRoundTrips)
     SimConfig back;
     loadConfigFile(back, path_.string());
     EXPECT_EQ(back.pipeline.epochRecords, 1024u);
-    EXPECT_EQ(back.pipeline.queueEpochs, 2u);
     EXPECT_EQ(back.pipeline.sampleEpochs, 4u);
     EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
@@ -647,12 +638,6 @@ TEST(ConfigIo, TelemetryKeysApply)
     EXPECT_TRUE(
         applyConfigKey(cfg, "telemetry.span_sample_every", "16"));
     EXPECT_EQ(cfg.telemetry.spanSampleEvery, 16u);
-    EXPECT_TRUE(
-        applyConfigKey(cfg, "telemetry.span_buffer_cap", "4096"));
-    EXPECT_EQ(cfg.telemetry.spanBufferCap, 4096u);
-    EXPECT_TRUE(
-        applyConfigKey(cfg, "telemetry.metrics_every_writes", "0"));
-    EXPECT_EQ(cfg.telemetry.metricsEveryWrites, 0u);
     EXPECT_TRUE(
         applyConfigKey(cfg, "telemetry.histogram_buckets", "true"));
     EXPECT_TRUE(cfg.telemetry.histogramBuckets);
@@ -834,8 +819,6 @@ TEST(ConfigIo, PipelineKeysApply)
     SimConfig cfg;
     EXPECT_TRUE(applyConfigKey(cfg, "pipeline.epoch_records", "512"));
     EXPECT_EQ(cfg.pipeline.epochRecords, 512u);
-    EXPECT_TRUE(applyConfigKey(cfg, "pipeline.queue_epochs", "8"));
-    EXPECT_EQ(cfg.pipeline.queueEpochs, 8u);
     EXPECT_TRUE(applyConfigKey(cfg, "pipeline.sample_epochs", "16"));
     EXPECT_EQ(cfg.pipeline.sampleEpochs, 16u);
     // 0 = sampling off is inside the valid range.
@@ -852,10 +835,6 @@ TEST(ConfigIoDeath, PipelineRangesAreFatal)
     EXPECT_EXIT(
         applyConfigKey(cfg, "pipeline.epoch_records", "1048577"),
         ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "pipeline.queue_epochs", "0"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "pipeline.queue_epochs", "1025"),
-                ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(
         applyConfigKey(cfg, "pipeline.sample_epochs", "1048577"),
         ::testing::ExitedWithCode(1), "out of range");
@@ -925,7 +904,6 @@ TEST(ConfigFlags, EveryAliasEqualsItsKey)
         {"-trace-read-ahead", "64"},
         {"-trace-ring", "32"},
         {"-span-every", "9"},
-        {"-metrics-every", "1000"},
         {"-hist-buckets", "1"},
     };
     ASSERT_EQ(sample.size(), configFlagAliases().size());

@@ -164,8 +164,9 @@ TEST_P(DifferentialTest, EveryReadReturnsLastWrite)
     const NvmStats &ds = dev.stats();
     EXPECT_EQ(ds.writesOffered.value(),
               ds.writes.value() + ds.writesCoalesced.value());
-    if (!dev.coalescingEnabled())
+    if (!dev.coalescingEnabled()) {
         EXPECT_EQ(ds.writesCoalesced.value(), 0u);
+    }
 
     // Scheme-level accounting closes as well.
     const SchemeStats &ss = scheme->stats();

@@ -249,8 +249,9 @@ fuzzAgainstOracle(std::uint64_t seed, std::uint64_t ops,
             auto it = m.find(key);
             auto oit = oracle.find(key);
             ASSERT_EQ(it != m.end(), oit != oracle.end());
-            if (oit != oracle.end())
+            if (oit != oracle.end()) {
                 ASSERT_EQ(it->second, oit->second);
+            }
             break;
           }
         }

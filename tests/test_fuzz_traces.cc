@@ -72,8 +72,9 @@ class FuzzTraceTest
             per_channel += dev.channelStats(c).writes.value() +
                            dev.channelStats(c).coalescedWrites.value();
         EXPECT_EQ(per_channel, s.writesOffered.value());
-        if (!dev.coalescingEnabled())
+        if (!dev.coalescingEnabled()) {
             EXPECT_EQ(s.writesCoalesced.value(), 0u);
+        }
     }
 };
 

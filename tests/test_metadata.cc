@@ -572,8 +572,9 @@ TEST(Efit, DecaySubtractsFixedValue)
         efit.insert(1000 + i, 64 * (i + 1));
     EXPECT_EQ(efit.stats().decayRounds.value(), 1u);
     Efit::Entry *after = efit.lookup(99);
-    if (after)  // may have been evicted depending on set mapping
+    if (after) {  // may have been evicted depending on set mapping
         EXPECT_EQ(after->referH, before - 1);
+    }
 }
 
 /** Decay is per partition: inserts into one channel's partition age

@@ -219,7 +219,7 @@ TEST(SpanTrace, ChromeJsonIsValidTraceEventFormat)
     spans.instant(SpanTrace::channelTrack(1), "coalesced", 130);
 
     std::ostringstream os;
-    spans.writeChromeJson(os);
+    SpanTrace::writeChromeJson(os, {&spans});
 
     JsonValue doc;
     std::string err;
@@ -279,7 +279,7 @@ TEST(SpanTrace, SimulatorRunEmitsPipelineAndChannelSpans)
     ASSERT_GT(spans.size(), 0u);
 
     std::ostringstream os;
-    spans.writeChromeJson(os);
+    SpanTrace::writeChromeJson(os, {&spans});
     JsonValue doc;
     std::string err;
     ASSERT_TRUE(tryParseJson(os.str(), doc, &err)) << err;
@@ -324,7 +324,7 @@ TEST(Prometheus, TextExpositionCoversEveryKind)
     reg.addLatency("scheme.write_latency", lat);
 
     std::ostringstream os;
-    writePrometheusText(os, reg);
+    writePrometheusText(os, {&reg});
     std::string text = os.str();
 
     EXPECT_NE(text.find("# TYPE esd_scheme_dedup_hits counter"),
@@ -346,6 +346,109 @@ TEST(Prometheus, TextExpositionCoversEveryKind)
               std::string::npos);
     EXPECT_NE(text.find("esd_scheme_write_latency_sum 5050"),
               std::string::npos);
+}
+
+TEST(Prometheus, OneRegistryPageIsExact)
+{
+    StatRegistry reg;
+    Counter writes;
+    writes.inc(7);
+    reg.addCounter("pcm.writes", writes, "device writes");
+    reg.addGauge("esd.rate", [] { return 0.25; });
+    LatencyStat lat;
+    for (int i = 1; i <= 4; ++i)
+        lat.sample(10 * i);
+    reg.addLatency("scheme.write_latency", lat, "write\nlatency");
+
+    std::ostringstream os;
+    writePrometheusText(os, {&reg});
+    EXPECT_EQ(os.str(),
+              "# TYPE esd_esd_rate gauge\n"
+              "esd_esd_rate 0.25\n"
+              "# HELP esd_pcm_writes device writes\n"
+              "# TYPE esd_pcm_writes counter\n"
+              "esd_pcm_writes 7\n"
+              "# HELP esd_scheme_write_latency write\\nlatency\n"
+              "# TYPE esd_scheme_write_latency summary\n"
+              "esd_scheme_write_latency{quantile=\"0.5\"} 20\n"
+              "esd_scheme_write_latency{quantile=\"0.9\"} 40\n"
+              "esd_scheme_write_latency{quantile=\"0.99\"} 40\n"
+              "esd_scheme_write_latency_sum 100\n"
+              "esd_scheme_write_latency_count 4\n");
+}
+
+TEST(Prometheus, ShardedPageLabelsSamplesInShardOrder)
+{
+    // Shard 1 carries an extra stat, so the page is the union of the
+    // registries' names with each sample labelled by its shard.
+    StatRegistry reg0, reg1;
+    Counter w0, w1, extra;
+    w0.inc(3);
+    w1.inc(5);
+    extra.inc(9);
+    reg0.addCounter("pcm.writes", w0, "device writes");
+    reg1.addCounter("pcm.writes", w1, "device writes");
+    reg1.addCounter("pcm.retries", extra);
+    LatencyStat l0, l1;
+    l0.sample(8);
+    l1.sample(16);
+    l1.sample(16);
+    reg0.addLatency("scheme.write_latency", l0);
+    reg1.addLatency("scheme.write_latency", l1);
+
+    std::ostringstream os;
+    writePrometheusText(os, {&reg0, &reg1});
+    EXPECT_EQ(os.str(),
+              "# TYPE esd_pcm_retries counter\n"
+              "esd_pcm_retries{shard=\"1\"} 9\n"
+              "# HELP esd_pcm_writes device writes\n"
+              "# TYPE esd_pcm_writes counter\n"
+              "esd_pcm_writes{shard=\"0\"} 3\n"
+              "esd_pcm_writes{shard=\"1\"} 5\n"
+              "# TYPE esd_scheme_write_latency summary\n"
+              "esd_scheme_write_latency{shard=\"0\",quantile=\"0.5\"} 8\n"
+              "esd_scheme_write_latency{shard=\"0\",quantile=\"0.9\"} 8\n"
+              "esd_scheme_write_latency{shard=\"0\",quantile=\"0.99\"} 8\n"
+              "esd_scheme_write_latency_sum{shard=\"0\"} 8\n"
+              "esd_scheme_write_latency_count{shard=\"0\"} 1\n"
+              "esd_scheme_write_latency{shard=\"1\",quantile=\"0.5\"} 16\n"
+              "esd_scheme_write_latency{shard=\"1\",quantile=\"0.9\"} 16\n"
+              "esd_scheme_write_latency{shard=\"1\",quantile=\"0.99\"} 16\n"
+              "esd_scheme_write_latency_sum{shard=\"1\"} 32\n"
+              "esd_scheme_write_latency_count{shard=\"1\"} 2\n");
+}
+
+TEST(SpanTrace, ShardedChromeJsonHasOneProcessPerShard)
+{
+    SpanTrace a(1, 1), b(8, 1);
+    a.span(SpanTrace::kPipelineTrack, "write", 0, 10);
+    a.span(SpanTrace::kPipelineTrack, "write", 10, 10);  // dropped
+    b.span(SpanTrace::channelTrack(1), "read", 5, 10);
+
+    std::ostringstream os;
+    SpanTrace::writeChromeJson(os, {&a, &b});
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(tryParseJson(os.str(), doc, &err)) << err;
+    const JsonValue *other = doc.find("otherData");
+    EXPECT_EQ(other->find("spans_recorded")->number, 3.0);
+    EXPECT_EQ(other->find("spans_dropped")->number, 1.0);
+
+    // Shard s is process 1 + s, named, with its own tracks, in order.
+    std::vector<std::string> seen;
+    for (const JsonValue &e : doc.find("traceEvents")->array) {
+        std::string tag = std::to_string(
+                              static_cast<int>(e.find("pid")->number)) +
+                          ":" + e.find("name")->str;
+        if (const JsonValue *args = e.find("args"))
+            tag += ":" + args->find("name")->str;
+        seen.push_back(tag);
+    }
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "1:process_name:shard 0",
+                        "1:thread_name:write-pipeline", "1:write",
+                        "2:process_name:shard 1", "2:thread_name:ch1",
+                        "2:read"}));
 }
 
 } // namespace

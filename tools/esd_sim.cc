@@ -22,14 +22,13 @@
  *   `-stats-json` writes the machine-readable run report (config +
  *   result + every registered stat + interval snapshots every
  *   `-stats-interval` measured writes);
- *   `-trace-out` dumps the first telemetry.trace_ring_capacity
+ *   `-trace-out` dumps the most recent telemetry.trace_ring_capacity
  *   per-write events as JSONL (one record per line);
  *   `-spans-out` writes a Chrome trace-event / Perfetto JSON span
  *   trace of the write pipeline and per-channel device service,
  *   admitting every telemetry.span_sample_every-th write;
- *   `-metrics-out` rewrites a Prometheus text-format snapshot of the
- *   stat registry every telemetry.metrics_every_writes measured writes
- *   plus once at end of run (0 = final snapshot only);
+ *   `-metrics-out` writes a Prometheus text-format page of the stat
+ *   registry at the end of the run;
  *   telemetry.histogram_buckets (`-hist-buckets`) embeds the exact
  *   latency histogram buckets in the `-stats-json` report;
  *   `-profile` attributes host wall-clock to the write-path phases
@@ -47,15 +46,21 @@
  * writes the machine-readable crash + recovery + pad-safety report of
  * an injected crash (`-persist-crash-at=N`, warmup counts).
  *
+ * Every export is rendered after the run from the job's simulators:
+ * the one Simulator, or under -workers one shard simulator per channel,
+ * each with its own sinks, in shard order.
+ *
  * Sharded write pipeline:
  *   `-workers=N` runs the simulation through the intra-simulation
  *   sharded pipeline (exec/pipeline.hh): one shard simulator per
  *   memory channel, driven by N worker threads joining at `[pipeline]`
- *   epoch barriers. The stats report is byte-identical at any N
- *   (including N=1), so -workers only buys wall-clock time. Per-write
- *   observability exports (-trace-out, -spans-out, -metrics-out,
- *   -latency-out, -profile, -recovery-json) are single-simulator
- *   features and are rejected in pipeline mode.
+ *   epoch barriers. Every output is byte-identical at any N
+ *   (including N=1), so -workers only buys wall-clock time. A shard's
+ *   exports depend only on its own records: -trace-out and
+ *   -latency-out list the shards' records one shard after another,
+ *   -spans-out gives each shard its own process, -metrics-out labels
+ *   each sample shard="s", -profile sums the shards' host time, and
+ *   -recovery-json reports the shard that crashed.
  *
  * Trace frontend / capture (see `[trace]` config keys):
  *   `-trace-in=path` (alias `-InputFile=path`; give the file once)
@@ -73,7 +78,6 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,6 +89,7 @@
 #include "common/write_trace.hh"
 #include "core/run_report.hh"
 #include "exec/job.hh"
+#include "metrics/prometheus.hh"
 #include "metrics/report.hh"
 #include "trace/trace_capture.hh"
 #include "trace/workloads.hh"
@@ -265,7 +270,9 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
     t.print();
 
     if (opt.profile) {
-        const Profiler &prof = shards[0]->profiler();
+        Profiler prof;
+        for (const Simulator *sim : shards)
+            prof.merge(sim->profiler());
         double run_ns = static_cast<double>(prof.runNs());
         std::uint64_t writes = std::max<std::uint64_t>(r.logicalWrites, 1);
         std::cout << "host profile (measured window):\n";
@@ -292,7 +299,12 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
         pt.print();
         double secs = run_ns / 1e9;
         std::cout << "host run: " << TablePrinter::num(run_ns / 1e6, 1)
-                  << " ms, "
+                  << " ms"
+                  << (shards.size() > 1
+                          ? " summed over " + std::to_string(shards.size()) +
+                                " shards"
+                          : "")
+                  << ", "
                   << TablePrinter::num(
                          secs > 0 ? r.logicalWrites / secs : 0, 0)
                   << " writes/s\n";
@@ -405,23 +417,6 @@ main(int argc, char **argv)
         esd_fatal("-capture-out requires a synthetic workload (-app=)");
     opt.run.applyTo(spec);
 
-    if (spec.workers) {
-        // Per-write observability exports attach to one Simulator's
-        // sinks; they have no deterministic merged form across shards.
-        if (!opt.traceOut.empty())
-            esd_fatal("-workers is incompatible with -trace-out=");
-        if (!opt.spansOut.empty())
-            esd_fatal("-workers is incompatible with -spans-out=");
-        if (!opt.metricsOut.empty())
-            esd_fatal("-workers is incompatible with -metrics-out=");
-        if (!opt.latencyOut.empty())
-            esd_fatal("-workers is incompatible with -latency-out=");
-        if (opt.profile)
-            esd_fatal("-workers is incompatible with -profile");
-        if (!opt.recoveryJson.empty())
-            esd_fatal("-workers is incompatible with -recovery-json=");
-    }
-
     std::unique_ptr<TraceSource> trace = exec::openSource(spec);
 
     // Capture tee: the pipeline demux and Simulator::run are each the
@@ -437,32 +432,32 @@ main(int argc, char **argv)
                                                   *capture);
     }
 
-    // The single-simulator sinks attach to the job's first simulator;
-    // the checks above keep them out of pipeline mode.
+    // Every sink attaches to each of the job's simulators; a shard's
+    // sinks see only its own records, so the exports need no merge.
     exec::Job job(spec);
-    Simulator &sim = *job.simulators().front();
-
-    std::optional<WriteEventTrace> events;
+    const std::vector<Simulator *> &sims = job.simulators();
+    std::vector<WriteEventTrace> events;
     if (!opt.traceOut.empty())
-        sim.setEventTrace(&events.emplace(cfg.telemetry.traceRingCapacity));
-
-    SpanTrace spans(cfg.telemetry.spanBufferCap,
-                    cfg.telemetry.spanSampleEvery);
+        events.assign(sims.size(),
+                      WriteEventTrace(cfg.telemetry.traceRingCapacity));
+    std::vector<SpanTrace> spans;
     if (!opt.spansOut.empty())
-        sim.setSpanTrace(&spans);
-
-    if (!opt.metricsOut.empty())
-        sim.enableMetricsExposition(opt.metricsOut,
-                                    cfg.telemetry.metricsEveryWrites);
-
-    if (!opt.latencyOut.empty())
-        sim.enableRawLatencySamples();
+        spans.assign(sims.size(), SpanTrace(SpanTrace::kExportCapacity,
+                                            cfg.telemetry.spanSampleEvery));
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        if (!events.empty())
+            sims[s]->setEventTrace(&events[s]);
+        if (!spans.empty())
+            sims[s]->setSpanTrace(&spans[s]);
+        if (!opt.latencyOut.empty())
+            sims[s]->enableRawLatencySamples();
+        if (opt.profile)
+            sims[s]->enableProfiling();
+    }
     // A pipeline samples at its epoch barriers instead ([pipeline]
     // sample_epochs).
     if (!opt.statsJson.empty() && !job.pipeline())
-        sim.enableIntervalSampling(opt.statsInterval);
-    if (opt.profile)
-        sim.enableProfiling();
+        sims.front()->enableIntervalSampling(opt.statsInterval);
 
     const RunResult &r = job.run(*trace);
     // Closed before the crash self-check can exit, so even a failed
@@ -475,9 +470,14 @@ main(int argc, char **argv)
     printSummary(opt, cfg, r, job);
 
     if (!opt.latencyOut.empty()) {
+        // LatencyStat::merge drops raw samples: read each shard's own.
         std::ostringstream out;
-        for (double v : r.writeLatency.samples())
-            out << v << "\n";
+        for (std::size_t s = 0; s < sims.size(); ++s) {
+            const RunResult &rs =
+                job.pipeline() ? job.pipeline()->shardResult(s) : r;
+            for (double v : rs.writeLatency.samples())
+                out << v << "\n";
+        }
         publish(opt.latencyOut, out.str());
         std::cout << "wrote " << r.writeLatency.count()
                   << " write-latency samples to " << opt.latencyOut
@@ -494,32 +494,52 @@ main(int argc, char **argv)
                       << opt.statsJson << "\n";
         else
             std::cout << "wrote stats report ("
-                      << sim.statRegistry().size() << " stats, "
-                      << sim.sampler().rows().size()
+                      << sims.front()->statRegistry().size() << " stats, "
+                      << sims.front()->sampler().rows().size()
                       << " interval samples) to " << opt.statsJson
                       << "\n";
     }
 
-    if (!opt.spansOut.empty()) {
+    if (!spans.empty()) {
+        std::vector<const SpanTrace *> parts;
+        std::size_t kept = 0;
+        std::uint64_t recorded = 0;
+        for (const SpanTrace &t : spans) {
+            parts.push_back(&t);
+            kept += t.size();
+            recorded += t.totalRecorded();
+        }
         std::ostringstream out;
-        spans.writeChromeJson(out);
+        SpanTrace::writeChromeJson(out, parts);
         publish(opt.spansOut, out.str());
-        std::cout << "wrote " << spans.size() << " of "
-                  << spans.totalRecorded() << " spans to "
+        std::cout << "wrote " << kept << " of " << recorded << " spans to "
                   << opt.spansOut << "\n";
     }
 
-    if (!opt.metricsOut.empty())
-        std::cout << "wrote " << sim.metricsExporter().snapshots()
-                  << " metric snapshots to " << opt.metricsOut << "\n";
-
-    if (!opt.traceOut.empty()) {
+    if (!opt.metricsOut.empty()) {
+        std::vector<const StatRegistry *> regs;
+        for (const Simulator *sim : sims)
+            regs.push_back(&sim->statRegistry());
         std::ostringstream out;
-        events->writeJsonl(out);
+        writePrometheusText(out, regs);
+        publish(opt.metricsOut, out.str());
+        std::cout << "wrote the metrics page of " << regs.size()
+                  << (regs.size() == 1 ? " simulator" : " shards") << " to "
+                  << opt.metricsOut << "\n";
+    }
+
+    if (!events.empty()) {
+        std::size_t kept = 0;
+        std::uint64_t recorded = 0;
+        std::ostringstream out;
+        for (const WriteEventTrace &t : events) {
+            t.writeJsonl(out);
+            kept += t.size();
+            recorded += t.totalRecorded();
+        }
         publish(opt.traceOut, out.str());
-        std::cout << "wrote " << events->size() << " of "
-                  << events->totalRecorded() << " write events to "
-                  << opt.traceOut << "\n";
+        std::cout << "wrote " << kept << " of " << recorded
+                  << " write events to " << opt.traceOut << "\n";
     }
     return 0;
 }

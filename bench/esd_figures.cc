@@ -609,14 +609,8 @@ renderFig16(const Runs &runs, std::ostream &os, Figures &f)
                        "crypto", "metadata", "total"});
     for (std::size_t k = 0; k < allSchemeKinds().size(); ++k) {
         EnergyBreakdown e;
-        for (std::size_t a = 0; a < n; ++a) {
-            const EnergyBreakdown &x = runs.at(a, k).energy;
-            e.deviceRead += x.deviceRead;
-            e.deviceWrite += x.deviceWrite;
-            e.hash += x.hash;
-            e.crypto += x.crypto;
-            e.metadata += x.metadata;
-        }
+        for (std::size_t a = 0; a < n; ++a)
+            e.add(runs.at(a, k).energy);
         comp.addRow({schemeName(allSchemeKinds()[k]),
                      TablePrinter::num(e.deviceRead / 1e6, 1),
                      TablePrinter::num(e.deviceWrite / 1e6, 1),

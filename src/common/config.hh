@@ -355,9 +355,9 @@ enum class TraceFormat
 /**
  * Trace frontend / capture parameters ([trace] section).
  *
- * Host-side ingest plumbing only: like [telemetry] and [pipeline],
- * nothing here changes simulated results (a trace replays identically
- * at any read_ahead), so the section is rendered by -dump-config but
+ * Capture-side plumbing only: the input frontend sniffs both from the
+ * file. Like [telemetry] and [pipeline], nothing here changes
+ * simulated results, so the section is rendered by -dump-config but
  * never serialized into run reports.
  */
 struct TraceConfig
@@ -368,10 +368,6 @@ struct TraceConfig
     /** Capture 64 B write payloads (true) or address-only records
      * whose content is re-synthesized deterministically on replay. */
     bool linePayload = true;
-
-    /** Decoded-record read-ahead bound: the streaming frontend never
-     * buffers more than this many records ([1, 1M]). */
-    std::uint64_t readAhead = 4096;
 };
 
 /** Which line ECC codec the memory controller runs ([ecc] engine

@@ -319,7 +319,6 @@ constexpr ConfigKey kConfigKeys[] = {
     {"persistence.crash_phase", FIELD(persist.crashPhase), kCrashPhases},
     {"trace.format", FIELD(trace.format), kTraceFormats},
     {"trace.line_payload", FIELD(trace.linePayload)},
-    {"trace.read_ahead", FIELD(trace.readAhead), 1, 1u << 20},
     {"pipeline.epoch_records", FIELD(pipeline.epochRecords), 1, 1u << 20},
     {"pipeline.sample_epochs", FIELD(pipeline.sampleEpochs), 0, 1u << 20},
     {"core.clock_ghz", FIELD(core.clockGhz), Real::Positive},
@@ -470,7 +469,6 @@ configFlagAliases()
         {"-persist-crash-phase", "persistence.crash_phase", persist},
         {"-trace-format", "trace.format"},
         {"-trace-payload", "trace.line_payload"},
-        {"-trace-read-ahead", "trace.read_ahead"},
         {"-trace-ring", "telemetry.trace_ring_capacity"},
         {"-span-every", "telemetry.span_sample_every"},
         {"-hist-buckets", "telemetry.histogram_buckets", nullptr, "true"},

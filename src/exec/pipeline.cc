@@ -387,11 +387,7 @@ ShardedPipeline::mergeResults() const
         m.nvmReadsTotal += r.nvmReadsTotal;
         m.nvmWritesTotal += r.nvmWritesTotal;
         m.nvmWritesCoalesced += r.nvmWritesCoalesced;
-        m.energy.deviceRead += r.energy.deviceRead;
-        m.energy.deviceWrite += r.energy.deviceWrite;
-        m.energy.hash += r.energy.hash;
-        m.energy.crypto += r.energy.crypto;
-        m.energy.metadata += r.energy.metadata;
+        m.energy.add(r.energy);
         m.breakdown.add(r.breakdown);
         m.metadataNvmBytes += r.metadataNvmBytes;
         m.uniqueLinesStored += r.uniqueLinesStored;

@@ -30,6 +30,16 @@ struct EnergyBreakdown
         return deviceRead + deviceWrite + hash + crypto + metadata;
     }
 
+    void
+    add(const EnergyBreakdown &o)
+    {
+        deviceRead += o.deviceRead;
+        deviceWrite += o.deviceWrite;
+        hash += o.hash;
+        crypto += o.crypto;
+        metadata += o.metadata;
+    }
+
     /** Assemble from device and scheme statistics. */
     static EnergyBreakdown
     collect(const NvmStats &nvm, const SchemeStats &scheme)

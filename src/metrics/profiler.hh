@@ -90,8 +90,9 @@ class Profiler
         runNs_ = 0;
     }
 
-    /** Add @p other's phase totals and run time (one table over a
-     * pipeline's shards). */
+    /** Add @p other's phase totals (one table over a pipeline's
+     * shards). Run times are not summed: each shard's is the whole
+     * pipeline window, so the caller takes the pipeline's wall-clock. */
     void
     merge(const Profiler &other)
     {
@@ -99,7 +100,6 @@ class Profiler
             totals_[p].ns += other.totals_[p].ns;
             totals_[p].calls += other.totals_[p].calls;
         }
-        runNs_ += other.runNs_;
     }
 
     /** Register per-phase gauges under "<prefix>.<phase>_ns" /

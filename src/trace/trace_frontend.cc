@@ -519,12 +519,9 @@ GzipByteStream::recycleChunk()
 
 } // namespace detail
 
-TraceFrontend::TraceFrontend(const std::string &path,
-                             const TraceConfig &cfg)
-    : path_(path), cfg_(cfg)
+TraceFrontend::TraceFrontend(const std::string &path, const TraceConfig &)
+    : path_(path)
 {
-    if (cfg_.readAhead == 0)
-        cfg_.readAhead = 1;
     open();
 }
 
@@ -778,63 +775,28 @@ TraceFrontend::decodeBinary(TraceRecord &rec)
 }
 
 bool
-TraceFrontend::decodeOne(TraceRecord &rec)
-{
-    return binary_ ? decodeBinary(rec) : decodeText(rec);
-}
-
-void
-TraceFrontend::refill()
-{
-    buffer_.clear();
-    bufPos_ = 0;
-    if (eof_)
-        return;
-    // Decode in place: no per-record temporary copy.
-    while (buffer_.size() < cfg_.readAhead) {
-        buffer_.emplace_back();
-        if (!decodeOne(buffer_.back())) {
-            buffer_.pop_back();
-            eof_ = true;
-            break;
-        }
-    }
-    decoded_ += buffer_.size();
-    peakBuffered_ = std::max(peakBuffered_, buffer_.size());
-}
-
-bool
 TraceFrontend::next(TraceRecord &rec)
 {
-    if (bufPos_ >= buffer_.size()) {
-        refill();
-        if (buffer_.empty())
-            return false;
-    }
-    rec = buffer_[bufPos_++];
-    return true;
+    return TraceFrontend::nextBatch(&rec, 1) == 1;
 }
 
 std::size_t
 TraceFrontend::nextBatch(TraceRecord *out, std::size_t max)
 {
-    if (bufPos_ >= buffer_.size()) {
-        refill();
-        if (buffer_.empty())
-            return 0;
+    std::size_t n = 0;
+    while (n < max && !eof_) {
+        if (binary_ ? decodeBinary(out[n]) : decodeText(out[n]))
+            ++n;
+        else
+            eof_ = true;
     }
-    std::size_t n = std::min(max, buffer_.size() - bufPos_);
-    std::copy(buffer_.begin() + static_cast<long>(bufPos_),
-              buffer_.begin() + static_cast<long>(bufPos_ + n), out);
-    bufPos_ += n;
+    decoded_ += n;
     return n;
 }
 
 void
 TraceFrontend::reset()
 {
-    buffer_.clear();
-    bufPos_ = 0;
     lineNo_ = 0;
     writesSeen_ = 0;
     eof_ = false;

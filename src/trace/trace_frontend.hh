@@ -6,10 +6,10 @@
  * without ever materializing the trace in RAM: bytes are pulled
  * through one refillable kTraceWindow byte window, records decode in
  * place from it (text lines are found with memchr and tokenized
- * without copies), and at most `[trace] read_ahead` decoded records
- * are buffered at any time, so memory stays constant at any trace
- * length: the window, the compressed-side window and the
- * kInflateRing inflate buffers for gzip, plus the record buffer.
+ * without copies) straight into the caller's records, so memory stays
+ * constant at any trace length: the window, plus the compressed-side
+ * window and the kInflateRing inflate buffers for gzip. The only
+ * record buffer is the consumer's own batch.
  *
  * Three on-disk formats are accepted, auto-detected from the first
  * bytes of the file (never from the extension):
@@ -62,7 +62,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "trace/trace.hh"
@@ -258,20 +257,20 @@ class GzipByteStream : public ByteStream
  * (`esd_sim -trace-in=` and its alias `-InputFile=`, `esd_sweep
  * -trace-in=`, esd_tracecvt).
  *
- * Decodes records lazily through a bounded read-ahead buffer;
- * TraceSource::nextBatch is overridden to hand the pipeline demux a
- * whole buffered batch per virtual call.
+ * Decodes records lazily, each one once, into the record the caller
+ * hands in: nextBatch fills the consumer's whole batch (the pipeline
+ * demux's, Simulator::run's) per virtual call, and next() is a batch
+ * of one.
  */
 class TraceFrontend : public TraceSource
 {
   public:
     /**
-     * Open @p path, sniff its format, and validate the header.
-     * @param cfg read_ahead bounds the decoded-record buffer;
-     *            line_payload is ignored on input (the stream itself
-     *            says whether payloads are present).
+     * Open @p path, sniff its format, and validate the header. The
+     * [trace] config is unused on input: the stream itself says its
+     * format and whether payloads are present.
      */
-    TraceFrontend(const std::string &path, const TraceConfig &cfg);
+    TraceFrontend(const std::string &path, const TraceConfig &);
     ~TraceFrontend() override;
 
     bool next(TraceRecord &rec) override;
@@ -284,20 +283,13 @@ class TraceFrontend : public TraceSource
     /** Records decoded so far (monotonic; survives reset()). */
     std::uint64_t recordsDecoded() const { return decoded_; }
 
-    /** High-water mark of the decoded-record buffer — the constant-
-     * memory claim, observable: never exceeds [trace] read_ahead. */
-    std::size_t peakBufferedRecords() const { return peakBuffered_; }
-
   private:
     void open();
-    void refill();
-    bool decodeOne(TraceRecord &rec);
     bool decodeText(TraceRecord &rec);
     bool decodeBinary(TraceRecord &rec);
     bool nextLine(const char *&line, std::size_t &len);
 
     std::string path_;
-    TraceConfig cfg_;
     TraceFormat format_ = TraceFormat::Text;
     std::unique_ptr<detail::ByteStream> in_;
 
@@ -307,11 +299,6 @@ class TraceFrontend : public TraceSource
     /** Binary sub-state: v2 header fields (v1 has none). */
     std::uint8_t binVersion_ = 0;
     bool binPayloads_ = true;
-
-    /** Bounded decoded-record buffer (FIFO). */
-    std::vector<TraceRecord> buffer_;
-    std::size_t bufPos_ = 0;
-    std::size_t peakBuffered_ = 0;
 
     std::uint64_t lineNo_ = 0;    ///< text diagnostics
     std::uint64_t decoded_ = 0;

@@ -208,7 +208,6 @@ TEST_F(ConfigFileTest, EveryKeyRoundTrips)
         {"persistence.crash_phase", "pre_barrier"},
         {"trace.format", "gzip"},
         {"trace.line_payload", "false"},
-        {"trace.read_ahead", "512"},
         {"pipeline.epoch_records", "1024"},
         {"pipeline.sample_epochs", "4"},
         {"core.clock_ghz", "2.0000001"},
@@ -300,7 +299,7 @@ TEST(ConfigReport, ConfigBlockIsTheKeyTableAndReloads)
              {"core.clock_ghz", "2.0000001"},
              {"seed", "42"},
              {"telemetry.span_sample_every", "3"},
-             {"trace.read_ahead", "512"},
+             {"trace.line_payload", "false"},
              {"pipeline.epoch_records", "1024"},
          })
         ASSERT_TRUE(applyConfigKey(cfg, key, v)) << key;
@@ -481,7 +480,6 @@ TEST_F(ConfigFileTest, TraceRoundTrips)
     SimConfig cfg;
     cfg.trace.format = TraceFormat::Gzip;
     cfg.trace.linePayload = false;
-    cfg.trace.readAhead = 512;
     {
         std::ofstream out(path_);
         out << renderConfig(cfg);
@@ -490,7 +488,6 @@ TEST_F(ConfigFileTest, TraceRoundTrips)
     loadConfigFile(back, path_.string());
     EXPECT_EQ(back.trace.format, TraceFormat::Gzip);
     EXPECT_FALSE(back.trace.linePayload);
-    EXPECT_EQ(back.trace.readAhead, 512u);
     EXPECT_EQ(renderConfig(back), renderConfig(cfg));
 }
 
@@ -849,8 +846,6 @@ TEST(ConfigIo, ApplyTraceKeys)
     EXPECT_EQ(cfg.trace.format, TraceFormat::Auto);
     EXPECT_TRUE(applyConfigKey(cfg, "trace.line_payload", "false"));
     EXPECT_FALSE(cfg.trace.linePayload);
-    EXPECT_TRUE(applyConfigKey(cfg, "trace.read_ahead", "128"));
-    EXPECT_EQ(cfg.trace.readAhead, 128u);
     EXPECT_FALSE(applyConfigKey(cfg, "trace.bogus", "1"));
 }
 
@@ -860,10 +855,6 @@ TEST(ConfigIoDeath, TraceKeysValidate)
     EXPECT_EXIT(applyConfigKey(cfg, "trace.format", "xml"),
                 ::testing::ExitedWithCode(1),
                 "not a trace format");
-    EXPECT_EXIT(applyConfigKey(cfg, "trace.read_ahead", "0"),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(applyConfigKey(cfg, "trace.read_ahead", "1048577"),
-                ::testing::ExitedWithCode(1), "out of range");
 }
 
 /** Apply @p args as command-line flags over a default config. */
@@ -901,7 +892,6 @@ TEST(ConfigFlags, EveryAliasEqualsItsKey)
         {"-persist-crash-phase", "mid_journal"},
         {"-trace-format", "gzip"},
         {"-trace-payload", "0"},
-        {"-trace-read-ahead", "64"},
         {"-trace-ring", "32"},
         {"-span-every", "9"},
         {"-hist-buckets", "1"},

@@ -8,9 +8,9 @@
  * the replay equals the original byte for byte, for every scheme, in
  * every on-disk format, at any pipeline worker count, and composed
  * with crash injection. These tests pin each leg of that claim, plus
- * the constant-memory property (the decoded-record buffer never
- * exceeds [trace] read_ahead) and the deterministic content synthesis
- * for payload-less traces.
+ * the batch contract (any nextBatch size yields next()'s stream and
+ * writes only the slots it is given) and the deterministic content
+ * synthesis for payload-less traces.
  */
 
 #include <gtest/gtest.h>
@@ -93,17 +93,17 @@ captureRun(const SimConfig &cfg, SchemeKind kind,
     return rep;
 }
 
-/** Drain a frontend into a vector (payload compare helper). */
+/** Drain a frontend into a vector through @p batch-record nextBatch
+ * calls (payload compare helper). */
 std::vector<TraceRecord>
-drain(const std::string &path, std::uint64_t read_ahead = 4096)
+drain(const std::string &path, std::size_t batch = 1024)
 {
-    TraceConfig tc;
-    tc.readAhead = read_ahead;
-    TraceFrontend f(path, tc);
+    TraceFrontend f(path, TraceConfig{});
     std::vector<TraceRecord> out;
-    TraceRecord rec;
-    while (f.next(rec))
-        out.push_back(rec);
+    std::vector<TraceRecord> chunk(batch);
+    while (std::size_t n = f.nextBatch(chunk.data(), batch))
+        out.insert(out.end(), chunk.begin(),
+                   chunk.begin() + static_cast<long>(n));
     return out;
 }
 
@@ -139,16 +139,19 @@ writeGzip(const std::string &path, const std::string &bytes)
     sink.finish();
 }
 
+/** Field-wise record compare; reads' payloads only when
+ * @p readPayloads (expected streams leave them unset). */
 void
 expectSameRecords(const std::vector<TraceRecord> &a,
-                  const std::vector<TraceRecord> &b)
+                  const std::vector<TraceRecord> &b,
+                  bool readPayloads = false)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].op, b[i].op) << "record " << i;
         EXPECT_EQ(a[i].addr, b[i].addr) << "record " << i;
         EXPECT_EQ(a[i].icount, b[i].icount) << "record " << i;
-        if (a[i].op == OpType::Write) {
+        if (a[i].op == OpType::Write || readPayloads) {
             EXPECT_EQ(a[i].data, b[i].data) << "record " << i;
         }
     }
@@ -320,10 +323,11 @@ TEST_F(TraceFrontendTest, ReplayWithCrashInjectionRecovers)
 
 // ---------------------------------------------- streaming properties
 
-TEST_F(TraceFrontendTest, BoundedReadAheadOnLargeTrace)
+TEST_F(TraceFrontendTest, BoundedBatchOnLargeTrace)
 {
-    // 200k records through a 64-record window: the decoded-record
-    // high-water mark must honor the bound whatever the trace length.
+    // 200k records through 64-record batches: the caller's batch is
+    // the only record buffer, and no call overfills it whatever the
+    // trace length.
     std::string path = file("big.bin");
     TraceConfig wc;
     wc.format = TraceFormat::Binary;
@@ -336,17 +340,15 @@ TEST_F(TraceFrontendTest, BoundedReadAheadOnLargeTrace)
             writer.write(rec);
         }
     }
-    TraceConfig tc;
-    tc.readAhead = 64;
-    TraceFrontend f(path, tc);
-    TraceRecord rec;
+    TraceFrontend f(path, TraceConfig{});
+    std::vector<TraceRecord> batch(64);
     std::uint64_t n = 0;
-    while (f.next(rec))
-        ++n;
+    while (std::size_t got = f.nextBatch(batch.data(), 64)) {
+        ASSERT_LE(got, 64u);
+        n += got;
+    }
     EXPECT_EQ(n, 200000u);
     EXPECT_EQ(f.recordsDecoded(), 200000u);
-    EXPECT_LE(f.peakBufferedRecords(), 64u);
-    EXPECT_GT(f.peakBufferedRecords(), 0u);
 }
 
 TEST_F(TraceFrontendTest, ResetRestartsIncludingSynthesisState)
@@ -860,9 +862,7 @@ TEST_F(TraceFrontendTest, GzipResetMidStreamReplaysIdentically)
     std::string gz = file("reset.gz");
     writeGzip(gz, gen.text);
 
-    TraceConfig tc;
-    tc.readAhead = 64;
-    TraceFrontend f(gz, tc);
+    TraceFrontend f(gz, TraceConfig{});
     std::vector<TraceRecord> head(gen.want.size() / 2);
     for (TraceRecord &rec : head)
         ASSERT_TRUE(f.next(rec));
@@ -951,9 +951,8 @@ TEST_F(TraceFrontendTest, MidStreamGzipCorruptionDeliversEarlierRecords)
     ASSERT_GT(must, gen.want.size() / 2);
 
     auto consume = [&] {
-        TraceConfig tc;
-        tc.readAhead = 1;  // hand each record out as it decodes
-        TraceFrontend f(path, tc);
+        // next() hands each record out as it decodes.
+        TraceFrontend f(path, TraceConfig{});
         TraceRecord rec;
         std::size_t n = 0;
         while (f.next(rec)) {
@@ -1068,6 +1067,74 @@ TEST_F(TraceFrontendTest, BinaryRecordsStraddlingWindowEndsDecodeExactly)
             TraceFrontend f(gz, TraceConfig{});
             EXPECT_EQ(f.format(), TraceFormat::Gzip);
             expectSameRecords(gen.want, drain(gz, 5));
+        }
+    }
+}
+
+/** The batch size is invisible: in every format, next() and
+ * nextBatch(max) at any max yield the same records, every field
+ * included, count each one decoded once, and never write past
+ * out[max - 1]. */
+TEST_F(TraceFrontendTest, BatchSizeDoesNotChangeTheStream)
+{
+    TextTraceGen text(0xba7c, inflateWindows());
+    text.build(3);
+    BinaryTraceGen v1(0xba71, 1, 2);
+    BinaryTraceGen v2(0xba72, 2, 2);
+    writeFile(file("b.trace"), text.text);
+    writeGzip(file("b.trace.gz"), text.text);
+    writeFile(file("b1.bin"), v1.bytes);
+    writeFile(file("b2.bin"), v2.bytes);
+    struct Case
+    {
+        const char *name;
+        const std::vector<TraceRecord> &want;
+    } cases[] = {{"b.trace", text.want},
+                 {"b.trace.gz", text.want},
+                 {"b1.bin", v1.want},
+                 {"b2.bin", v2.want}};
+
+    TraceRecord canary;
+    canary.op = OpType::Read;
+    canary.addr = 0xca1a7;
+    canary.icount = 0xca1a7;
+    for (std::size_t w = 0; w < kWordsPerLine; ++w)
+        canary.data.setWord(w, 0xca1a7ca1a7ca1a7ull);
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<TraceRecord> one;
+        {
+            TraceFrontend f(file(c.name), TraceConfig{});
+            TraceRecord rec;
+            while (f.next(rec))
+                one.push_back(rec);
+            EXPECT_EQ(f.recordsDecoded(), one.size());
+        }
+        expectSameRecords(c.want, one);
+        for (const TraceRecord &r : one) {
+            if (r.op == OpType::Read) {
+                EXPECT_EQ(r.data, CacheLine{});
+            }
+        }
+
+        for (std::size_t max : {1, 3, 1024, 5000}) {
+            SCOPED_TRACE(max);
+            TraceFrontend f(file(c.name), TraceConfig{});
+            std::vector<TraceRecord> batch(max + 1);
+            batch[max] = canary;
+            std::vector<TraceRecord> got;
+            while (std::size_t n = f.nextBatch(batch.data(), max)) {
+                ASSERT_LE(n, max);
+                got.insert(got.end(), batch.begin(),
+                           batch.begin() + static_cast<long>(n));
+            }
+            EXPECT_EQ(batch[max].op, canary.op);
+            EXPECT_EQ(batch[max].addr, canary.addr);
+            EXPECT_EQ(batch[max].icount, canary.icount);
+            EXPECT_EQ(batch[max].data, canary.data);
+            EXPECT_EQ(f.recordsDecoded(), got.size());
+            expectSameRecords(one, got, /*readPayloads=*/true);
         }
     }
 }

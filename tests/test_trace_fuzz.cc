@@ -282,11 +282,9 @@ consumesCleanly(const std::string &path, std::string &why)
     if (pid == 0) {
         // Child: parse to exhaustion. esd_fatal exits 1 on malformed
         // input; anything else lands at _exit(0).
-        TraceConfig tc;
-        tc.readAhead = 32;
-        TraceFrontend f(path, tc);
-        TraceRecord rec;
-        while (f.next(rec)) {
+        TraceFrontend f(path, TraceConfig{});
+        TraceRecord batch[32];
+        while (f.nextBatch(batch, 32) != 0) {
         }
         ::_exit(0);
     }

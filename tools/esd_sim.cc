@@ -59,7 +59,9 @@
  *   exports depend only on its own records: -trace-out and
  *   -latency-out list the shards' records one shard after another,
  *   -spans-out gives each shard its own process, -metrics-out labels
- *   each sample shard="s", -profile sums the shards' host time, and
+ *   each sample shard="s", -profile sums the shards' phase times
+ *   against the workers' thread time (workers x the pipeline's
+ *   wall-clock) and prints that wall-clock as the run time, and
  *   -recovery-json reports the shard that crashed.
  *
  * Trace frontend / capture (see `[trace]` config keys):
@@ -273,7 +275,11 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
         Profiler prof;
         for (const Simulator *sim : shards)
             prof.merge(sim->profiler());
-        double run_ns = static_cast<double>(prof.runNs());
+        // The shards share the pipeline's wall-clock window, so their
+        // phases are shares of the workers' thread time.
+        std::uint64_t workers = pipe ? pipe->workers() : 1;
+        std::uint64_t thread_ns = r.hostNs * workers;
+        double run_ns = static_cast<double>(thread_ns);
         std::uint64_t writes = std::max<std::uint64_t>(r.logicalWrites, 1);
         std::cout << "host profile (measured window):\n";
         TablePrinter pt({"phase", "calls", "total ms", "ns/write",
@@ -289,21 +295,20 @@ printSummary(const Options &opt, const SimConfig &cfg, const RunResult &r,
                            ? TablePrinter::pct(tp.ns / run_ns)
                            : "-"});
         }
-        std::uint64_t other = prof.runNs() - std::min(prof.profiledNs(),
-                                                      prof.runNs());
+        std::uint64_t other =
+            thread_ns - std::min(prof.profiledNs(), thread_ns);
         pt.addRow({"(unattributed)", "-",
                    TablePrinter::num(other / 1e6, 2),
                    TablePrinter::num(static_cast<double>(other) / writes,
                                      0),
                    run_ns > 0 ? TablePrinter::pct(other / run_ns) : "-"});
         pt.print();
-        double secs = run_ns / 1e9;
-        std::cout << "host run: " << TablePrinter::num(run_ns / 1e6, 1)
+        double secs = r.hostNs / 1e9;
+        std::cout << "host run: " << TablePrinter::num(r.hostNs / 1e6, 1)
                   << " ms"
-                  << (shards.size() > 1
-                          ? " summed over " + std::to_string(shards.size()) +
-                                " shards"
-                          : "")
+                  << (pipe ? " wall on " + std::to_string(workers) +
+                                 (workers == 1 ? " worker" : " workers")
+                           : "")
                   << ", "
                   << TablePrinter::num(
                          secs > 0 ? r.logicalWrites / secs : 0, 0)
